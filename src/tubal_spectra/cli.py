@@ -258,10 +258,9 @@ def _cmd_ted(cfg):
     text.append(f"residuals: reconstruction={_fmt(res.reconstruction)} "
                 f"orthogonality={_fmt(res.orthogonality)} "
                 f"eigenpair_max={_fmt(res.eigenpair_max)}")
-    text.append("factor u:")
-    text.append(tensor3_text(result.u).rstrip("\n"))
-    text.append("factor d:")
-    text.append(tensor3_text(result.d).rstrip("\n"))
+    for name in ("u", "d"):
+        text.append(f"factor {name}:")
+        text.append(doc["factors"][f"{name}_t3"].rstrip("\n"))
     _deliver_doc(cfg, doc, text)
     return 0
 
@@ -291,9 +290,9 @@ def _cmd_tsvd(cfg):
                 f"orthogonality_u={_fmt(res.orthogonality_u)} "
                 f"orthogonality_v={_fmt(res.orthogonality_v)} "
                 f"pair_max={_fmt(res.pair_max)}")
-    for name, factor in (("u", result.u), ("s", result.s), ("v", result.v)):
+    for name in ("u", "s", "v"):
         text.append(f"factor {name}:")
-        text.append(tensor3_text(factor).rstrip("\n"))
+        text.append(doc["factors"][f"{name}_t3"].rstrip("\n"))
     _deliver_doc(cfg, doc, text)
     return 0
 
@@ -381,8 +380,8 @@ def _cmd_verify(cfg):
     r = float(np.linalg.norm(fast - dense)) / scale
     checks.append(CheckResult("tprod_cross_path", r, 1e-12, r <= 1e-12))
 
-    result = tsvd(A)
-    res = result.residuals
+    gram = gram_consistency(A)
+    res = gram.tsvd.residuals
     for name, value, bound in (
             ("tsvd_reconstruction", res.reconstruction, 1e-10),
             ("tsvd_orthogonality_u", res.orthogonality_u, 1e-10),
@@ -390,7 +389,7 @@ def _cmd_verify(cfg):
             ("tsvd_pair_residuals", res.pair_max, 1e-9)):
         checks.append(CheckResult(name, value, bound, value <= bound))
 
-    checks.extend(gram_consistency(A).checks)
+    checks.extend(gram.checks)
 
     if m == n and is_t_symmetric(A):
         checks.extend(replace(c, check=f"ted_{c.check}")

@@ -7,10 +7,22 @@ frequency-domain fast paths in :mod:`tubal_spectra.tproduct` and
 two routes is evidence, not tautology.
 
 ``oracle_quadform_matrices`` turns the T-quadratic form into ``p`` ordinary
-symmetric matrices by polarization: component ``r`` of ``F_A(X)`` equals
-``x^T M_r x`` for ``x = unfold_mat(X)``.  ``oracle_psd_exact`` then answers
-elementwise positive-semidefiniteness exactly (up to an eigenvalue
-tolerance) and produces a re-verified witness when the answer is negative.
+symmetric matrices: component ``r`` of ``F_A(X)`` equals ``x^T M_r x`` for
+``x = unfold_mat(X)``.  Split ``x`` and ``y = bcirc(A) x`` into length-``n``
+blocks ``x_k`` and ``y_k``.  Block ``(r, k)`` of ``bcirc(X^T)`` is
+``x_{(k - r) mod p}^T``, so
+
+    F_A(X)[r] = sum_k x_{(k - r) mod p}^T y_k = x^T S_r bcirc(A) x,
+
+where ``S_r`` has identity blocks at ``((k - r) mod p, k)`` and zeros
+elsewhere.  Hence ``M_r = sym(S_r bcirc(A))``.  Multiplying by ``S_r`` only
+rolls the block rows of ``bcirc(A)`` up by ``r``, so one ``bcirc`` and one
+row gather assemble all ``p`` matrices in ``O(p (n p)^2)``; this is the
+block-circulant view of Kilmer & Martin (*Linear Algebra Appl.* 435, 2011).
+
+``oracle_psd_exact`` then answers elementwise positive-semidefiniteness
+exactly (up to an eigenvalue tolerance) and produces a witness, re-verified
+through the dense form, when the answer is negative.
 """
 
 from __future__ import annotations
@@ -53,9 +65,9 @@ class CheckResult:
 class ExactPsdResult:
     """Exact elementwise PSD answer from the polarization matrices.
 
-    ``component`` is the 1-based tube component whose matrix attains the
-    most negative eigenvalue; ``witness`` (when present) is a matrix slice
-    with ``F_A(witness)[component] == witness_value < -tol``.
+    ``component`` is the smallest 1-based tube component whose matrix
+    attains the most negative eigenvalue; ``witness`` (when present) is a
+    matrix slice with ``F_A(witness)[component] == witness_value < -tol``.
     """
 
     label: str
@@ -92,67 +104,61 @@ def oracle_quadform_dense(A, X):
     return _quadform_dense(bcirc(A), X, A.shape[2])
 
 
+def _quadform_matrices(bcA, n, p):
+    """Closed-form polarization matrices from ``bcA = bcirc(A)``.
+
+    Row ``i`` of ``S_r bcA`` is row ``(i + r n) mod (n p)`` of ``bcA``, so
+    all ``p`` shifted products come from one row gather.
+    """
+    N = n * p
+    rows = (np.arange(N)[None, :] + n * np.arange(p)[:, None]) % N
+    R = bcA[rows]
+    return 0.5 * (R + R.transpose(0, 2, 1))
+
+
 def oracle_quadform_matrices(A):
     """Polarization matrices of the T-quadratic form.
 
     Returns a ``(p, n*p, n*p)`` array ``M`` with
     ``F_A(X)[r] == unfold_mat(X) @ M[r] @ unfold_mat(X)`` for every ``X``;
-    each ``M[r]`` is symmetric.
+    each ``M[r]`` is exactly symmetric.
     """
     A = require_square(A)
     n, _, p = A.shape
-    N = n * p
-    bcA = bcirc(A)
-    basis_vals = np.empty((N, p))
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = 1.0
-        basis_vals[i] = _quadform_dense(bcA, fold_mat(e, p), p)
-    M = np.empty((p, N, N))
-    for i in range(N):
-        M[:, i, i] = basis_vals[i]
-    for i in range(N):
-        ei = np.zeros(N)
-        ei[i] = 1.0
-        for j in range(i + 1, N):
-            ej = np.zeros(N)
-            ej[j] = 1.0
-            fij = _quadform_dense(bcA, fold_mat(ei + ej, p), p)
-            cross = 0.5 * (fij - basis_vals[i] - basis_vals[j])
-            M[:, i, j] = cross
-            M[:, j, i] = cross
-    return M
+    return _quadform_matrices(bcirc(A), n, p)
 
 
 def oracle_psd_exact(A, tol=1e-10, max_np=64):
     """Exact elementwise PSD classification of the T-quadratic form.
 
     Eigendecomposes every polarization matrix; the form is elementwise PSD
-    iff all of them are PSD.  When some eigenvalue falls below ``-tol`` the
-    minimizing eigenvector is folded into a witness matrix slice and
-    re-verified through the dense form before being returned.  Guarding the
-    ``O((n p)^3)`` cost, inputs with ``n * p > max_np`` raise
-    :class:`TooLarge`.
+    iff all of them are PSD.  The reported component is the smallest one
+    whose matrix attains the minimum eigenvalue (for T-symmetric ``A``,
+    components ``r`` and ``p - r`` tie, bit for bit when ``A`` is exactly
+    T-symmetric).  When that eigenvalue falls
+    below ``-tol`` its eigenvector, signed so that its largest-magnitude
+    entry (first on ties) is positive, is folded into a witness matrix
+    slice and re-verified through the dense form before being returned.
+    Guarding the ``O(p (n p)^3)`` eigensolves, inputs with
+    ``n * p > max_np`` raise :class:`TooLarge`.
     """
     A = require_square(A)
     n, _, p = A.shape
     if n * p > max_np:
         raise TooLarge(
             f"exact PSD oracle is limited to n*p <= {max_np}, got {n * p}")
-    M = oracle_quadform_matrices(A)
-    min_eig = np.inf
-    arg = (0, None)
-    for r in range(p):
-        w, V = np.linalg.eigh(M[r])
-        if float(w[0]) < min_eig:
-            min_eig = float(w[0])
-            arg = (r, V[:, 0].copy())
-    r, vec = arg
+    bcA = bcirc(A)
+    w, V = np.linalg.eigh(_quadform_matrices(bcA, n, p))
+    r = int(np.argmin(w[:, 0]))
+    min_eig = float(w[r, 0])
     if min_eig >= -tol:
         return ExactPsdResult(label=ELEMENTWISE_PSD, min_eigenvalue=min_eig,
                               component=r + 1)
+    vec = V[r, :, 0]
+    if vec[np.argmax(np.abs(vec))] < 0.0:
+        vec = -vec
     witness = fold_mat(vec, p)
-    value = float(_quadform_dense(bcirc(A), witness, p)[r])
+    value = float(_quadform_dense(bcA, witness, p)[r])
     if value >= -tol:
         raise TubalError(
             "internal inconsistency: PSD witness failed re-evaluation")

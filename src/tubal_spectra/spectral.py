@@ -267,7 +267,15 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):
                 "tensor is not T-symmetric; pass auto_symmetrize=True to "
                 "classify (A + A^T) / 2 instead")
         A = 0.5 * symmetrize(A)
-    result = ted(A, symmetry_tol)
+    return classify_ted(ted(A, symmetry_tol), tol)
+
+
+def classify_ted(result, tol=1e-10):
+    """The spectral PSD verdict of an existing :class:`TedResult`.
+
+    This is the classification step of :func:`psd_spectral`, for callers
+    that already hold the decomposition.
+    """
     min_entry = float(result.eigentuples.min())
     if min_entry > tol:
         cls = SPECTRAL_PD

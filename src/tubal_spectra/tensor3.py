@@ -59,11 +59,9 @@ def bcirc(A):
     """Block-circulant embedding of ``A`` (an ``mp x np`` matrix)."""
     A = as_tensor3(A)
     m, n, p = A.shape
-    M = np.zeros((m * p, n * p))
-    for i in range(p):
-        for j in range(p):
-            M[i * m:(i + 1) * m, j * n:(j + 1) * n] = A[:, :, (i - j) % p]
-    return M
+    idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+    # A[:, :, idx][a, b, i, j] is entry (a, b) of block (i, j).
+    return A[:, :, idx].transpose(2, 0, 3, 1).reshape(m * p, n * p)
 
 
 def bcirc_inv(M, p, tol=1e-10):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import CheckResult
-from .spectral import psd_spectral, ted
+from .spectral import classify_ted, ted
 from .tensor3 import as_tensor3, identity, shift_columns, transpose
 from .transform import freq_from_half, from_freq, to_freq
 from .tproduct import tprod, tprod_mat
@@ -72,7 +72,7 @@ class GramConsistencyReport:
 
     ``passed`` is the conjunction of the checks that carry a threshold;
     informational entries (``threshold is None``) are reported but never
-    gate the verdict.
+    gate the verdict.  ``tsvd`` is the decomposition that was checked.
     """
 
     checks: list
@@ -82,6 +82,7 @@ class GramConsistencyReport:
     right_match_residual: float
     left_match_residual: float
     passed: bool
+    tsvd: TsvdResult
 
 
 def tsvd(A):
@@ -195,7 +196,8 @@ def gram_consistency(A, tol=1e-8):
     singular tuples, zero-padded to ``n`` (respectively ``m``) tubes, within
     ``tol`` relative; each Gram's frequency spectrum must be nonnegative to
     1e-10.  The spatial eigentuple entry floor of each Gram is recorded as
-    an informational check with no threshold.
+    an informational check with no threshold.  Each Gram is decomposed
+    once; both floors are read from that decomposition.
     """
     A = as_tensor3(A)
     m, n, p = A.shape
@@ -222,7 +224,7 @@ def gram_consistency(A, tol=1e-8):
         checks.append(CheckResult(
             check=f"{name}_gram_eigentuple_match", residual=res,
             threshold=tol, passed=bool(res <= tol)))
-        verdict = psd_spectral(G)
+        verdict = classify_ted(T)
         floor = max(0.0, -verdict.min_frequency_eigenvalue)
         checks.append(CheckResult(
             check=f"{name}_gram_frequency_psd_floor", residual=floor,
@@ -242,4 +244,5 @@ def gram_consistency(A, tol=1e-8):
         left_eigentuples=eigentuples["left"],
         right_match_residual=residuals["right"],
         left_match_residual=residuals["left"],
-        passed=all(c.passed for c in checks if c.passed is not None))
+        passed=all(c.passed for c in checks if c.passed is not None),
+        tsvd=result)

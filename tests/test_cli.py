@@ -9,6 +9,7 @@ import pytest
 
 from helpers import random_tensor, random_tsym
 from tubal_spectra import cli
+from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.spectral import psd_spectral
 from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
                                    read_tensor3, tensor3_from_text, transpose,
@@ -313,6 +314,59 @@ def test_verify_passes_on_symmetric_input(capsys, tsym_file):
     # informational entries carry no verdict
     info = [c for c in doc["checks"] if c["pass"] is None]
     assert all(c["threshold"] is None for c in info)
+
+
+def test_verify_check_names_and_order(capsys, tsym_file):
+    code, out, _ = run(capsys, "verify", tsym_file, "--format", "json")
+    assert code == 0
+    names = [c["check"] for c in json.loads(out)["checks"]]
+    assert names == [
+        "bcirc_roundtrip", "fold_roundtrip", "transpose_involution",
+        "tprod_cross_path", "tsvd_reconstruction", "tsvd_orthogonality_u",
+        "tsvd_orthogonality_v", "tsvd_pair_residuals",
+        "right_gram_eigentuple_match", "right_gram_frequency_psd_floor",
+        "right_gram_eigentuple_entry_floor", "left_gram_eigentuple_match",
+        "left_gram_frequency_psd_floor", "left_gram_eigentuple_entry_floor",
+        "ted_reconstruction", "ted_orthogonality", "ted_d_f_diagonal",
+        "ted_d_t_symmetric", "ted_eigenpair_residuals",
+        "ted_frequency_ordering", "ted_first_component_ordering",
+        "quadform_polarization"]
+
+
+def test_verify_decomposes_the_input_once(capsys, tsym_file, monkeypatch):
+    calls = []
+    real = tsvd_module.tsvd
+
+    def counted(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(tsvd_module, "tsvd", counted)
+    monkeypatch.setattr(cli, "tsvd", counted)
+    code, _, _ = run(capsys, "verify", tsym_file)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_text_factors_are_serialized_once(capsys, tsym_file, monkeypatch):
+    calls = []
+    real = cli.tensor3_text
+
+    def counted(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(cli, "tensor3_text", counted)
+    for command, factors in (("ted", "ud"), ("tsvd", "usv")):
+        calls.clear()
+        code, text, _ = run(capsys, command, tsym_file)
+        assert code == 0
+        assert len(calls) == len(factors)
+        code, out, _ = run(capsys, command, tsym_file, "--format", "json")
+        doc = json.loads(out)
+        for name in factors:
+            block = doc["factors"][f"{name}_t3"]
+            assert f"factor {name}:\n{block}" in text
 
 
 def test_verify_passes_on_rectangular_input(capsys, tmp_path):

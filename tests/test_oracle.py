@@ -1,12 +1,15 @@
 """Dense oracle layer: product route, polarization matrices, exact PSD,
 decomposition checking (including deliberate corruption)."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_tensor, random_tsym
+from helpers import polarization_by_evaluation, random_tensor, random_tsym
+from tubal_spectra import oracle
 from tubal_spectra.errors import ShapeError, TooLarge
 from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
                                   oracle_psd_exact, oracle_quadform_dense,
@@ -56,6 +59,81 @@ def test_polarization_reproduces_quadform():
             poly = np.array([float(x @ M[r] @ x) for r in range(p)])
             assert np.allclose(poly, quadform(A, X), atol=1e-10)
             assert np.allclose(poly, oracle_quadform_dense(A, X), atol=1e-10)
+
+
+@pytest.mark.parametrize("n, p", [(4, 1), (1, 2), (3, 2), (2, 3), (3, 5),
+                                  (2, 4), (3, 8), (4, 6)])
+def test_closed_form_matches_polarization_by_evaluation(n, p):
+    # n * p <= 24 keeps the O((n p)^2) evaluation route affordable; the
+    # general tensor is not T-symmetric, so no tie hides a wrong shift.
+    rng = np.random.default_rng(1000 * n + p)
+    for A in (random_tensor(rng, n, n, p), random_tsym(rng, n, p)):
+        M = oracle_quadform_matrices(A)
+        assert M.shape == (p, n * p, n * p)
+        assert np.allclose(M, polarization_by_evaluation(A), rtol=0.0,
+                           atol=1e-12)
+        for r in range(p):
+            assert np.array_equal(M[r], M[r].T)
+
+
+def test_t_symmetric_components_tie_exactly():
+    # For exactly T-symmetric A, S_{p-r} bcirc(A) is the transpose of
+    # S_r bcirc(A), so M_r and M_{p-r} agree bit for bit.
+    rng = np.random.default_rng(31)
+    for n, p in [(2, 3), (3, 4), (2, 7), (2, 8)]:
+        M = oracle_quadform_matrices(random_tsym(rng, n, p))
+        for r in range(1, p):
+            assert np.array_equal(M[r], M[p - r])
+
+
+def test_exact_psd_reports_smallest_tied_component():
+    rng = np.random.default_rng(7)
+    ties = 0
+    for n, p in [(2, 4), (3, 5), (2, 6), (3, 8), (2, 7)]:
+        A = random_tsym(rng, n, p)
+        ex = oracle_psd_exact(A)
+        mins = np.linalg.eigh(oracle_quadform_matrices(A))[0][:, 0]
+        attaining = np.flatnonzero(mins == mins.min())
+        ties += len(attaining) > 1
+        assert ex.min_eigenvalue == mins.min()
+        assert ex.component == attaining[0] + 1
+        assert ex.component <= p // 2 + 1
+    assert ties >= 2  # the rule was exercised, not just the unique case
+
+
+def test_exact_psd_witness_sign_rule():
+    # identity(1, 2): the witness entries tie in magnitude exactly, and
+    # the first one is made positive.
+    ex = oracle_psd_exact(identity(1, 2))
+    assert ex.witness[0, 0] == -ex.witness[0, 1] > 0.0
+    rng = np.random.default_rng(11)
+    for n, p in [(2, 3), (3, 4), (2, 5)]:
+        A = random_tsym(rng, n, p)
+        ex = oracle_psd_exact(A)
+        assert ex.label == NOT_ELEMENTWISE_PSD
+        v = unfold_mat(ex.witness)
+        assert v[np.argmax(np.abs(v))] > 0.0
+        # the reported value is the dense re-evaluation of the witness
+        assert ex.witness_value == oracle_quadform_dense(
+            A, ex.witness)[ex.component - 1]
+
+
+def test_oracle_imports_no_fast_path():
+    # The dense route must stay independent of the FFT route, so that
+    # agreement between the two is evidence.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    banned = {"transform", "tproduct", "spectral", "tsvd"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = set((node.module or "").split("."))
+            assert not parts & (banned | {"fft"}), ast.dump(node)
+            assert not {a.name for a in node.names} & (banned | {"fft"})
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = set(alias.name.split("."))
+                assert not parts & (banned | {"fft"}), alias.name
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "fft", ast.dump(node)
 
 
 def test_exact_psd_identity_has_witness():

@@ -8,7 +8,7 @@ from tubal_spectra.errors import NotTSymmetric, ShapeError, ZeroMatrix
 from tubal_spectra.oracle import (oracle_psd_exact, oracle_quadform_dense,
                                   oracle_ted_check, oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
-                                    SPECTRAL_PSD, eigenmatrices,
+                                    SPECTRAL_PSD, classify_ted, eigenmatrices,
                                     expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
@@ -362,6 +362,22 @@ def test_psd_gram_tensors_report():
         f"{runs} classified PSD/PD by spatial eigentuple entries; all "
         f"{runs}/{runs} have nonnegative frequency spectra (entrywise "
         f"nonnegativity of squared tubes is not guaranteed)")
+
+
+def test_classify_ted_is_psd_spectral_on_a_held_decomposition():
+    rng = np.random.default_rng(5)
+    B = random_tensor(rng, 3, 3, 4)
+    for A in (tprod(transpose(B), B), identity(2, 3), -identity(2, 3)):
+        for tol in (1e-10, 1e-3):
+            held = classify_ted(ted(A), tol)
+            fresh = psd_spectral(A, tol=tol)
+            assert held.spectral_class == fresh.spectral_class
+            assert held.min_entry == fresh.min_entry
+            assert (held.min_frequency_eigenvalue
+                    == fresh.min_frequency_eigenvalue)
+            assert np.array_equal(held.smallest_eigentuple,
+                                  fresh.smallest_eigentuple)
+            assert held.tol == tol
 
 
 def test_psd_criterion_vs_elementwise_oracle_gap():

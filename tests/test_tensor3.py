@@ -26,6 +26,27 @@ def test_bcirc_block_layout():
             assert np.array_equal(block, A[:, :, (i - j) % 4])
 
 
+def _bcirc_loop(A):
+    """Block-by-block reference for the gather-based ``bcirc``."""
+    m, n, p = A.shape
+    M = np.zeros((m * p, n * p))
+    for i in range(p):
+        for j in range(p):
+            M[i * m:(i + 1) * m, j * n:(j + 1) * n] = A[:, :, (i - j) % p]
+    return M
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 2, 5), (4, 4, 1),
+                                   (2, 5, 1), (3, 2, 2), (1, 1, 2),
+                                   (3, 3, 7)])
+def test_bcirc_matches_loop_reference(shape):
+    A = random_tensor(np.random.default_rng(sum(shape)), *shape)
+    M = bcirc(A)
+    assert M.shape == (shape[0] * shape[2], shape[1] * shape[2])
+    assert M.flags.c_contiguous and M.flags.writeable
+    assert np.array_equal(M, _bcirc_loop(A))
+
+
 def test_bcirc_inv_roundtrip_and_rejection():
     A = random_tensor(RNG, 3, 2, 5)
     assert np.array_equal(bcirc_inv(bcirc(A), 5), A)

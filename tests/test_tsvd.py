@@ -8,6 +8,7 @@ from tubal_spectra.errors import ShapeError
 from tubal_spectra.spectral import ted
 from tubal_spectra.tensor3 import identity, is_f_diagonal, transpose
 from tubal_spectra.tproduct import is_orthogonal, tprod
+from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.tsvd import gram_consistency, singular_pairs, tsvd
 from tubal_spectra.tubal import tube_mul, tube_transpose, unit_tube
 
@@ -148,6 +149,26 @@ def test_gram_consistency_reports_entry_floor_as_info():
     assert {c.check for c in hard} == {
         "right_gram_eigentuple_match", "right_gram_frequency_psd_floor",
         "left_gram_eigentuple_match", "left_gram_frequency_psd_floor"}
+
+
+def test_gram_consistency_decomposes_each_tensor_once(monkeypatch):
+    calls = {"ted": 0, "tsvd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tsvd_module, "ted", counted("ted", ted))
+    monkeypatch.setattr(tsvd_module, "tsvd", counted("tsvd", tsvd))
+    A = random_tensor(np.random.default_rng(3), 4, 3, 5)
+    rep = gram_consistency(A)
+    assert calls == {"ted": 2, "tsvd": 1}
+    # the report carries the decomposition it checked
+    fresh = tsvd(A)
+    assert np.array_equal(rep.tsvd.singular_tuples, fresh.singular_tuples)
+    assert rep.tsvd.residuals.pair_max == fresh.residuals.pair_max
 
 
 def test_shape_errors():
