@@ -92,12 +92,19 @@ def measure(workdir):
     return [(name, shape, _time(fn)) for name, shape, fn in entries]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def record(argv, kind, seed, measure, default_out, description):
+    """Run ``measure(workdir)`` on one side and merge it into the output.
+
+    Parses ``--src``, ``--side`` and ``--out`` from ``argv``, imports
+    ``tubal_spectra`` from ``--src`` and fills that side of every entry in
+    the output file, keeping the other side.  ``measure`` returns
+    ``[(name, shape, {"seconds", "reps"})]``.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--src", required=True,
                         help="source directory that holds tubal_spectra")
     parser.add_argument("--side", required=True, choices=("before", "after"))
-    parser.add_argument("--out", default="BENCH_certify.json")
+    parser.add_argument("--out", default=default_out)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
@@ -106,7 +113,7 @@ def main(argv=None):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
-        doc = {"schema": SCHEMA, "kind": "bench_certify", "seed": SEED,
+        doc = {"schema": SCHEMA, "kind": kind, "seed": seed,
                "env": {}, "results": []}
     doc["env"][args.side] = {
         "python": platform.python_version(), "numpy": np.__version__,
@@ -127,6 +134,11 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
     return 0
+
+
+def main(argv=None):
+    return record(argv, "bench_certify", SEED, measure, "BENCH_certify.json",
+                  __doc__.split("\n")[0])
 
 
 if __name__ == "__main__":

@@ -9,6 +9,17 @@ conjugate bins mirrored exactly.  Eigentuple ``j`` is the index reversal of
 the ``j``-th diagonal tube of ``D``, so that
 ``A * U_j^[k] = d_j act U_j^[k]`` for every cyclic column shift ``k``.
 
+The frequency core is batched and shared with :mod:`tubal_spectra.tsvd`.
+The self-conjugate bins (``k = 0`` and, for even ``p``, ``k = p/2``) are
+factored as one real stack and the other half-spectrum bins as one complex
+stack, so each decomposition makes at most two stacked ``eigh`` calls.  One
+vectorized canonical phase rotates every vector of every bin.  The
+``n x p`` eigenpair residuals are certified from one transform of ``A``:
+for each eigentuple, the ``p`` shifted eigenmatrices are gathered into one
+``n x p x p`` block, multiplied by ``A`` in the frequency domain and acted
+on by the tube in one batch, and each shift's residual is the norm of its
+own lateral slice.  No shift is inferred from another.
+
 The first component of an eigentuple is the mean of its per-slice
 eigenvalues, so first components always inherit the per-slice descending
 order; the full elementwise order between consecutive eigentuples may hold,
@@ -34,9 +45,10 @@ import numpy as np
 from .errors import NotTSymmetric, ShapeError, ZeroMatrix
 from .tensor3 import (as_matslice, identity, is_t_symmetric, require_square,
                       shift_columns, transpose)
-from .transform import freq_from_half, from_freq, hermitize_check, to_freq
+from .transform import (_mirrored_bins, freq_from_half, from_freq,
+                        hermitize_check, to_freq)
 from .tproduct import tprod, tprod_mat
-from .tubal import INCOMPARABLE, tube_action, tube_le, tube_transpose
+from .tubal import INCOMPARABLE, circ, tube_action, tube_le, tube_transpose
 
 SPECTRAL_PD = "PD"
 SPECTRAL_PSD = "PSD"
@@ -98,15 +110,71 @@ class PsdVerdict:
     witness: np.ndarray | None = None
 
 
+def _half_spectrum_groups(F):
+    """Bins ``0..p//2`` of ``F`` as ``(bins, stack)`` pairs for stacked
+    factorization.
+
+    The self-conjugate bins (``0`` and, for even ``p``, ``p/2``) form one
+    real ``(b, m, n)`` stack; the remaining half-spectrum bins, if any, form
+    one complex stack.
+    """
+    p = F.p
+    half = F.slices[:, :, :p // 2 + 1].transpose(2, 0, 1)
+    real = [0, p // 2] if p % 2 == 0 else [0]
+    groups = [(real, half[real].real)]
+    mirrored = _mirrored_bins(p)
+    if mirrored.size:
+        groups.append((mirrored, half[mirrored]))
+    return groups
+
+
+def _full_spectrum(values, p):
+    """Per-bin values ``(p // 2 + 1, c)`` as a ``(c, p)`` array over all
+    ``p`` bins, copying bin ``k`` to its mirror ``p - k``."""
+    out = np.empty((values.shape[1], p))
+    out[:, :values.shape[0]] = values.T
+    k = _mirrored_bins(p)
+    out[:, p - k] = values[k].T
+    return out
+
+
 def _canonical_phase(V):
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        z = V[i, j]
-        mag = abs(z)
-        if mag > 0.0:
-            V[:, j] = V[:, j] * (np.conj(z) / mag)
-    return V
+    """Rotate every column of a ``(b, n, c)`` stack so that its
+    largest-magnitude entry (the first on ties) is real positive.
+
+    Returns the rotated stack and the ``(b, c)`` phases applied.  The
+    magnitude is ``hypot(re, im)``, which equals Python's scalar ``abs`` of
+    a complex number bit for bit.
+    """
+    i = np.argmax(np.abs(V), axis=1)
+    z = np.take_along_axis(V, i[:, None, :], axis=1)[:, 0, :]
+    mag = np.hypot(z.real, z.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.where(mag > 0.0, np.conj(z) / mag, 1.0)
+    return V * phase[:, None, :], phase
+
+
+def _shift_block(X):
+    """The ``p`` cyclic column shifts of an ``(n, p)`` matrix, as an
+    ``(n, p, p)`` block whose lateral slice ``k`` is
+    ``shift_columns(X, k)``."""
+    p = X.shape[1]
+    k = np.arange(p)
+    return X[:, (k[None, :] - k[:, None]) % p]
+
+
+def _pair_residuals(Ah, d, X, Y):
+    """``||A * X_k - d act Y_k||_F`` for every lateral slice ``k``.
+
+    ``Ah`` is ``rfft(A, axis=2)`` of an ``(m, n, p)`` tensor moved to
+    ``(p // 2 + 1, m, n)``; ``X`` is an ``(n, c, p)`` block and ``Y`` an
+    ``(m, c, p)`` block.  All ``c`` products are one batched frequency
+    product and all tube actions one matrix product.
+    """
+    p = X.shape[2]
+    Xh = np.fft.rfft(X, axis=2).transpose(2, 0, 1)
+    AX = np.fft.irfft(np.matmul(Ah, Xh).transpose(1, 2, 0), n=p, axis=2)
+    return np.linalg.norm(AX - Y @ circ(d), axis=(0, 2))
 
 
 def ted(A, tol=None):
@@ -126,24 +194,15 @@ def ted(A, tol=None):
         raise NotTSymmetric("frequency slices are not Hermitian")
 
     h = p // 2 + 1
-    uh = np.empty((n, n, h), dtype=np.complex128)
+    w = np.empty((h, n))
+    V = np.empty((h, n, n), dtype=np.complex128)
+    for bins, M in _half_spectrum_groups(F):
+        w[bins], V[bins] = np.linalg.eigh(0.5 * (M + M.conj().swapaxes(1, 2)))
+    w = w[:, ::-1]
+    V, _ = _canonical_phase(V[:, :, ::-1])
     dh = np.zeros((n, n, h), dtype=np.complex128)
-    freq_eigs = np.empty((n, p))
-    for k in range(h):
-        M = F.slice(k)
-        if k == 0 or (p % 2 == 0 and k == p // 2):
-            H = 0.5 * (M.real + M.real.T)
-        else:
-            H = 0.5 * (M + M.conj().T)
-        w, V = np.linalg.eigh(H)
-        w, V = w[::-1], np.ascontiguousarray(V[:, ::-1])
-        V = _canonical_phase(V.astype(np.complex128))
-        uh[:, :, k] = V
-        dh[:, :, k] = np.diag(w.astype(np.complex128))
-        freq_eigs[:, k] = w
-        if 0 < k < p - k:
-            freq_eigs[:, p - k] = w
-    U = from_freq(freq_from_half(uh, p))
+    dh[np.arange(n), np.arange(n), :] = w.T
+    U = from_freq(freq_from_half(V.transpose(1, 2, 0), p))
     D = from_freq(freq_from_half(dh, p))
 
     eigentuples = np.vstack([tube_transpose(D[j, j, :]) for j in range(n)])
@@ -153,11 +212,12 @@ def ted(A, tol=None):
     if normA > 0.0:
         recon /= normA
     orth = float(np.linalg.norm(tprod(transpose(U), U) - identity(n, p)))
+    Ah = np.fft.rfft(A, axis=2).transpose(2, 0, 1)
     pair = np.empty((n, p))
     for j in range(n):
-        for k in range(p):
-            pair[j, k] = verify_eigenpair(
-                A, eigentuples[j], shift_columns(U[:, j, :], k))
+        B = _shift_block(U[:, j, :])
+        pair[j] = (_pair_residuals(Ah, eigentuples[j], B, B)
+                   / np.linalg.norm(B, axis=(0, 2)))
 
     slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))
     firsts = eigentuples[:, 0]
@@ -172,7 +232,8 @@ def ted(A, tol=None):
         chain = False
 
     return TedResult(
-        u=U, d=D, eigentuples=eigentuples, frequency_eigenvalues=freq_eigs,
+        u=U, d=D, eigentuples=eigentuples,
+        frequency_eigenvalues=_full_spectrum(w, p),
         residuals=TedDiagnostics(recon, orth, pair, float(pair.max())),
         first_components_sorted=sorted_ok, elementwise_chain=chain)
 
@@ -244,9 +305,8 @@ def expand_in_eigenbasis(result, X):
             f"shape {result.u.shape}")
     alpha = np.empty((n, p))
     for j in range(n):
-        Uj = result.u[:, j, :]
-        for k in range(p):
-            alpha[j, k] = float(np.sum(shift_columns(Uj, k) * X))
+        alpha[j] = np.tensordot(_shift_block(result.u[:, j, :]), X,
+                                axes=([0, 2], [0, 1]))
     return alpha
 
 

@@ -46,11 +46,9 @@ class FreqSlices:
     def pair_residual(self):
         """Max deviation from ``F_{p-k} = conj(F_k)`` over mirrored pairs."""
         p = self.p
-        worst = 0.0
-        for k in range(1, (p - 1) // 2 + 1):
-            delta = self.slices[:, :, p - k] - np.conj(self.slices[:, :, k])
-            worst = max(worst, float(np.max(np.abs(delta))))
-        return worst
+        k = _mirrored_bins(p)
+        delta = self.slices[:, :, p - k] - np.conj(self.slices[:, :, k])
+        return float(np.max(np.abs(delta), initial=0.0))
 
     def real_bin_residual(self):
         """Max imaginary magnitude on the self-conjugate bins."""
@@ -63,6 +61,11 @@ class FreqSlices:
     def symmetry_residual(self):
         """Max of the pair and self-conjugate-bin residuals."""
         return max(self.pair_residual(), self.real_bin_residual())
+
+
+def _mirrored_bins(p):
+    """Bins ``k`` with ``0 < k < p - k``, whose conjugates sit at ``p - k``."""
+    return np.arange(1, (p - 1) // 2 + 1)
 
 
 def freq_from_half(half, p):
@@ -82,8 +85,8 @@ def freq_from_half(half, p):
     full[:, :, 0] = full[:, :, 0].real
     if p % 2 == 0:
         full[:, :, p // 2] = full[:, :, p // 2].real
-    for k in range(1, (p - 1) // 2 + 1):
-        full[:, :, p - k] = np.conj(full[:, :, k])
+    k = _mirrored_bins(p)
+    full[:, :, p - k] = np.conj(full[:, :, k])
     return FreqSlices(full)
 
 
@@ -123,8 +126,5 @@ def hermitize_check(F, tol=1e-10):
     if F.m != F.n:
         raise ShapeError(
             f"Hermitian check requires square slices, got {F.m} x {F.n}")
-    worst = 0.0
-    for k in range(F.p):
-        M = F.slice(k)
-        worst = max(worst, float(np.max(np.abs(M - M.conj().T))))
-    return worst <= tol
+    S = F.slices
+    return float(np.max(np.abs(S - S.conj().transpose(1, 0, 2)))) <= tol

@@ -6,9 +6,17 @@ frequency slice ``k <= p // 2`` (mirrored to the rest).  Canonicalization
 mirrors the eigendecomposition: per-slice singular values are descending by
 construction, and each left singular vector's largest-magnitude entry is
 made real positive, with the matching phase applied to its right partner so
-the product is unchanged.  Singular tuples are the index-reversed diagonal
-tubes of ``s``; they satisfy the shifted singular-pair relations
-``A * X_j^[k] = s_j act Y_j^[k]`` and ``A^T * Y_j^[k] = s_j act X_j^[k]``.
+the product is unchanged; right singular vectors without a partner
+(``j >= min(m, n)``) get their own phase.  Singular tuples are the
+index-reversed diagonal tubes of ``s``; they satisfy the shifted
+singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
+``A^T * Y_j^[k] = s_j act X_j^[k]``.
+
+``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`:
+one stacked SVD of the real self-conjugate bins and one of the other
+half-spectrum bins, the shared vectorized canonical phase, and the
+shifted-pair residuals from one transform each of ``A`` and ``A^T``, with
+the ``p`` shifts of each singular matrix gathered into one block.
 
 ``gram_consistency`` cross-checks a TSVD against the eigendecompositions of
 both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples must match
@@ -25,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import CheckResult
-from .spectral import classify_ted, ted
+from .spectral import (_canonical_phase, _full_spectrum, _half_spectrum_groups,
+                       _pair_residuals, _shift_block, classify_ted, ted)
 from .tensor3 import as_tensor3, identity, shift_columns, transpose
 from .transform import freq_from_half, from_freq, to_freq
-from .tproduct import tprod, tprod_mat
-from .tubal import tube_action, tube_mul, tube_transpose
+from .tproduct import tprod
+from .tubal import tube_mul, tube_transpose
 
 
 @dataclass
@@ -92,43 +101,22 @@ def tsvd(A):
     r = min(m, n)
     F = to_freq(A)
     h = p // 2 + 1
-    uh = np.empty((m, m, h), dtype=np.complex128)
+    Us = np.empty((h, m, m), dtype=np.complex128)
+    sig = np.empty((h, r))
+    Vh = np.empty((h, n, n), dtype=np.complex128)
+    for bins, M in _half_spectrum_groups(F):
+        Us[bins], sig[bins], Vh[bins] = np.linalg.svd(M, full_matrices=True)
+    Us, phase = _canonical_phase(Us)
+    # Keep u_j s_j v_j^H invariant: rotate v_j by the same phase, i.e. row
+    # j of V^H by its conjugate.
+    Vh[:, :r, :] *= np.conj(phase[:, :r, None])
+    unpaired, _ = _canonical_phase(Vh[:, r:, :].swapaxes(1, 2))
+    Vh[:, r:, :] = unpaired.swapaxes(1, 2)
     sh = np.zeros((m, n, h), dtype=np.complex128)
-    vh = np.empty((n, n, h), dtype=np.complex128)
-    freq_sv = np.empty((r, p))
-    for k in range(h):
-        M = F.slice(k)
-        if k == 0 or (p % 2 == 0 and k == p // 2):
-            M = M.real
-        U_, sig, Vh_ = np.linalg.svd(M, full_matrices=True)
-        U_ = U_.astype(np.complex128)
-        Vh_ = Vh_.astype(np.complex128)
-        for j in range(m):
-            i = int(np.argmax(np.abs(U_[:, j])))
-            z = U_[i, j]
-            mag = abs(z)
-            if mag > 0.0:
-                phase = np.conj(z) / mag
-                U_[:, j] = U_[:, j] * phase
-                if j < r:
-                    # Keep u_j s_j v_j^H invariant: rotate v_j by the same
-                    # phase, i.e. row j of V^H by its conjugate.
-                    Vh_[j, :] = Vh_[j, :] * np.conj(phase)
-        for j in range(r, n):
-            i = int(np.argmax(np.abs(Vh_[j, :])))
-            z = Vh_[j, i]
-            mag = abs(z)
-            if mag > 0.0:
-                Vh_[j, :] = Vh_[j, :] * (np.conj(z) / mag)
-        uh[:, :, k] = U_
-        vh[:, :, k] = Vh_.conj().T
-        sh[:r, :r, k] = np.diag(sig.astype(np.complex128))
-        freq_sv[:, k] = sig
-        if 0 < k < p - k:
-            freq_sv[:, p - k] = sig
-    U = from_freq(freq_from_half(uh, p))
+    sh[np.arange(r), np.arange(r), :] = sig.T
+    U = from_freq(freq_from_half(Us.transpose(1, 2, 0), p))
     S = from_freq(freq_from_half(sh, p))
-    V = from_freq(freq_from_half(vh, p))
+    V = from_freq(freq_from_half(Vh.conj().transpose(2, 1, 0), p))
 
     tuples = np.vstack([tube_transpose(S[j, j, :]) for j in range(r)])
 
@@ -138,22 +126,19 @@ def tsvd(A):
         recon /= normA
     orth_u = float(np.linalg.norm(tprod(transpose(U), U) - identity(m, p)))
     orth_v = float(np.linalg.norm(tprod(transpose(V), V) - identity(n, p)))
-    At = transpose(A)
+    Ah = np.fft.rfft(A, axis=2).transpose(2, 0, 1)
+    Ath = np.fft.rfft(transpose(A), axis=2).transpose(2, 0, 1)
     right = np.empty((r, p))
     left = np.empty((r, p))
     for j in range(r):
-        Xj, Yj = V[:, j, :], U[:, j, :]
-        for k in range(p):
-            Xjk, Yjk = shift_columns(Xj, k), shift_columns(Yj, k)
-            right[j, k] = float(np.linalg.norm(
-                tprod_mat(A, Xjk) - tube_action(tuples[j], Yjk)))
-            left[j, k] = float(np.linalg.norm(
-                tprod_mat(At, Yjk) - tube_action(tuples[j], Xjk)))
+        X, Y = _shift_block(V[:, j, :]), _shift_block(U[:, j, :])
+        right[j] = _pair_residuals(Ah, tuples[j], X, Y)
+        left[j] = _pair_residuals(Ath, tuples[j], Y, X)
     pair_max = float(max(right.max(), left.max())) if r else 0.0
 
     return TsvdResult(
         u=U, s=S, v=V, singular_tuples=tuples,
-        frequency_singular_values=freq_sv,
+        frequency_singular_values=_full_spectrum(sig, p),
         residuals=TsvdDiagnostics(recon, orth_u, orth_v, right, left,
                                   pair_max))
 

@@ -8,7 +8,11 @@ conftest terminal hook prints them after the test summary.
 import numpy as np
 
 from tubal_spectra.oracle import oracle_quadform_dense
-from tubal_spectra.tensor3 import fold_mat, transpose
+from tubal_spectra.spectral import verify_eigenpair
+from tubal_spectra.tensor3 import fold_mat, shift_columns, transpose
+from tubal_spectra.tproduct import tprod_mat
+from tubal_spectra.transform import freq_from_half, from_freq, to_freq
+from tubal_spectra.tubal import tube_action, tube_transpose
 
 #: Messages printed at the end of the run (populated by tests).
 FINDINGS = []
@@ -72,3 +76,114 @@ def polarization_by_evaluation(A):
             M[:, i, j] = cross
             M[:, j, i] = cross
     return M
+
+
+def ted_by_loop(A):
+    """The per-slice, per-shift ``ted`` loop, kept as an independent witness
+    for the batched core in :func:`tubal_spectra.spectral.ted`.
+
+    Returns ``(u, d, eigentuples, frequency_eigenvalues, eigenpair)``, where
+    ``eigenpair[j, k]`` is one :func:`verify_eigenpair` call per shift.
+    """
+    n, _, p = A.shape
+    F = to_freq(A)
+    h = p // 2 + 1
+    uh = np.empty((n, n, h), dtype=np.complex128)
+    dh = np.zeros((n, n, h), dtype=np.complex128)
+    freq_eigs = np.empty((n, p))
+    for k in range(h):
+        M = F.slice(k)
+        if k == 0 or (p % 2 == 0 and k == p // 2):
+            H = 0.5 * (M.real + M.real.T)
+        else:
+            H = 0.5 * (M + M.conj().T)
+        w, V = np.linalg.eigh(H)
+        w, V = w[::-1], np.ascontiguousarray(V[:, ::-1])
+        V = _phase_columns_by_loop(V.astype(np.complex128))
+        uh[:, :, k] = V
+        dh[:, :, k] = np.diag(w.astype(np.complex128))
+        freq_eigs[:, k] = w
+        if 0 < k < p - k:
+            freq_eigs[:, p - k] = w
+    U = from_freq(freq_from_half(uh, p))
+    D = from_freq(freq_from_half(dh, p))
+    tuples = np.vstack([tube_transpose(D[j, j, :]) for j in range(n)])
+    pair = np.empty((n, p))
+    for j in range(n):
+        for k in range(p):
+            pair[j, k] = verify_eigenpair(
+                A, tuples[j], shift_columns(U[:, j, :], k))
+    return U, D, tuples, freq_eigs, pair
+
+
+def tsvd_by_loop(A):
+    """The per-slice, per-shift ``tsvd`` loop, kept as an independent
+    witness for the batched core in :func:`tubal_spectra.tsvd.tsvd`.
+
+    Returns ``(u, s, v, singular_tuples, frequency_singular_values,
+    pair_right, pair_left)``, each residual entry from one pair of
+    :func:`tprod_mat` and :func:`tube_action` calls.
+    """
+    m, n, p = A.shape
+    r = min(m, n)
+    F = to_freq(A)
+    h = p // 2 + 1
+    uh = np.empty((m, m, h), dtype=np.complex128)
+    sh = np.zeros((m, n, h), dtype=np.complex128)
+    vh = np.empty((n, n, h), dtype=np.complex128)
+    freq_sv = np.empty((r, p))
+    for k in range(h):
+        M = F.slice(k)
+        if k == 0 or (p % 2 == 0 and k == p // 2):
+            M = M.real
+        U_, sig, Vh_ = np.linalg.svd(M, full_matrices=True)
+        U_ = U_.astype(np.complex128)
+        Vh_ = Vh_.astype(np.complex128)
+        for j in range(m):
+            i = int(np.argmax(np.abs(U_[:, j])))
+            z = U_[i, j]
+            mag = abs(z)
+            if mag > 0.0:
+                phase = np.conj(z) / mag
+                U_[:, j] = U_[:, j] * phase
+                if j < r:
+                    Vh_[j, :] = Vh_[j, :] * np.conj(phase)
+        for j in range(r, n):
+            i = int(np.argmax(np.abs(Vh_[j, :])))
+            z = Vh_[j, i]
+            mag = abs(z)
+            if mag > 0.0:
+                Vh_[j, :] = Vh_[j, :] * (np.conj(z) / mag)
+        uh[:, :, k] = U_
+        vh[:, :, k] = Vh_.conj().T
+        sh[:r, :r, k] = np.diag(sig.astype(np.complex128))
+        freq_sv[:, k] = sig
+        if 0 < k < p - k:
+            freq_sv[:, p - k] = sig
+    U = from_freq(freq_from_half(uh, p))
+    S = from_freq(freq_from_half(sh, p))
+    V = from_freq(freq_from_half(vh, p))
+    tuples = np.vstack([tube_transpose(S[j, j, :]) for j in range(r)])
+    At = transpose(A)
+    right = np.empty((r, p))
+    left = np.empty((r, p))
+    for j in range(r):
+        for k in range(p):
+            X = shift_columns(V[:, j, :], k)
+            Y = shift_columns(U[:, j, :], k)
+            right[j, k] = float(np.linalg.norm(
+                tprod_mat(A, X) - tube_action(tuples[j], Y)))
+            left[j, k] = float(np.linalg.norm(
+                tprod_mat(At, Y) - tube_action(tuples[j], X)))
+    return U, S, V, tuples, freq_sv, right, left
+
+
+def _phase_columns_by_loop(V):
+    """Rotate each column so its largest-magnitude entry is real positive."""
+    for j in range(V.shape[1]):
+        i = int(np.argmax(np.abs(V[:, j])))
+        z = V[i, j]
+        mag = abs(z)
+        if mag > 0.0:
+            V[:, j] = V[:, j] * (np.conj(z) / mag)
+    return V

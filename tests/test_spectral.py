@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import random_tensor, random_tsym, record_finding, rel_err
+from helpers import (random_tensor, random_tsym, record_finding, rel_err,
+                     ted_by_loop)
+from tubal_spectra import spectral as spectral_module
+from tubal_spectra import tproduct as tproduct_module
+from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import NotTSymmetric, ShapeError, ZeroMatrix
 from tubal_spectra.oracle import (oracle_psd_exact, oracle_quadform_dense,
                                   oracle_ted_check, oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
-                                    SPECTRAL_PSD, classify_ted, eigenmatrices,
+                                    SPECTRAL_PSD, _pair_residuals,
+                                    _shift_block, classify_ted, eigenmatrices,
                                     expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
@@ -16,10 +21,11 @@ from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
 from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal,
                                    is_t_symmetric, shift_columns, transpose,
                                    unfold_mat)
-from tubal_spectra.tproduct import tprod
+from tubal_spectra.tproduct import tprod, tprod_mat
 from tubal_spectra.transform import freq_from_half, from_freq, to_freq
-from tubal_spectra.tubal import (INCOMPARABLE, tube_le, tube_transpose,
-                                 unit_tube)
+from tubal_spectra.tsvd import tsvd
+from tubal_spectra.tubal import (INCOMPARABLE, tube_action, tube_le,
+                                 tube_transpose, unit_tube)
 
 RNG = np.random.default_rng(20260814)
 
@@ -42,6 +48,77 @@ def test_ted_invariants_random():
         # per-slice descending frequency eigenvalues
         lam = T.frequency_eigenvalues
         assert np.all(lam[1:, :] <= lam[:-1, :] + 1e-12)
+
+
+# (n, p) shapes for the batched core: p = 1, p = 2, odd and even p, n = 1.
+CORE_SHAPES = ((1, 1), (4, 1), (3, 2), (5, 3), (4, 4), (6, 5), (1, 6),
+               (7, 8), (8, 9))
+
+
+def test_ted_batched_core_matches_per_slice_loop():
+    rng = np.random.default_rng(31)
+    cases = [random_tsym(rng, n, p) for n, p in CORE_SHAPES]
+    cases += [identity(n, p) for n, p in ((3, 1), (3, 4), (4, 5))]
+    for A in cases:
+        T = ted(A)
+        u, d, tuples, freq, pair = ted_by_loop(A)
+        assert np.array_equal(T.u, u), A.shape
+        assert np.array_equal(T.d, d), A.shape
+        assert np.array_equal(T.eigentuples, tuples), A.shape
+        assert np.array_equal(T.frequency_eigenvalues, freq), A.shape
+        assert T.residuals.eigenpair.shape == pair.shape
+        assert np.max(np.abs(T.residuals.eigenpair - pair)) <= 1e-14, \
+            A.shape
+        assert T.residuals.eigenpair_max == float(
+            T.residuals.eigenpair.max())
+
+
+def test_shift_block_holds_every_cyclic_shift():
+    for n, p in ((1, 1), (3, 2), (2, 5), (4, 6)):
+        X = RNG.standard_normal((n, p))
+        B = _shift_block(X)
+        assert B.shape == (n, p, p)
+        for k in range(p):
+            assert np.array_equal(B[:, k, :], shift_columns(X, k))
+
+
+def test_pair_residuals_match_one_call_per_candidate():
+    # Unrelated random candidates in one block: a helper that evaluated
+    # only the first slice (shift 0) and broadcast it would fail here.
+    rng = np.random.default_rng(32)
+    for m, n, p, c in ((4, 4, 5, 5), (3, 3, 1, 3), (5, 3, 4, 6),
+                       (2, 6, 2, 2), (4, 4, 8, 8)):
+        A = rng.standard_normal((m, n, p))
+        d = rng.standard_normal(p)
+        X = rng.standard_normal((n, c, p))
+        Y = rng.standard_normal((m, c, p))
+        Ah = np.fft.rfft(A, axis=2).transpose(2, 0, 1)
+        got = _pair_residuals(Ah, d, X, Y)
+        expected = [float(np.linalg.norm(
+            tprod_mat(A, X[:, k, :]) - tube_action(d, Y[:, k, :])))
+            for k in range(c)]
+        assert got.shape == (c,)
+        assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
+        if m == n:
+            norms = np.linalg.norm(X, axis=(0, 2))
+            expected = [verify_eigenpair(A, d, X[:, k, :])
+                        for k in range(c)]
+            assert np.allclose(_pair_residuals(Ah, d, X, X) / norms,
+                               expected, rtol=1e-14, atol=1e-14)
+
+
+def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-shift residual call")
+
+    for module in (tproduct_module, spectral_module, tsvd_module):
+        for name in ("tprod_mat", "verify_eigenpair"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    rng = np.random.default_rng(33)
+    T = ted(random_tsym(rng, 4, 5))
+    R = tsvd(random_tensor(rng, 5, 3, 4))
+    assert T.residuals.eigenpair_max <= 1e-12
+    assert R.residuals.pair_max <= 1e-12
 
 
 def test_ted_rejects_non_symmetric():
@@ -258,6 +335,21 @@ def test_expand_in_eigenbasis():
                       float(np.linalg.norm(X) ** 2), rtol=1e-12)
     with pytest.raises(ShapeError):
         expand_in_eigenbasis(T, RNG.standard_normal((3, 3)))
+
+
+def test_expand_in_eigenbasis_matches_per_shift_loop():
+    rng = np.random.default_rng(34)
+    for n, p in ((1, 1), (3, 2), (4, 5), (5, 8)):
+        T = ted(random_tsym(rng, n, p))
+        X = rng.standard_normal((n, p))
+        alpha = expand_in_eigenbasis(T, X)
+        loop = np.array([[float(np.sum(shift_columns(T.u[:, j, :], k) * X))
+                          for k in range(p)] for j in range(n)])
+        assert np.max(np.abs(alpha - loop)) <= 1e-14
+        # Parseval: the shifted eigenmatrices are an orthonormal basis.
+        assert abs(float(np.sum(alpha ** 2))
+                   - float(np.linalg.norm(X)) ** 2) <= 1e-12 * max(
+                       1.0, float(np.linalg.norm(X)) ** 2)
 
 
 def test_quadform_expansion_with_cross_terms():

@@ -108,3 +108,36 @@ def test_hermitize_check():
     assert not hermitize_check(to_freq(A), tol=1e-10)
     with pytest.raises(ShapeError):
         hermitize_check(to_freq(random_tensor(RNG, 2, 3, 2)))
+
+
+def test_vectorized_checks_match_slice_loops():
+    # freq_from_half, pair_residual and hermitize_check are single array
+    # expressions; their results equal the per-slice loops bit for bit.
+    for p in (1, 2, 3, 4, 7, 8):
+        h = p // 2 + 1
+        half = (RNG.standard_normal((3, 3, h))
+                + 1j * RNG.standard_normal((3, 3, h)))
+        F = freq_from_half(half, p)
+        full = np.zeros((3, 3, p), dtype=np.complex128)
+        full[:, :, :h] = half
+        full[:, :, 0] = full[:, :, 0].real
+        if p % 2 == 0:
+            full[:, :, p // 2] = full[:, :, p // 2].real
+        for k in range(1, (p - 1) // 2 + 1):
+            full[:, :, p - k] = np.conj(full[:, :, k])
+        assert np.array_equal(F.slices, full)
+
+        raw = FreqSlices(RNG.standard_normal((3, 3, p))
+                         + 1j * RNG.standard_normal((3, 3, p)))
+        worst = 0.0
+        for k in range(1, (p - 1) // 2 + 1):
+            delta = raw.slice(p - k) - np.conj(raw.slice(k))
+            worst = max(worst, float(np.max(np.abs(delta))))
+        assert raw.pair_residual() == worst
+
+        herm = 0.0
+        for k in range(p):
+            M = raw.slice(k)
+            herm = max(herm, float(np.max(np.abs(M - M.conj().T))))
+        assert hermitize_check(raw, herm)
+        assert not hermitize_check(raw, float(np.nextafter(herm, 0.0)))

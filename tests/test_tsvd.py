@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_tensor, record_finding
+from helpers import random_tensor, record_finding, tsvd_by_loop
 from tubal_spectra.errors import ShapeError
 from tubal_spectra.spectral import ted
 from tubal_spectra.tensor3 import identity, is_f_diagonal, transpose
@@ -33,6 +33,30 @@ def test_tsvd_invariants_random():
         sv = R.frequency_singular_values
         assert np.min(sv) >= 0.0
         assert np.all(sv[1:, :] <= sv[:-1, :] + 1e-12)
+
+
+def test_tsvd_batched_core_matches_per_slice_loop():
+    # Tall, wide and square; p = 1, p = 2, odd and even p; identity.
+    rng = np.random.default_rng(41)
+    shapes = ((5, 3, 4), (3, 5, 4), (4, 4, 1), (6, 2, 2), (2, 6, 2),
+              (1, 5, 3), (5, 1, 3), (7, 4, 7), (4, 7, 8), (3, 3, 6))
+    cases = [random_tensor(rng, *shape) for shape in shapes]
+    cases += [identity(3, 1), identity(4, 4), identity(3, 5)]
+    for A in cases:
+        R = tsvd(A)
+        u, s, v, tuples, freq, right, left = tsvd_by_loop(A)
+        assert np.array_equal(R.u, u), A.shape
+        assert np.array_equal(R.s, s), A.shape
+        assert np.array_equal(R.v, v), A.shape
+        assert np.array_equal(R.singular_tuples, tuples), A.shape
+        assert np.array_equal(R.frequency_singular_values, freq), A.shape
+        res = R.residuals
+        assert res.pair_right.shape == right.shape
+        assert res.pair_left.shape == left.shape
+        assert np.max(np.abs(res.pair_right - right)) <= 1e-14, A.shape
+        assert np.max(np.abs(res.pair_left - left)) <= 1e-14, A.shape
+        assert res.pair_max == float(max(res.pair_right.max(),
+                                         res.pair_left.max()))
 
 
 def test_singular_tuples_are_reversed_diagonal_tubes():
