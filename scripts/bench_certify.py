@@ -10,7 +10,8 @@ Each run fills its side of every entry in the output file (default
 different checkouts.  BLAS and FFT are pinned to one thread before numpy
 is imported.  Inputs are Gram tensors ``B^T * B`` with ``B`` drawn from a
 fixed seed per shape.  Each entry records the median wall time of one call
-in ``seconds`` and the number of timed calls in ``reps``.
+in ``seconds``, the distance between the quartiles of the timed calls in
+``iqr_seconds`` and the number of timed calls in ``reps`` (at least 3).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ for _var in ("TUBAL_SPECTRA_THREADS", "OMP_NUM_THREADS",
 SCHEMA = "tubal-spectra/1"
 SEED = 2011
 TARGET_S = 1.0     # time budget per entry after the warm-up call
+MIN_REPS = 3       # even a slow entry gets a median with a spread
 MAX_REPS = 200
 
 
@@ -45,17 +47,19 @@ def _time(fn):
     start = time.perf_counter()
     fn()
     first = time.perf_counter() - start
-    reps = int(max(1, min(MAX_REPS, TARGET_S // max(first, 1e-9))))
+    reps = int(max(MIN_REPS, min(MAX_REPS, TARGET_S // max(first, 1e-9))))
     times = []
     for _ in range(reps):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return {"seconds": statistics.median(times), "reps": reps}
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"seconds": statistics.median(times), "iqr_seconds": q3 - q1,
+            "reps": reps}
 
 
 def measure(workdir):
-    """``[(name, shape, {"seconds", "reps"})]`` for every entry."""
+    """``[(name, shape, timing)]`` for every entry."""
     from tubal_spectra import cli
     from tubal_spectra.oracle import (oracle_psd_exact,
                                       oracle_quadform_matrices)
@@ -98,7 +102,7 @@ def record(argv, kind, seed, measure, default_out, description):
     Parses ``--src``, ``--side`` and ``--out`` from ``argv``, imports
     ``tubal_spectra`` from ``--src`` and fills that side of every entry in
     the output file, keeping the other side.  ``measure`` returns
-    ``[(name, shape, {"seconds", "reps"})]``.
+    ``[(name, shape, timing)]`` with ``timing`` from :func:`_time`.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--src", required=True,

@@ -12,8 +12,7 @@ T-symmetric tensors ``(G + G^T) / 2`` and ``tsvd`` inputs are Gaussian
 tensors, each drawn from a fixed seed per shape.  The CLI entries run
 ``ted``/``tsvd`` end to end on the shapes of the ``decompose`` benchmark
 workload, with text output written to a file.  Each entry records the
-median wall time of one call in ``seconds`` and the number of timed calls
-in ``reps``.
+timing of :func:`bench_certify._time`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ def _draw(shape):
 
 
 def measure(workdir):
-    """``[(name, shape, {"seconds", "reps"})]`` for every entry."""
+    """``[(name, shape, timing)]`` for every entry."""
     from tubal_spectra import cli
     from tubal_spectra.spectral import ted
     from tubal_spectra.tensor3 import transpose, write_tensor3

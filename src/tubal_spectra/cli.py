@@ -2,11 +2,11 @@
 
 Subcommands: ``info``, ``tprod``, ``transpose``, ``ted``, ``tsvd``,
 ``psd``, ``quadform``, ``verify``, ``random``, ``bench``.  Tensors, matrix
-slices and tubes travel in the text formats of :mod:`tubal_spectra.tensor3`
-and :mod:`tubal_spectra.tubal`; structured results are emitted either as
-deterministic plain text or as JSON documents tagged with the schema
-``tubal-spectra/1``.  All floating-point values are written with 17
-significant digits, so identical inputs (and seed) produce byte-identical
+slices and tubes travel in the one text codec of :mod:`tubal_spectra.tensor3`,
+which rejects malformed and non-finite input (exit 1); structured results are
+emitted either as deterministic plain text or as JSON documents tagged with
+the schema ``tubal-spectra/1``.  All floating-point values are written with
+17 significant digits, so identical inputs (and seed) produce byte-identical
 output.
 
 Exit codes: 0 success, 1 usage or input-format error, 2 numerical error
@@ -40,13 +40,11 @@ from .errors import ShapeError, TubalError
 from .oracle import (CheckResult, oracle_psd_exact, oracle_quadform_matrices,
                      oracle_ted_check, oracle_tprod)
 from .spectral import psd_spectral, quadform, symmetrize, ted
-from .tensor3 import (bcirc, bcirc_inv, fold, is_f_diagonal,
-                      is_standard_form, is_t_symmetric, read_matslice,
-                      read_tensor3, tensor3_text, transpose, unfold,
-                      unfold_mat)
+from .tensor3 import (_fmt, bcirc, bcirc_inv, fold, is_f_diagonal,
+                      is_standard_form, is_t_symmetric, read_tensor3,
+                      tensor3_text, transpose, unfold, unfold_mat)
 from .tproduct import tprod
 from .tsvd import gram_consistency, tsvd
-from .tubal import _fmt
 
 SCHEMA = "tubal-spectra/1"
 
@@ -132,10 +130,6 @@ def _tube_values(a):
 
 def _matrix_values(X):
     return [[float(v) for v in row] for row in np.asarray(X)]
-
-
-def _tube_text(a):
-    return f"TUBE 1\n{len(a)}\n" + " ".join(_fmt(v) for v in a) + "\n"
 
 
 def _three_valued(value):
@@ -349,14 +343,12 @@ def _cmd_psd(cfg):
 
 def _cmd_quadform(cfg):
     A = read_tensor3(cfg.inputs[0])
-    X = read_matslice(cfg.inputs[1])
+    X = read_tensor3(cfg.inputs[1], 2)
     values = quadform(A, X)
     doc = {"schema": SCHEMA, "kind": "quadform", "input_a": cfg.inputs[0],
            "input_x": cfg.inputs[1], "values": _tube_values(values)}
-    if cfg.fmt == "json":
-        _deliver(cfg, dumps_doc(doc))
-    else:
-        _deliver(cfg, _tube_text(values))
+    _deliver(cfg, dumps_doc(doc) if cfg.fmt == "json"
+             else tensor3_text(values))
     return 0
 
 

@@ -212,7 +212,7 @@ def ted(A, tol=None):
     if normA > 0.0:
         recon /= normA
     orth = float(np.linalg.norm(tprod(transpose(U), U) - identity(n, p)))
-    Ah = np.fft.rfft(A, axis=2).transpose(2, 0, 1)
+    Ah = F.slices[:, :, :h].transpose(2, 0, 1)
     pair = np.empty((n, p))
     for j in range(n):
         B = _shift_block(U[:, j, :])

@@ -12,14 +12,20 @@ and ``shift_columns`` implements the cyclic column shift ``X -> X^[k]``.
 
 The tensor transpose reverses the order of frontal slices 2..p and
 transposes each one, so that ``bcirc(transpose(A)) == bcirc(A).T``.
+
+Tensors, matrix slices and tubes share one text codec: a header picked by
+``ndim`` from ``HEADERS``, a size line, then rows of 17-digit decimals.  Its
+reader rejects another kind's header, bad sizes or rows, and non-finite values.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotBlockCirculant, ShapeError
-from .tubal import INCOMPARABLE, tube_le, _fmt
+from .tubal import INCOMPARABLE, tube_le
 
 
 def as_tensor3(A):
@@ -187,84 +193,77 @@ def is_standard_form(S, tol=1e-10):
 
 # --- text serialization ----------------------------------------------------
 
-def write_tensor3(path, A):
-    """Write ``A`` in the tensor text format (``T3 1`` header)."""
+#: Text format header of a tensor, a matrix slice and a tube, by ``ndim``.
+HEADERS = {3: "T3 1", 2: "MAT 1", 1: "TUBE 1"}
+
+#: 17 significant digits: float64 values round-trip exactly.
+_fmt = "{:.17g}".format
+
+
+def tensor3_text(X):
+    """The text serialization of a tensor, matrix slice or tube ``X``.
+
+    A tensor's rows come as its frontal slices, each after a blank line.
+    """
+    X = np.asarray(X)
+    if np.iscomplexobj(X):
+        raise ValueError("text files store real values only")
+    if X.ndim not in HEADERS or X.size == 0:
+        raise ShapeError(f"no text format for an array of shape {X.shape}")
+    blocks = (X.transpose(2, 0, 1) if X.ndim == 3
+              else X.reshape(1, -1, X.shape[-1]))
+    chunks = [HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))]
+    chunks += ["\n".join(" ".join(map(_fmt, row)) for row in block)
+               for block in blocks.astype(np.float64, copy=False).tolist()]
+    return ("\n\n" if X.ndim == 3 else "\n").join(chunks) + "\n"
+
+
+def write_tensor3(path, X):
+    """Write ``X`` in the text format of its kind."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(tensor3_text(A))
+        fh.write(tensor3_text(X))
 
 
-def tensor3_text(A):
-    """The tensor text serialization as a string."""
-    A = as_tensor3(A)
-    m, n, p = A.shape
-    chunks = [f"T3 1\n{m} {n} {p}"]
-    for k in range(p):
-        rows = "\n".join(
-            " ".join(_fmt(v) for v in A[i, :, k]) for i in range(m))
-        chunks.append(rows)
-    return "\n\n".join(chunks) + "\n"
-
-
-def read_tensor3(path):
-    """Read a tensor written by :func:`write_tensor3`."""
+def read_tensor3(path, ndim=3):
+    """Read an ``ndim``-dimensional array written by :func:`write_tensor3`."""
     with open(path, "r", encoding="ascii") as fh:
-        return tensor3_from_text(fh.read(), name=str(path))
+        return tensor3_from_text(fh.read(), ndim, name=str(path))
 
 
-def tensor3_from_text(text, name="<string>"):
-    """Parse the tensor text serialization."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "T3 1":
-        raise ValueError(f"{name}: expected 'T3 1' header")
+def tensor3_from_text(text, ndim=3, name="<string>"):
+    """Parse the text serialization of an ``ndim``-dimensional array.
+
+    Blank lines are ignored; each error is a ``ValueError`` naming ``name``.
+    """
+    header = HEADERS[ndim]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines or lines[0] != header:
+        raise ValueError(f"{name}: expected {header!r} header")
     try:
-        m, n, p = (int(tok) for tok in lines[1].split())
+        shape = tuple(int(tok) for tok in lines[1].split())
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{name}: malformed size line: {exc}") from exc
-    if m <= 0 or n <= 0 or p <= 0:
-        raise ValueError(f"{name}: sizes must be positive, got {m} {n} {p}")
+    if len(shape) != ndim or min(shape) <= 0:
+        raise ValueError(f"{name}: expected {ndim} positive sizes")
+    # Rows are n wide in a tensor and p wide in a matrix slice or a tube.
+    width = shape[1] if ndim == 3 else shape[-1]
     rows = lines[2:]
-    if len(rows) != m * p:
-        raise ValueError(
-            f"{name}: expected {m * p} data rows, found {len(rows)}")
-    A = np.empty((m, n, p))
-    for k in range(p):
-        for i in range(m):
-            values = rows[k * m + i].split()
-            if len(values) != n:
-                raise ValueError(
-                    f"{name}: slice {k + 1} row {i + 1} has {len(values)} "
-                    f"values, expected {n}")
-            A[i, :, k] = [float(tok) for tok in values]
-    return A
-
-
-def write_matslice(path, X):
-    """Write a matrix slice in the matrix text format (``MAT 1`` header)."""
-    X = as_matslice(X)
-    n, p = X.shape
-    rows = "\n".join(" ".join(_fmt(v) for v in X[i]) for i in range(n))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"MAT 1\n{n} {p}\n{rows}\n")
-
-
-def read_matslice(path):
-    """Read a matrix slice written by :func:`write_matslice`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != "MAT 1":
-        raise ValueError(f"{path}: expected 'MAT 1' header")
+    if len(rows) != math.prod(shape) // width:
+        raise ValueError(f"{name}: expected {math.prod(shape) // width} data "
+                         f"rows, found {len(rows)}")
+    tokens = []
+    for r, row in enumerate(rows):
+        values = row.split()
+        if len(values) != width:
+            raise ValueError(f"{name}: data row {r + 1} has {len(values)} "
+                             f"values, expected {width}")
+        tokens += values
     try:
-        n, p = (int(tok) for tok in lines[1].split())
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed size line: {exc}") from exc
-    rows = lines[2:]
-    if n <= 0 or p <= 0 or len(rows) != n:
-        raise ValueError(f"{path}: expected {n} data rows, found {len(rows)}")
-    X = np.empty((n, p))
-    for i in range(n):
-        values = rows[i].split()
-        if len(values) != p:
-            raise ValueError(
-                f"{path}: row {i + 1} has {len(values)} values, expected {p}")
-        X[i] = [float(tok) for tok in values]
-    return X
+        data = np.array(list(map(float, tokens)))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ValueError(f"{name}: non-finite value in data rows")
+    if ndim == 3:  # the rows of a tensor are the rows of unfold(A)
+        return np.ascontiguousarray(fold(data.reshape(-1, width), shape[2]))
+    return data.reshape(shape)

@@ -12,7 +12,8 @@ scaled by ``1/p``.  The eigenvalues of ``circ(a)`` are exactly
 ``np.fft.fft(a)``.
 
 Tubes also act on matrices: ``tube_action(a, X) = X @ circ(a)`` treats each
-row of ``X`` as a tube and convolves it with ``a``.
+row of ``X`` as a tube and convolves it with ``a``.  Tube files are read
+and written by the one text codec in :mod:`tubal_spectra.tensor3`.
 """
 
 from __future__ import annotations
@@ -198,36 +199,3 @@ def tubal_sqrt_all(b, tol=1e-10):
         roots.append(SqrtRoot(a, bool(np.all(a >= -tol))))
     return roots
 
-
-# --- text serialization ----------------------------------------------------
-
-def _fmt(x):
-    # 17 significant digits: float64 values round-trip exactly.
-    return f"{float(x):.17g}"
-
-
-def write_tube(path, a):
-    """Write ``a`` in the tube text format (``TUBE 1`` header)."""
-    a = as_tube(a)
-    if np.iscomplexobj(a):
-        raise ValueError("tube files store real tubes only")
-    body = " ".join(_fmt(v) for v in a)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"TUBE 1\n{a.shape[0]}\n{body}\n")
-
-
-def read_tube(path):
-    """Read a tube written by :func:`write_tube`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != "TUBE 1":
-        raise ValueError(f"{path}: expected 'TUBE 1' header")
-    try:
-        p = int(lines[1])
-        values = [float(tok) for tok in " ".join(lines[2:]).split()]
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed tube file: {exc}") from exc
-    if p <= 0 or len(values) != p:
-        raise ValueError(
-            f"{path}: expected {p} values, found {len(values)}")
-    return np.asarray(values, dtype=np.float64)

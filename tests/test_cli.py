@@ -13,9 +13,8 @@ from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.spectral import psd_spectral
 from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
                                    read_tensor3, tensor3_from_text, transpose,
-                                   write_matslice, write_tensor3)
+                                   write_tensor3)
 from tubal_spectra.tproduct import tprod
-from tubal_spectra.tubal import read_tube
 
 RNG = np.random.default_rng(611)
 
@@ -90,6 +89,16 @@ def test_malformed_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "info", str(path))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["info", "ted", "psd", "tsvd", "verify"])
+def test_non_finite_file_is_input_error(capsys, tmp_path, command, token):
+    path = tmp_path / "bad.t3"
+    path.write_text(f"T3 1\n2 2 1\n1 {token}\n{token} 1\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert f"{path}: non-finite value" in err
 
 
 def test_nonpositive_tol_is_usage_error(capsys, tsym_file):
@@ -286,13 +295,13 @@ def test_psd_requires_symmetry_unless_asked(capsys, tmp_path):
 def test_quadform_emits_tube(capsys, tmp_path):
     fa, fx, fout = (str(tmp_path / n) for n in ("a.t3", "x.mat", "f.tube"))
     write_tensor3(fa, identity(1, 2))
-    write_matslice(fx, np.array([[1.0, -1.0]]))
+    write_tensor3(fx, np.array([[1.0, -1.0]]))
     code, out, _ = run(capsys, "quadform", fa, fx)
     assert code == 0
     assert out == "TUBE 1\n2\n2 -2\n"
     code, _, _ = run(capsys, "quadform", fa, fx, "-o", fout)
     assert code == 0
-    assert np.array_equal(read_tube(fout), [2.0, -2.0])
+    assert np.array_equal(read_tensor3(fout, 1), [2.0, -2.0])
     code, out, _ = run(capsys, "quadform", fa, fx, "--format", "json")
     assert code == 0
     assert json.loads(out)["values"] == [2.0, -2.0]

@@ -121,6 +121,25 @@ def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
     assert R.residuals.pair_max <= 1e-12
 
 
+@pytest.mark.parametrize("decompose, A", [
+    (ted, random_tsym(np.random.default_rng(34), 4, 6)),
+    (tsvd, random_tensor(np.random.default_rng(35), 5, 3, 7)),
+], ids=["ted", "tsvd"])
+def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A):
+    # The residuals reuse the half spectrum of to_freq (see
+    # test_transform's test_half_spectrum_is_rfft_bit_for_bit).
+    real = np.fft.rfft
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.shape(a) == A.shape and np.array_equal(a, A))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    decompose(A)
+    assert sum(seen) == 1
+
+
 def test_ted_rejects_non_symmetric():
     with pytest.raises(NotTSymmetric):
         ted(random_tensor(RNG, 4, 4, 3))

@@ -7,10 +7,10 @@ from helpers import random_tensor, random_tsym
 from tubal_spectra.errors import NotBlockCirculant, ShapeError
 from tubal_spectra.tensor3 import (bcirc, bcirc_inv, fold, fold_mat, identity,
                                    is_f_diagonal, is_standard_form,
-                                   is_t_symmetric, read_matslice,
-                                   read_tensor3, shift_columns, transpose,
-                                   unfold, unfold_mat, write_matslice,
-                                   write_tensor3)
+                                   is_t_symmetric, read_tensor3,
+                                   shift_columns, tensor3_from_text,
+                                   tensor3_text, transpose, unfold,
+                                   unfold_mat, write_tensor3)
 from tubal_spectra.tubal import INCOMPARABLE
 
 RNG = np.random.default_rng(20260814)
@@ -154,18 +154,61 @@ def test_rectangular_f_diagonal():
     assert is_standard_form(S) is True
 
 
-def test_tensor_file_roundtrip(tmp_path):
-    A = random_tensor(RNG, 3, 2, 4) * 1e4
-    path = tmp_path / "a.t3"
-    write_tensor3(path, A)
-    assert np.array_equal(read_tensor3(path), A)
+# One array of each kind: a tensor, a matrix slice and a tube.  Their own
+# generator leaves RNG's draws for the other tests unchanged.
+_KIND_RNG = np.random.default_rng(20261018)
+KINDS = {"T3": _KIND_RNG.standard_normal((3, 2, 4)) * 1e4,
+         "MAT": _KIND_RNG.standard_normal((5, 3)) / 1e7,
+         "TUBE": _KIND_RNG.standard_normal(7) * 1e3}
 
 
-def test_matslice_file_roundtrip(tmp_path):
-    X = RNG.standard_normal((5, 3)) / 1e7
+@pytest.mark.parametrize("kind", KINDS)
+def test_text_file_roundtrip(tmp_path, kind):
+    X = KINDS[kind]
+    path = tmp_path / "x.txt"
+    write_tensor3(path, X)
+    assert np.array_equal(read_tensor3(path, X.ndim), X)
+
+
+@pytest.mark.parametrize("X, text", [
+    (np.arange(8.0).reshape(2, 2, 2) / 4 - 1,
+     "T3 1\n2 2 2\n\n-1 -0.5\n0 0.5\n\n-0.75 -0.25\n0.25 0.75\n"),
+    (np.array([[0.1, -0.0, 3.0], [1e-300, 2.5e20, -7.0]]),
+     "MAT 1\n2 3\n0.10000000000000001 -0 3\n1e-300 2.5e+20 -7\n"),
+    (np.array([1.0, -2.0, 1 / 3]),
+     "TUBE 1\n3\n1 -2 0.33333333333333331\n"),
+], ids=["T3", "MAT", "TUBE"])
+def test_text_writer_bytes(X, text):
+    assert tensor3_text(X) == text
+    assert np.array_equal(tensor3_from_text(text, X.ndim), X)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_text_writer_rejects_complex(kind):
+    with pytest.raises(ValueError, match="real"):
+        tensor3_text(KINDS[kind] * (1 + 1j))
+
+
+def test_header_must_match_expected_kind(tmp_path):
     path = tmp_path / "x.mat"
-    write_matslice(path, X)
-    assert np.array_equal(read_matslice(path), X)
+    write_tensor3(path, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="'T3 1' header"):
+        read_tensor3(path)
+    with pytest.raises(ValueError, match="'TUBE 1' header"):
+        read_tensor3(path, 1)
+    assert np.array_equal(read_tensor3(path, 2), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_text_reader_rejects_non_finite(tmp_path, kind, token):
+    X = KINDS[kind]
+    path = tmp_path / "x.txt"
+    text = tensor3_text(X)
+    path.write_text(text[:text.rindex(" ")] + f" {token}\n")
+    with pytest.raises(ValueError, match="non-finite") as err:
+        read_tensor3(path, X.ndim)
+    assert str(path) in str(err.value)
 
 
 def test_tensor_file_rejects_malformed(tmp_path):
@@ -179,6 +222,14 @@ def test_tensor_file_rejects_malformed(tmp_path):
     path.write_text("T3 1\n1 2 1\n1.0 2.0 3.0\n")
     with pytest.raises(ValueError):
         read_tensor3(path)
+    # Rows too few, too wide, ragged with the right total, a size line of
+    # another kind, a zero size and a token that is not a number.
+    for text in ("MAT 1\n2 2\n1 2\n", "MAT 1\n1 2\n1 2 3\n",
+                 "MAT 1\n2 2\n1 2 3\n4\n", "MAT 1\n1 2 1\n1 2\n",
+                 "MAT 1\n0 2\n", "MAT 1\n1 2\n1 x\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=str(path)):
+            read_tensor3(path, 2)
 
 
 def test_shape_validation():

@@ -28,6 +28,16 @@ def test_symmetry_is_exact_by_construction():
         assert F.symmetry_residual() == 0.0
 
 
+def test_half_spectrum_is_rfft_bit_for_bit():
+    # Bins 0..p//2 of to_freq equal rfft(A), signs of zeros included, so
+    # callers may use them in place of a second transform.
+    rng = np.random.default_rng(36)
+    for m, n, p in ((3, 3, 1), (3, 2, 2), (4, 4, 5), (2, 5, 8), (6, 6, 32)):
+        A = random_tensor(rng, m, n, p)
+        half = to_freq(A).slices[:, :, :p // 2 + 1]
+        assert half.tobytes() == np.fft.rfft(A, axis=2).tobytes()
+
+
 def test_matches_explicit_dft_block_diagonalization():
     # (F_p (x) I_m) bcirc(A) (F_p^H (x) I_n) is block diagonal with the
     # frequency slices on the diagonal, for the unnormalized DFT matrix

@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import record_finding, rel_err
 from tubal_spectra.errors import DimensionMismatch, NotCirculant
-from tubal_spectra.tubal import (INCOMPARABLE, circ, circ_inv, read_tube,
-                                 tube_abs, tube_action, tube_add, tube_dft,
-                                 tube_idft, tube_le, tube_mul,
-                                 tube_transpose, tubal_sqrt_all, unit_tube,
-                                 write_tube)
+from tubal_spectra.tensor3 import read_tensor3
+from tubal_spectra.tubal import (INCOMPARABLE, circ, circ_inv, tube_abs,
+                                 tube_action, tube_add, tube_dft, tube_idft,
+                                 tube_le, tube_mul, tube_transpose,
+                                 tubal_sqrt_all, unit_tube)
 
 RNG = np.random.default_rng(20260814)
 
@@ -187,18 +187,15 @@ def test_sqrt_of_unit_tube_probe():
 
 # --- serialization -----------------------------------------------------------
 
-def test_tube_file_roundtrip(tmp_path):
-    a = RNG.standard_normal(7) * 1e3
-    path = tmp_path / "a.tube"
-    write_tube(path, a)
-    assert np.array_equal(read_tube(path), a)
-
-
 def test_tube_file_rejects_malformed(tmp_path):
     path = tmp_path / "bad.tube"
     path.write_text("TUBE 1\n3\n1.0 2.0\n")
     with pytest.raises(ValueError):
-        read_tube(path)
+        read_tensor3(path, 1)
     path.write_text("NOPE\n")
     with pytest.raises(ValueError):
-        read_tube(path)
+        read_tensor3(path, 1)
+    # The values of a tube form one row.
+    path.write_text("TUBE 1\n3\n1.0 2.0\n3.0\n")
+    with pytest.raises(ValueError):
+        read_tensor3(path, 1)
