@@ -3,11 +3,11 @@
 Subcommands: ``info``, ``tprod``, ``transpose``, ``ted``, ``tsvd``,
 ``psd``, ``quadform``, ``verify``, ``random``, ``bench``.  Tensors, matrix
 slices and tubes travel in the one text codec of :mod:`tubal_spectra.tensor3`,
-which rejects malformed and non-finite input (exit 1); structured results are
-emitted either as deterministic plain text or as JSON documents tagged with
-the schema ``tubal-spectra/1``.  All floating-point values are written with
-17 significant digits, so identical inputs (and seed) produce byte-identical
-output.
+which rejects malformed and non-finite input and non-finite results (exit 1);
+structured results are emitted either as deterministic plain text or as JSON
+documents tagged with the schema ``tubal-spectra/1``.  All floating-point
+values are written with 17 significant digits, so identical inputs (and seed)
+produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or input-format error, 2 numerical error
 (for example a non-T-symmetric input to ``ted``), 3 verification failure.
@@ -356,7 +356,6 @@ def _cmd_verify(cfg):
     A = read_tensor3(cfg.inputs[0])
     m, n, p = A.shape
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tol if cfg.tol is not None else 1e-10
     checks = []
 
     r = float(np.max(np.abs(bcirc_inv(bcirc(A), p) - A)))
@@ -398,7 +397,7 @@ def _cmd_verify(cfg):
 
     passed = all(c.passed for c in checks if c.passed is not None)
     doc = {"schema": SCHEMA, "kind": "verify", "input": cfg.inputs[0],
-           "seed": cfg.seed, "tol": tol, "checks": _checks_doc(checks),
+           "seed": cfg.seed, "checks": _checks_doc(checks),
            "passed": bool(passed)}
     text = _checks_text(checks) + [f"verify: {'PASS' if passed else 'FAIL'}"]
     _deliver_doc(cfg, doc, text)
@@ -519,8 +518,7 @@ def build_parser():
                         help="n*p bound for polarization checks (default 64)")
 
     add("verify", "run the oracle checks on a tensor", inputs=("input",),
-        output=True, tol=(None, "override check tolerance"), seed=True,
-        extra=verify_extra)
+        output=True, seed=True, extra=verify_extra)
 
     def random_extra(sp):
         sp.add_argument("kind", choices=("general", "tsym", "fdiag", "psd"))

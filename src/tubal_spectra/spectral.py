@@ -45,8 +45,8 @@ import numpy as np
 from .errors import NotTSymmetric, ShapeError, ZeroMatrix
 from .tensor3 import (as_matslice, identity, is_t_symmetric, require_square,
                       shift_columns, transpose)
-from .transform import (_mirrored_bins, freq_from_half, from_freq,
-                        hermitize_check, to_freq)
+from .transform import (_mirrored_bins, _real_bins, freq_from_half,
+                        from_freq, hermitize_check, to_freq)
 from .tproduct import tprod, tprod_mat
 from .tubal import INCOMPARABLE, circ, tube_action, tube_le, tube_transpose
 
@@ -119,8 +119,8 @@ def _half_spectrum_groups(F):
     one complex stack.
     """
     p = F.p
-    half = F.slices[:, :, :p // 2 + 1].transpose(2, 0, 1)
-    real = [0, p // 2] if p % 2 == 0 else [0]
+    half = F.half.transpose(2, 0, 1)
+    real = _real_bins(p)
     groups = [(real, half[real].real)]
     mirrored = _mirrored_bins(p)
     if mirrored.size:
@@ -189,7 +189,7 @@ def ted(A, tol=None):
     if not is_t_symmetric(A, tol):
         raise NotTSymmetric("tensor is not T-symmetric within tolerance")
     F = to_freq(A)
-    htol = 1e-10 * max(1.0, float(np.max(np.abs(F.slices))))
+    htol = 1e-10 * max(1.0, float(np.max(np.abs(F.half))))
     if not hermitize_check(F, htol):
         raise NotTSymmetric("frequency slices are not Hermitian")
 
@@ -212,7 +212,7 @@ def ted(A, tol=None):
     if normA > 0.0:
         recon /= normA
     orth = float(np.linalg.norm(tprod(transpose(U), U) - identity(n, p)))
-    Ah = F.slices[:, :, :h].transpose(2, 0, 1)
+    Ah = F.half.transpose(2, 0, 1)
     pair = np.empty((n, p))
     for j in range(n):
         B = _shift_block(U[:, j, :])

@@ -15,7 +15,8 @@ transposes each one, so that ``bcirc(transpose(A)) == bcirc(A).T``.
 
 Tensors, matrix slices and tubes share one text codec: a header picked by
 ``ndim`` from ``HEADERS``, a size line, then rows of 17-digit decimals.  Its
-reader rejects another kind's header, bad sizes or rows, and non-finite values.
+reader rejects another kind's header, bad sizes or rows, and non-finite values;
+its writer rejects complex and non-finite values.
 """
 
 from __future__ import annotations
@@ -208,6 +209,8 @@ def tensor3_text(X):
     X = np.asarray(X)
     if np.iscomplexobj(X):
         raise ValueError("text files store real values only")
+    if not np.isfinite(X).all():
+        raise ValueError("text files store finite values only")
     if X.ndim not in HEADERS or X.size == 0:
         raise ShapeError(f"no text format for an array of shape {X.shape}")
     blocks = (X.transpose(2, 0, 1) if X.ndim == 3

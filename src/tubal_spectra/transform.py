@@ -1,14 +1,15 @@
 """Third-mode DFT bridge between spatial tensors and per-frequency slices.
 
-``to_freq`` applies the unnormalized DFT along the tube dimension and
-returns the ``p`` complex frontal slices that block-diagonalize ``bcirc``.
-Real input makes the slices conjugate-symmetric, ``F_{p-k} = conj(F_k)``;
-this symmetry is enforced *exactly* by construction: only bins
-``k <= p // 2`` are computed, the self-conjugate bins (``k = 0`` and, for
-even ``p``, ``k = p/2``) have their imaginary parts zeroed, and the rest
-are mirrored.  ``from_freq`` validates the symmetry and inverts through the
+``to_freq`` applies the unnormalized DFT along the tube dimension; its
+``p`` complex frontal slices block-diagonalize ``bcirc``.  Real input makes
+the slices conjugate-symmetric, ``F_{p-k} = conj(F_k)``, so a
+:class:`FreqSlices` stores only bins ``k <= p // 2`` and reads the others
+as conjugates.  The self-conjugate bins (``k = 0`` and, for even ``p``,
+``k = p/2``) have their imaginary parts zeroed, so the symmetry is exact by
+construction.  ``from_freq`` inverts a :class:`FreqSlices` with one inverse
 half-spectrum transform, so the reconstruction is real by construction
-rather than by cancellation.
+rather than by cancellation.  Only a raw full spectrum from outside is
+validated, before it is cut to its half.
 """
 
 from __future__ import annotations
@@ -23,44 +24,18 @@ from .tensor3 import as_tensor3
 
 @dataclass(frozen=True)
 class FreqSlices:
-    """The ``p`` complex frequency slices of a tensor, stored as ``(m, n, p)``."""
+    """The ``p`` frequency slices of a real tensor, stored as bins
+    ``0..p//2`` in an ``(m, n, p // 2 + 1)`` complex array ``half``."""
 
-    slices: np.ndarray
-
-    @property
-    def m(self):
-        return self.slices.shape[0]
-
-    @property
-    def n(self):
-        return self.slices.shape[1]
-
-    @property
-    def p(self):
-        return self.slices.shape[2]
+    half: np.ndarray
+    p: int
 
     def slice(self, k):
         """Frequency slice ``k`` as an ``(m, n)`` complex matrix."""
-        return self.slices[:, :, k]
-
-    def pair_residual(self):
-        """Max deviation from ``F_{p-k} = conj(F_k)`` over mirrored pairs."""
-        p = self.p
-        k = _mirrored_bins(p)
-        delta = self.slices[:, :, p - k] - np.conj(self.slices[:, :, k])
-        return float(np.max(np.abs(delta), initial=0.0))
-
-    def real_bin_residual(self):
-        """Max imaginary magnitude on the self-conjugate bins."""
-        worst = float(np.max(np.abs(self.slices[:, :, 0].imag)))
-        if self.p % 2 == 0:
-            half = self.slices[:, :, self.p // 2].imag
-            worst = max(worst, float(np.max(np.abs(half))))
-        return worst
-
-    def symmetry_residual(self):
-        """Max of the pair and self-conjugate-bin residuals."""
-        return max(self.pair_residual(), self.real_bin_residual())
+        k = range(self.p)[k]
+        if k > self.p // 2:
+            return np.conj(self.half[:, :, self.p - k])
+        return self.half[:, :, k]
 
 
 def _mirrored_bins(p):
@@ -68,26 +43,26 @@ def _mirrored_bins(p):
     return np.arange(1, (p - 1) // 2 + 1)
 
 
+def _real_bins(p):
+    """The self-conjugate bins: ``0`` and, for even ``p``, ``p/2``."""
+    return [0, p // 2] if p % 2 == 0 else [0]
+
+
 def freq_from_half(half, p):
-    """Assemble conjugate-symmetric :class:`FreqSlices` from bins ``0..p//2``.
+    """Conjugate-symmetric :class:`FreqSlices` from bins ``0..p//2``.
 
     The self-conjugate bins are coerced to real, so the result satisfies the
     symmetry exactly.
     """
-    half = np.asarray(half, dtype=np.complex128)
+    # C order: callers pass transposed views, and irfft keeps the layout.
+    half = np.array(half, dtype=np.complex128, order="C")
     if half.ndim != 3 or half.shape[2] != p // 2 + 1:
         raise ShapeError(
             f"expected {p // 2 + 1} half-spectrum slices, got shape "
             f"{half.shape}")
-    m, n, _ = half.shape
-    full = np.zeros((m, n, p), dtype=np.complex128)
-    full[:, :, :half.shape[2]] = half
-    full[:, :, 0] = full[:, :, 0].real
-    if p % 2 == 0:
-        full[:, :, p // 2] = full[:, :, p // 2].real
-    k = _mirrored_bins(p)
-    full[:, :, p - k] = np.conj(full[:, :, k])
-    return FreqSlices(full)
+    real = _real_bins(p)
+    half[:, :, real] = half[:, :, real].real
+    return FreqSlices(half, p)
 
 
 def to_freq(A):
@@ -97,34 +72,46 @@ def to_freq(A):
 
 
 def from_freq(F, tol=1e-10):
-    """Invert :func:`to_freq`, validating the conjugate symmetry.
+    """Invert :func:`to_freq` by one inverse half-spectrum transform.
 
-    Raises :class:`SymmetryViolation` when a mirrored pair mismatches by
-    more than ``tol`` (max-abs) and :class:`ImaginaryResidual` when a
-    self-conjugate bin carries imaginary mass above ``tol``.  The result is
-    computed from bins ``0..p//2`` by the inverse half-spectrum transform,
-    so it is exactly real.
+    A :class:`FreqSlices` is symmetric by construction.  A raw ``(m, n, p)``
+    spectrum is checked first: :class:`ShapeError` if not 3-D, ``ValueError``
+    if non-finite, :class:`SymmetryViolation` if a mirrored pair differs by
+    more than ``tol`` (max-abs), :class:`ImaginaryResidual` if a
+    self-conjugate bin has imaginary mass above ``tol``.
     """
     if not isinstance(F, FreqSlices):
-        F = FreqSlices(np.asarray(F, dtype=np.complex128))
-    residual = F.pair_residual()
-    if residual > tol:
-        raise SymmetryViolation(
-            f"mirrored frequency slices differ by {residual:.3e} "
-            f"(tol {tol:.3e})")
-    residual = F.real_bin_residual()
-    if residual > tol:
-        raise ImaginaryResidual(
-            f"self-conjugate frequency bins carry imaginary mass "
-            f"{residual:.3e} (tol {tol:.3e})")
-    p = F.p
-    return np.fft.irfft(F.slices[:, :, :p // 2 + 1], n=p, axis=2)
+        S = np.asarray(F, dtype=np.complex128)
+        if S.ndim != 3 or S.size == 0:
+            raise ShapeError(f"expected an (m, n, p) spectrum, got {S.shape}")
+        if not np.isfinite(S).all():
+            raise ValueError("non-finite value in frequency spectrum")
+        p = S.shape[2]
+        k = _mirrored_bins(p)
+        residual = float(np.max(np.abs(S[:, :, p - k] - np.conj(S[:, :, k])),
+                                initial=0.0))
+        if residual > tol:
+            raise SymmetryViolation(
+                f"mirrored frequency slices differ by {residual:.3e} "
+                f"(tol {tol:.3e})")
+        residual = float(np.max(np.abs(S[:, :, _real_bins(p)].imag)))
+        if residual > tol:
+            raise ImaginaryResidual(
+                f"self-conjugate frequency bins carry imaginary mass "
+                f"{residual:.3e} (tol {tol:.3e})")
+        F = freq_from_half(S[:, :, :p // 2 + 1], p)
+    return np.fft.irfft(F.half, n=F.p, axis=2)
 
 
 def hermitize_check(F, tol=1e-10):
-    """Whether every frequency slice is Hermitian within ``tol`` (max-abs)."""
-    if F.m != F.n:
+    """Whether every frequency slice is Hermitian within ``tol`` (max-abs).
+
+    Bins ``0..p//2`` suffice: the conjugate of a slice is Hermitian exactly
+    when the slice is.
+    """
+    S = F.half
+    m, n, _ = S.shape
+    if m != n:
         raise ShapeError(
-            f"Hermitian check requires square slices, got {F.m} x {F.n}")
-    S = F.slices
+            f"Hermitian check requires square slices, got {m} x {n}")
     return float(np.max(np.abs(S - S.conj().transpose(1, 0, 2)))) <= tol

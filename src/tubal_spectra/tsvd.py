@@ -126,7 +126,7 @@ def tsvd(A):
         recon /= normA
     orth_u = float(np.linalg.norm(tprod(transpose(U), U) - identity(m, p)))
     orth_v = float(np.linalg.norm(tprod(transpose(V), V) - identity(n, p)))
-    Ah = F.slices[:, :, :h].transpose(2, 0, 1)
+    Ah = F.half.transpose(2, 0, 1)
     Ath = np.fft.rfft(transpose(A), axis=2).transpose(2, 0, 1)
     right = np.empty((r, p))
     left = np.empty((r, p))

@@ -107,6 +107,15 @@ def test_nonpositive_tol_is_usage_error(capsys, tsym_file):
     assert "--tol" in err
 
 
+def test_verify_has_no_tol_flag(capsys, tsym_file):
+    code, out, err = run(capsys, "verify", tsym_file, "--tol", "1e-3")
+    assert (code, out) == (1, "")
+    assert "--tol" in err
+    code, out, _ = run(capsys, "verify", tsym_file, "--format", "json")
+    assert code == 0
+    assert "tol" not in json.loads(out)
+
+
 # --- info -------------------------------------------------------------------
 
 def test_info_reports_structure_flags(capsys, tmp_path):
@@ -151,6 +160,18 @@ def test_tprod_command_round_trips_exactly(capsys, tmp_path):
     assert code == 0
     assert out == ""  # -o suppresses stdout
     assert np.array_equal(read_tensor3(fc), tprod(A, B))
+
+
+def test_overflowing_result_is_not_written(capsys, tmp_path):
+    # A finite input whose product overflows: the writer rejects the result
+    # before the output file is opened.
+    fa, fc = str(tmp_path / "a.t3"), tmp_path / "c.t3"
+    write_tensor3(fa, np.full((2, 2, 1), 1e300))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "tprod", fa, fa, "-o", str(fc))
+    assert (code, out) == (1, "")
+    assert "finite" in err
+    assert not fc.exists()
 
 
 def test_tprod_shape_mismatch_is_input_error(capsys, tmp_path):

@@ -189,6 +189,15 @@ def test_text_writer_rejects_complex(kind):
         tensor3_text(KINDS[kind] * (1 + 1j))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_text_writer_rejects_non_finite(kind, value):
+    X = KINDS[kind].copy()
+    X.flat[-1] = value
+    with pytest.raises(ValueError, match="finite"):
+        tensor3_text(X)
+
+
 def test_header_must_match_expected_kind(tmp_path):
     path = tmp_path / "x.mat"
     write_tensor3(path, np.ones((2, 2)))

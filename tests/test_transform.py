@@ -7,7 +7,7 @@ from helpers import random_tensor
 from tubal_spectra.errors import (ImaginaryResidual, ShapeError,
                                   SymmetryViolation)
 from tubal_spectra.tensor3 import bcirc, identity, transpose
-from tubal_spectra.transform import (FreqSlices, freq_from_half, from_freq,
+from tubal_spectra.transform import (freq_from_half, from_freq,
                                      hermitize_check, to_freq)
 from tubal_spectra.tproduct import tprod
 
@@ -21,11 +21,44 @@ def test_roundtrip():
     assert B.dtype == np.float64
 
 
+def full_spectrum(F):
+    """All ``p`` slices of ``F`` as a raw ``(m, n, p)`` array."""
+    return np.stack([F.slice(k) for k in range(F.p)], axis=2)
+
+
 def test_symmetry_is_exact_by_construction():
     for p in (1, 2, 3, 4, 5, 8):
         A = random_tensor(RNG, 2, 3, p)
         F = to_freq(A)
-        assert F.symmetry_residual() == 0.0
+        for k in range(1, p):
+            if k != p - k:
+                assert (F.slice(p - k).tobytes()
+                        == np.conj(F.slice(k)).tobytes())
+        assert not F.slice(0).imag.any()
+        if p % 2 == 0:
+            assert not F.slice(p // 2).imag.any()
+        assert np.allclose(full_spectrum(F), np.fft.fft(A, axis=2),
+                           atol=1e-12)
+        assert np.array_equal(F.slice(-1), F.slice(p - 1))
+        with pytest.raises(IndexError):
+            F.slice(p)
+
+
+def test_freq_slices_store_the_half_spectrum():
+    # Only bins 0..p//2 are stored, and the inverse is one irfft of them.
+    for m, n, p in ((2, 3, 1), (3, 3, 2), (2, 2, 3), (3, 2, 4), (2, 4, 7),
+                    (3, 3, 8)):
+        A = random_tensor(RNG, m, n, p)
+        F = to_freq(A)
+        assert F.p == p
+        assert F.half.shape == (m, n, p // 2 + 1)
+        assert (from_freq(F).tobytes()
+                == np.fft.irfft(F.half, n=p, axis=2).tobytes())
+        # ted and tsvd pass transposed half spectra; they are stored in C
+        # order, so the factors come back C-contiguous.
+        G = freq_from_half(F.half.transpose(1, 0, 2), p)
+        assert G.half.flags.c_contiguous
+        assert from_freq(G).flags.c_contiguous
 
 
 def test_half_spectrum_is_rfft_bit_for_bit():
@@ -34,7 +67,7 @@ def test_half_spectrum_is_rfft_bit_for_bit():
     rng = np.random.default_rng(36)
     for m, n, p in ((3, 3, 1), (3, 2, 2), (4, 4, 5), (2, 5, 8), (6, 6, 32)):
         A = random_tensor(rng, m, n, p)
-        half = to_freq(A).slices[:, :, :p // 2 + 1]
+        half = to_freq(A).half
         assert half.tobytes() == np.fft.rfft(A, axis=2).tobytes()
 
 
@@ -63,9 +96,9 @@ def test_linearity_and_product_theorem():
     B = random_tensor(RNG, 3, 2, 4)
     FA, FB = to_freq(A), to_freq(B)
     FS = to_freq(2.0 * A + transpose(transpose(A)))
-    assert np.allclose(FS.slices, 3.0 * FA.slices, atol=1e-12)
     FP = to_freq(tprod(A, B))
     for k in range(4):
+        assert np.allclose(FS.slice(k), 3.0 * FA.slice(k), atol=1e-12)
         assert np.allclose(FP.slice(k), FA.slice(k) @ FB.slice(k),
                            atol=1e-12)
 
@@ -79,30 +112,52 @@ def test_identity_frequency_slices_are_exact():
 
 def test_from_freq_rejects_symmetry_violations():
     A = random_tensor(RNG, 2, 2, 5)
-    F = to_freq(A)
-    bad = F.slices.copy()
+    bad = full_spectrum(to_freq(A))
     bad[0, 0, 1] += 1e-6
     with pytest.raises(SymmetryViolation):
-        from_freq(FreqSlices(bad))
-    assert np.allclose(from_freq(FreqSlices(bad), tol=1e-3), A, atol=1e-5)
+        from_freq(bad)
+    assert np.allclose(from_freq(bad, tol=1e-3), A, atol=1e-5)
 
 
 def test_from_freq_rejects_imaginary_mass_on_real_bins():
     A = random_tensor(RNG, 2, 2, 4)
-    bad = to_freq(A).slices.copy()
+    bad = full_spectrum(to_freq(A))
     bad[1, 1, 0] += 1e-6j
     with pytest.raises(ImaginaryResidual):
-        from_freq(FreqSlices(bad))
-    bad = to_freq(A).slices.copy()
+        from_freq(bad)
+    bad = full_spectrum(to_freq(A))
     bad[0, 1, 2] += 1e-6j  # p // 2 bin for p = 4
     with pytest.raises(ImaginaryResidual):
-        from_freq(FreqSlices(bad))
+        from_freq(bad)
+
+
+def test_from_freq_rejects_non_3d_input():
+    with pytest.raises(ShapeError):
+        from_freq(np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        from_freq(np.zeros((2, 2, 0)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "imaginary-nan"])
+@pytest.mark.parametrize("where", [(0, 1, 4), (1, 0, 0)],
+                         ids=["mirrored-bin", "bin-0"])
+def test_from_freq_rejects_non_finite_spectra(value, where):
+    # A nan in a mirrored bin used to pass both gates and come back as nan
+    # entries; nan imaginary mass on bin 0 was dropped, since nan > tol is
+    # false.
+    bad = full_spectrum(to_freq(random_tensor(RNG, 2, 2, 5)))
+    bad[where] += value
+    with pytest.raises(ValueError, match="non-finite"):
+        from_freq(bad)
 
 
 def test_freq_from_half_mirrors_and_realifies():
     half = RNG.standard_normal((2, 2, 3)) + 1j * RNG.standard_normal((2, 2, 3))
+    given = half.copy()
     F = freq_from_half(half, 4)
-    assert F.symmetry_residual() == 0.0
+    assert np.array_equal(half, given)  # the caller's array is not changed
+    assert np.array_equal(F.half[:, :, 1], half[:, :, 1])
     assert np.array_equal(F.slice(3), np.conj(F.slice(1)))
     assert np.max(np.abs(F.slice(0).imag)) == 0.0
     assert np.max(np.abs(F.slice(2).imag)) == 0.0
@@ -121,8 +176,8 @@ def test_hermitize_check():
 
 
 def test_vectorized_checks_match_slice_loops():
-    # freq_from_half, pair_residual and hermitize_check are single array
-    # expressions; their results equal the per-slice loops bit for bit.
+    # freq_from_half, the gate of from_freq and hermitize_check are single
+    # array expressions; they agree with per-slice loops bit for bit.
     for p in (1, 2, 3, 4, 7, 8):
         h = p // 2 + 1
         half = (RNG.standard_normal((3, 3, h))
@@ -135,19 +190,32 @@ def test_vectorized_checks_match_slice_loops():
             full[:, :, p // 2] = full[:, :, p // 2].real
         for k in range(1, (p - 1) // 2 + 1):
             full[:, :, p - k] = np.conj(full[:, :, k])
-        assert np.array_equal(F.slices, full)
-
-        raw = FreqSlices(RNG.standard_normal((3, 3, p))
-                         + 1j * RNG.standard_normal((3, 3, p)))
-        worst = 0.0
-        for k in range(1, (p - 1) // 2 + 1):
-            delta = raw.slice(p - k) - np.conj(raw.slice(k))
-            worst = max(worst, float(np.max(np.abs(delta))))
-        assert raw.pair_residual() == worst
+        assert np.array_equal(full_spectrum(F), full)
 
         herm = 0.0
         for k in range(p):
-            M = raw.slice(k)
+            M = F.slice(k)
             herm = max(herm, float(np.max(np.abs(M - M.conj().T))))
-        assert hermitize_check(raw, herm)
-        assert not hermitize_check(raw, float(np.nextafter(herm, 0.0)))
+        assert hermitize_check(F, herm)
+        assert not hermitize_check(F, float(np.nextafter(herm, 0.0)))
+
+        # The gate's thresholds are exact: a raw spectrum passes at its own
+        # pair residual or imaginary mass, and fails just below it.
+        raw = (RNG.standard_normal((3, 3, p))
+               + 1j * RNG.standard_normal((3, 3, p)))
+        real = [0, p // 2] if p % 2 == 0 else [0]
+        raw[:, :, real] = raw[:, :, real].real
+        worst = 0.0
+        for k in range(1, (p - 1) // 2 + 1):
+            delta = raw[:, :, p - k] - np.conj(raw[:, :, k])
+            worst = max(worst, float(np.max(np.abs(delta))))
+        from_freq(raw, worst)
+        if worst > 0.0:
+            with pytest.raises(SymmetryViolation):
+                from_freq(raw, float(np.nextafter(worst, 0.0)))
+
+        full[:, :, real] += 1j * RNG.standard_normal((3, 3, len(real)))
+        imag = max(float(np.max(np.abs(full[:, :, k].imag))) for k in real)
+        from_freq(full, imag)
+        with pytest.raises(ImaginaryResidual):
+            from_freq(full, float(np.nextafter(imag, 0.0)))
