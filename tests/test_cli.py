@@ -57,6 +57,18 @@ def test_json_emitter_rejects_non_finite():
         cli.dumps_doc({"x": float("inf")})
 
 
+def test_render_rejects_what_json_rejects(capsys, tsym_file):
+    # frequency_eigenvalues are not shown in text, yet a non-finite one
+    # fails the text rendering exactly as it fails the JSON document.
+    code, out, _ = run(capsys, "ted", tsym_file, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    doc["frequency_eigenvalues"][0][0] = float("nan")
+    for emit in (cli.dumps_doc, cli.render):
+        with pytest.raises(ValueError, match="non-finite value in output"):
+            emit(doc)
+
+
 # --- argument handling ------------------------------------------------------
 
 def test_no_command_is_usage_error(capsys):
@@ -99,6 +111,25 @@ def test_non_finite_file_is_input_error(capsys, tmp_path, command, token):
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (1, "")
     assert f"{path}: non-finite value" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["info", "ted", "tsvd"])
+def test_non_finite_result_exits_1_in_both_formats(capsys, tmp_path, command,
+                                                   fmt):
+    # A finite file whose norm, residuals or factors overflow: neither
+    # format prints inf or nan, and no output file is written.
+    path = tmp_path / "huge.t3"
+    write_tensor3(str(path), np.full((3, 3, 4), 1e300))
+    out_file = tmp_path / "out.txt"
+    argv = [command, str(path), "--format", fmt]
+    if command != "info":
+        argv += ["-o", str(out_file)]
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "non-finite value in output" in err
+    assert not out_file.exists()
 
 
 def test_nonpositive_tol_is_usage_error(capsys, tsym_file):
@@ -419,7 +450,81 @@ def test_verify_reports_failure_with_exit_3(capsys, tsym_file, monkeypatch):
     assert out.rstrip().endswith("verify: FAIL")
 
 
-# --- random / bench ----------------------------------------------------------
+# --- text is a rendering of the JSON document -------------------------------
+
+@pytest.fixture
+def doc_files(tmp_path):
+    B = random_tensor(RNG, 3, 3, 2)
+    arrays = {"sym": random_tsym(RNG, 3, 4),
+              "rect": random_tensor(RNG, 2, 3, 2),
+              "tall": random_tensor(RNG, 4, 2, 3),
+              "gen": random_tensor(RNG, 3, 3, 2),
+              "gram": tprod(transpose(B), B), "id": identity(1, 2),
+              "id3": identity(2, 3), "x": np.array([[1.0, -1.0]]),
+              "xs": RNG.standard_normal((3, 4))}
+    paths = {}
+    for name, X in arrays.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        write_tensor3(paths[name], X)
+    return paths
+
+
+def _text_and_json(capsys, monkeypatch, files, argv):
+    """Run ``argv`` in both formats; the text must render the JSON doc."""
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+
+    def no_json(doc):
+        raise AssertionError("text output went through dumps_doc")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "dumps_doc", no_json)
+        text_code, text, _ = run(capsys, *argv)
+    assert text_code == code
+    assert cli.render(json.loads(out)) == text
+    return code, json.loads(out), text
+
+
+FACT_RUNS = [
+    ("info", "@sym"), ("info", "@rect"), ("info", "@id3"),
+    ("tprod", "@rect", "@gen"), ("transpose", "@rect"),
+    ("random", "general", "2", "3", "2"), ("random", "psd", "3", "3", "2"),
+    ("ted", "@sym"), ("ted", "@id3"), ("tsvd", "@tall"), ("tsvd", "@rect"),
+    ("psd", "@sym"), ("psd", "@sym", "--exact"), ("psd", "@gram", "--exact"),
+    ("psd", "@gen", "--auto-symmetrize", "--exact"),
+    ("quadform", "@id", "@x"), ("quadform", "@sym", "@xs"),
+    ("verify", "@sym"), ("verify", "@rect"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", FACT_RUNS, ids=lambda argv: "_".join(a.lstrip("-@") for a in argv))
+def test_text_is_the_rendered_json_document(capsys, monkeypatch, doc_files,
+                                            argv):
+    code, _, _ = _text_and_json(capsys, monkeypatch, doc_files, argv)
+    assert code == 0
+
+
+def test_disagreeing_psd_verdicts_render_the_note(capsys, monkeypatch,
+                                                  doc_files):
+    _, doc, text = _text_and_json(capsys, monkeypatch, doc_files,
+                                  ("psd", "@id", "--exact"))
+    assert doc["verdicts_agree"] is False
+    assert doc["exact"]["witness"] is not None
+    assert "\nwitness:\n" in text
+    assert text.endswith("partial order\n")
+
+
+def test_failing_verify_renders_the_json_document(capsys, monkeypatch,
+                                                  doc_files):
+    monkeypatch.setattr(cli, "tprod", lambda A, B: tprod(A, B) + 1e-3)
+    for argv in (("verify", "@sym"), ("verify", "@rect")):
+        code, doc, text = _text_and_json(capsys, monkeypatch, doc_files, argv)
+        assert (code, doc["passed"]) == (3, False)
+        assert text.endswith("verify: FAIL\n")
+
+
+# --- random ----------------------------------------------------------------
 
 def test_random_kinds_have_claimed_structure(capsys):
     code, out, _ = run(capsys, "random", "general", "2", "3", "4")
@@ -456,19 +561,6 @@ def test_random_is_seed_deterministic(capsys):
     third = run(capsys, "random", "general", "3", "2", "4", "--seed", "8")
     assert first == second
     assert first[1] != third[1]
-
-
-def test_bench_compares_routes(capsys):
-    code, out, _ = run(capsys, "bench", "--sizes", "4x3x2", "--format",
-                       "json")
-    assert code == 0
-    doc = json.loads(out)
-    row = doc["results"][0]
-    assert row["shape"] == "4x3x2"
-    assert row["max_rel_diff"] <= 1e-12
-    code, _, err = run(capsys, "bench", "--sizes", "4by3")
-    assert code == 1
-    assert "expected MxNxP" in err
 
 
 # --- determinism and process-level entry -------------------------------------
