@@ -479,6 +479,8 @@ def main(argv=None):
         return 1
     try:
         tol = getattr(args, "tol", None)
+        if tol is not None and not np.isfinite(tol):
+            raise _CliError("--tol must be finite")
         if tol is not None and tol <= 0:
             raise _CliError("--tol must be positive")
         if getattr(args, "max_size", 64) <= 0:

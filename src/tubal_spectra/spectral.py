@@ -13,12 +13,20 @@ The frequency core is batched and shared with :mod:`tubal_spectra.tsvd`.
 The self-conjugate bins (``k = 0`` and, for even ``p``, ``k = p/2``) are
 factored as one real stack and the other half-spectrum bins as one complex
 stack, so each decomposition makes at most two stacked ``eigh`` calls.  One
-vectorized canonical phase rotates every vector of every bin.  The
-``n x p`` eigenpair residuals are certified from one transform of ``A``:
-for each eigentuple, the ``p`` shifted eigenmatrices are gathered into one
-``n x p x p`` block, multiplied by ``A`` in the frequency domain and acted
-on by the tube in one batch, and each shift's residual is the norm of its
-own lateral slice.  No shift is inferred from another.
+vectorized canonical phase rotates every vector of every bin.
+
+The eigenpairs are certified by one residual tensor ``A * U - U * D``,
+whose lateral slice ``j`` is ``A * U_j - d_j act U_j``: one product of the
+half spectrum of ``A`` (already in hand, so ``A`` is transformed once) with
+one transform of ``U``, less the tube actions taken bin by bin, and one
+inverse transform.  Each eigentuple gets one residual, and the residuals
+of its ``p`` shifts are inferred from it: a shift ``U_j^[k]`` is the
+action of the unit tube ``e_k`` on ``U_j``, which commutes with the
+t-product and with every tube action and only permutes entries, so
+``A * U_j^[k] - d_j act U_j^[k]`` is the ``k``-shift of the unshifted
+residual and has the same norm (Kilmer & Martin 2011).
+The dense :func:`tubal_spectra.oracle.oracle_ted_check`, which ``verify``
+runs, computes every shift's residual independently.
 
 The first component of an eigentuple is the mean of its per-slice
 eigenvalues, so first components always inherit the per-slice descending
@@ -48,7 +56,7 @@ from .tensor3 import (as_matslice, identity, is_t_symmetric, require_square,
 from .transform import (_mirrored_bins, _real_bins, freq_from_half,
                         from_freq, hermitize_check, to_freq)
 from .tproduct import tprod, tprod_mat
-from .tubal import INCOMPARABLE, circ, tube_action, tube_le, tube_transpose
+from .tubal import INCOMPARABLE, tube_action, tube_le, tube_transpose
 
 SPECTRAL_PD = "PD"
 SPECTRAL_PSD = "PSD"
@@ -59,9 +67,10 @@ SPECTRAL_NOT_PSD = "NOT_PSD_BY_CRITERION"
 class TedDiagnostics:
     """Residuals certifying one decomposition.
 
-    ``eigenpair[j, k]`` is ``||A * U_j^[k] - d_j act U_j^[k]||_F`` for the
-    ``j``-th eigentuple and ``k``-th column shift (unit-norm eigenmatrices,
-    so the values are absolute).
+    ``eigenpair[j]`` is ``||A * U_j - d_j act U_j||_F / ||U_j||_F`` for
+    the ``j``-th eigentuple, with shape ``(n,)``.  Every column shift
+    ``U_j^[k]`` has the same residual (see the module docstring), so one
+    value per eigentuple certifies all ``p`` eigenmatrices.
     """
 
     reconstruction: float
@@ -163,18 +172,21 @@ def _shift_block(X):
     return X[:, (k[None, :] - k[:, None]) % p]
 
 
-def _pair_residuals(Ah, d, X, Y):
-    """``||A * X_k - d act Y_k||_F`` for every lateral slice ``k``.
+def _pair_residuals(Ah, tuples, Xh, Yh):
+    """``||A * X_j - tuples_j act Y_j||_F`` for every lateral slice ``j``.
 
-    ``Ah`` is ``rfft(A, axis=2)`` of an ``(m, n, p)`` tensor moved to
-    ``(p // 2 + 1, m, n)``; ``X`` is an ``(n, c, p)`` block and ``Y`` an
-    ``(m, c, p)`` block.  All ``c`` products are one batched frequency
-    product and all tube actions one matrix product.
+    ``Ah``, ``Xh`` and ``Yh`` are the half spectra ``rfft(., axis=2)``,
+    moved to ``(p // 2 + 1, rows, columns)``, of an ``(m, n, p)`` tensor
+    ``A``, an ``(n, c, p)`` block ``X`` and an ``(m, c, p)`` block ``Y``;
+    ``tuples`` is ``(c, p)``.  The residual tensor is formed in the
+    frequency domain in one batch (the action ``Y_j @ circ(t_j)`` scales bin
+    ``k`` of ``Y_j`` by ``conj(rfft(t_j)[k])``) and brought back by one
+    inverse transform.
     """
-    p = X.shape[2]
-    Xh = np.fft.rfft(X, axis=2).transpose(2, 0, 1)
-    AX = np.fft.irfft(np.matmul(Ah, Xh).transpose(1, 2, 0), n=p, axis=2)
-    return np.linalg.norm(AX - Y @ circ(d), axis=(0, 2))
+    p = tuples.shape[1]
+    th = np.fft.rfft(tuples, axis=1).conj().T
+    R = np.matmul(Ah, Xh) - Yh * th[:, None, :]
+    return np.linalg.norm(np.fft.irfft(R, n=p, axis=0), axis=(0, 1))
 
 
 def ted(A, tol=None):
@@ -189,6 +201,9 @@ def ted(A, tol=None):
     if not is_t_symmetric(A, tol):
         raise NotTSymmetric("tensor is not T-symmetric within tolerance")
     F = to_freq(A)
+    if not np.isfinite(F.half).all():
+        raise ValueError("frequency spectrum overflows: the transform of "
+                         "the tensor is not finite")
     htol = 1e-10 * max(1.0, float(np.max(np.abs(F.half))))
     if not hermitize_check(F, htol):
         raise NotTSymmetric("frequency slices are not Hermitian")
@@ -212,12 +227,9 @@ def ted(A, tol=None):
     if normA > 0.0:
         recon /= normA
     orth = float(np.linalg.norm(tprod(transpose(U), U) - identity(n, p)))
-    Ah = F.half.transpose(2, 0, 1)
-    pair = np.empty((n, p))
-    for j in range(n):
-        B = _shift_block(U[:, j, :])
-        pair[j] = (_pair_residuals(Ah, eigentuples[j], B, B)
-                   / np.linalg.norm(B, axis=(0, 2)))
+    Uh = np.fft.rfft(U, axis=2).transpose(2, 0, 1)
+    pair = (_pair_residuals(F.half.transpose(2, 0, 1), eigentuples, Uh, Uh)
+            / np.linalg.norm(U, axis=(0, 2)))
 
     slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))
     firsts = eigentuples[:, 0]

@@ -14,9 +14,19 @@ singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
 
 ``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`:
 one stacked SVD of the real self-conjugate bins and one of the other
-half-spectrum bins, the shared vectorized canonical phase, and the
-shifted-pair residuals from one transform each of ``A`` and ``A^T``, with
-the ``p`` shifts of each singular matrix gathered into one block.
+half-spectrum bins, and the shared vectorized canonical phase.  The
+singular pairs are certified by one residual tensor per side,
+``A * V_r - U_r * S_r`` and ``A^T * U_r - V_r * S_r^T`` over the first
+``r = min(m, n)`` lateral slices, with one residual per singular tuple and
+side.  (``S_r^T`` equals ``S_r`` up to roundoff: each diagonal tube has the
+singular values as its real spectrum, so it is its own tube transpose.)
+As in ``ted``, the shifted residuals are inferred from these: shifting
+both singular matrices by ``k`` shifts the residual by ``k`` and keeps its
+norm.  No dense check recomputes the per-shift values for ``tsvd``; the
+test suite compares them with a per-shift loop.  Both sides read the half
+spectrum of ``A`` that the factorization used; the spectrum of ``A^T`` is
+its per-bin conjugate transpose, so ``A`` is transformed once.  ``U_r`` and
+``V_r`` are transformed once each.
 
 ``gram_consistency`` cross-checks a TSVD against the eigendecompositions of
 both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples must match
@@ -34,7 +44,7 @@ import numpy as np
 
 from .oracle import CheckResult
 from .spectral import (_canonical_phase, _full_spectrum, _half_spectrum_groups,
-                       _pair_residuals, _shift_block, classify_ted, ted)
+                       _pair_residuals, classify_ted, ted)
 from .tensor3 import as_tensor3, identity, shift_columns, transpose
 from .transform import freq_from_half, from_freq, to_freq
 from .tproduct import tprod
@@ -45,9 +55,11 @@ from .tubal import tube_mul, tube_transpose
 class TsvdDiagnostics:
     """Residuals certifying one decomposition.
 
-    ``pair_right[j, k]`` is ``||A * X_j^[k] - s_j act Y_j^[k]||_F`` and
-    ``pair_left[j, k]`` is ``||A^T * Y_j^[k] - s_j act X_j^[k]||_F`` (the
-    singular matrices have unit norm, so the values are absolute).
+    ``pair_right[j]`` is ``||A * X_j - s_j act Y_j||_F`` and
+    ``pair_left[j]`` is ``||A^T * Y_j - s_j act X_j||_F``, with shape
+    ``(min(m, n),)`` (the singular matrices have unit norm, so the values
+    are absolute).  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the
+    same residuals (see the module docstring).
     """
 
     reconstruction: float
@@ -127,13 +139,10 @@ def tsvd(A):
     orth_u = float(np.linalg.norm(tprod(transpose(U), U) - identity(m, p)))
     orth_v = float(np.linalg.norm(tprod(transpose(V), V) - identity(n, p)))
     Ah = F.half.transpose(2, 0, 1)
-    Ath = np.fft.rfft(transpose(A), axis=2).transpose(2, 0, 1)
-    right = np.empty((r, p))
-    left = np.empty((r, p))
-    for j in range(r):
-        X, Y = _shift_block(V[:, j, :]), _shift_block(U[:, j, :])
-        right[j] = _pair_residuals(Ah, tuples[j], X, Y)
-        left[j] = _pair_residuals(Ath, tuples[j], Y, X)
+    Xh = np.fft.rfft(V[:, :r, :], axis=2).transpose(2, 0, 1)
+    Yh = np.fft.rfft(U[:, :r, :], axis=2).transpose(2, 0, 1)
+    right = _pair_residuals(Ah, tuples, Xh, Yh)
+    left = _pair_residuals(Ah.conj().swapaxes(1, 2), tuples, Yh, Xh)
     pair_max = float(max(right.max(), left.max())) if r else 0.0
 
     return TsvdResult(

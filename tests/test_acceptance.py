@@ -275,7 +275,8 @@ def test_criterion_7_tsvd_suite():
     _finish("7-tsvd-suite", start, ok,
             f"100 decompositions, m,n <= 8, p <= 6, tall and wide "
             f"included; worst reconstruction {worst_recon:.2e}, singular "
-            f"pair residual over all shifts {worst_pair:.2e}, Gram "
+            f"pair residual (one per tuple, equal for every shift) "
+            f"{worst_pair:.2e}, Gram "
             f"eigentuple match (zero-padded) {worst_match:.2e}",
             budget=20.0)
 

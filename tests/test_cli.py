@@ -138,6 +138,33 @@ def test_nonpositive_tol_is_usage_error(capsys, tsym_file):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["ted", "psd"])
+def test_non_finite_tol_is_usage_error(capsys, monkeypatch, tsym_file,
+                                       command, token):
+    # Refused before the file is read, so no decomposition runs.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before --tol was checked")
+
+    monkeypatch.setattr(cli, "read_tensor3", forbidden)
+    code, out, err = run(capsys, command, tsym_file, "--tol", token)
+    assert (code, out) == (1, "")
+    assert "--tol must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["ted", "psd"])
+def test_overflowing_spectrum_is_not_called_unsymmetric(capsys, tmp_path,
+                                                        command):
+    # Exactly T-symmetric, but the transform overflows to inf on bin 0.
+    path = tmp_path / "huge.t3"
+    write_tensor3(str(path), np.full((2, 2, 2), 1.7e308))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert "frequency spectrum overflows" in err
+    assert "NotTSymmetric" not in err
+
+
 def test_verify_has_no_tol_flag(capsys, tsym_file):
     code, out, err = run(capsys, "verify", tsym_file, "--tol", "1e-3")
     assert (code, out) == (1, "")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (random_tensor, random_tsym, record_finding, rel_err,
-                     ted_by_loop)
+                     ted_by_loop, tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
@@ -66,9 +66,10 @@ def test_ted_batched_core_matches_per_slice_loop():
         assert np.array_equal(T.d, d), A.shape
         assert np.array_equal(T.eigentuples, tuples), A.shape
         assert np.array_equal(T.frequency_eigenvalues, freq), A.shape
-        assert T.residuals.eigenpair.shape == pair.shape
-        assert np.max(np.abs(T.residuals.eigenpair - pair)) <= 1e-14, \
-            A.shape
+        # One residual per eigentuple stands for all p shifts.
+        assert T.residuals.eigenpair.shape == (A.shape[0],)
+        assert np.max(np.abs(T.residuals.eigenpair[:, None] - pair)) \
+            <= 1e-14, A.shape
         assert T.residuals.eigenpair_max == float(
             T.residuals.eigenpair.max())
 
@@ -82,29 +83,70 @@ def test_shift_block_holds_every_cyclic_shift():
             assert np.array_equal(B[:, k, :], shift_columns(X, k))
 
 
+def _half(X):
+    """The half spectrum of ``X`` in the layout ``_pair_residuals`` takes."""
+    return np.fft.rfft(X, axis=2).transpose(2, 0, 1)
+
+
 def test_pair_residuals_match_one_call_per_candidate():
-    # Unrelated random candidates in one block: a helper that evaluated
-    # only the first slice (shift 0) and broadcast it would fail here.
+    # Unrelated random candidates, each with its own tube: a helper that
+    # evaluated only the first lateral slice, or applied one tube to all of
+    # them, would fail here.
     rng = np.random.default_rng(32)
     for m, n, p, c in ((4, 4, 5, 5), (3, 3, 1, 3), (5, 3, 4, 6),
                        (2, 6, 2, 2), (4, 4, 8, 8)):
         A = rng.standard_normal((m, n, p))
-        d = rng.standard_normal(p)
+        d = rng.standard_normal((c, p))
         X = rng.standard_normal((n, c, p))
         Y = rng.standard_normal((m, c, p))
         Ah = np.fft.rfft(A, axis=2).transpose(2, 0, 1)
-        got = _pair_residuals(Ah, d, X, Y)
+        got = _pair_residuals(Ah, d, _half(X), _half(Y))
         expected = [float(np.linalg.norm(
-            tprod_mat(A, X[:, k, :]) - tube_action(d, Y[:, k, :])))
-            for k in range(c)]
+            tprod_mat(A, X[:, j, :]) - tube_action(d[j], Y[:, j, :])))
+            for j in range(c)]
         assert got.shape == (c,)
         assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
         if m == n:
             norms = np.linalg.norm(X, axis=(0, 2))
-            expected = [verify_eigenpair(A, d, X[:, k, :])
-                        for k in range(c)]
-            assert np.allclose(_pair_residuals(Ah, d, X, X) / norms,
+            expected = [verify_eigenpair(A, d[j], X[:, j, :])
+                        for j in range(c)]
+            assert np.allclose(_pair_residuals(Ah, d, _half(X), _half(X))
+                               / norms,
                                expected, rtol=1e-14, atol=1e-14)
+
+
+def test_shifted_residuals_are_constant_across_shifts():
+    # The per-shift loop values, computed independently for every k, agree
+    # across k: a shift is the action of e_k, which commutes with the
+    # t-product and with every tube action and only permutes entries.
+    rng = np.random.default_rng(36)
+    for n, p in ((3, 1), (4, 4), (5, 7), (6, 16)):
+        pair = ted_by_loop(random_tsym(rng, n, p))[4]
+        assert np.max(np.ptp(pair, axis=1)) <= 1e-14, (n, p)
+    for shape in ((5, 3, 6), (3, 5, 9), (4, 4, 16)):
+        right, left = tsvd_by_loop(random_tensor(rng, *shape))[5:]
+        assert np.max(np.ptp(right, axis=1)) <= 1e-14, shape
+        assert np.max(np.ptp(left, axis=1)) <= 1e-14, shape
+
+
+def test_perturbed_tuple_raises_only_its_own_residual():
+    rng = np.random.default_rng(37)
+    A = random_tsym(rng, 5, 6)
+    T = ted(A)
+    Ah = to_freq(A).half.transpose(2, 0, 1)
+    Uh = _half(T.u)
+    base = _pair_residuals(Ah, T.eigentuples, Uh, Uh)
+    assert np.max(base) <= 1e-13
+    for j in range(5):
+        U = T.u.copy()
+        U[:, j, :] += 1e-3 * rng.standard_normal((5, 6))
+        d = T.eigentuples.copy()
+        d[j] += 1e-3 * rng.standard_normal(6)
+        others = np.arange(5) != j
+        for got in (_pair_residuals(Ah, T.eigentuples, _half(U), _half(U)),
+                    _pair_residuals(Ah, d, Uh, Uh)):
+            assert got[j] > 1e-6
+            assert np.array_equal(got[others], base[others])
 
 
 def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
@@ -127,17 +169,22 @@ def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
 ], ids=["ted", "tsvd"])
 def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A):
     # The residuals reuse the half spectrum of to_freq (see
-    # test_transform's test_half_spectrum_is_rfft_bit_for_bit).
+    # test_transform's test_half_spectrum_is_rfft_bit_for_bit), and tsvd
+    # reads the spectrum of A^T as its per-bin conjugate transpose.
     real = np.fft.rfft
-    seen = []
+    At = transpose(A)
+    seen, seen_t = [], []
 
     def counted(a, *args, **kwargs):
         seen.append(np.shape(a) == A.shape and np.array_equal(a, A))
+        seen_t.append(np.shape(a) == At.shape and np.array_equal(a, At))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     decompose(A)
     assert sum(seen) == 1
+    if decompose is tsvd:
+        assert not any(seen_t)
 
 
 def test_ted_rejects_non_symmetric():

@@ -51,10 +51,13 @@ def test_tsvd_batched_core_matches_per_slice_loop():
         assert np.array_equal(R.singular_tuples, tuples), A.shape
         assert np.array_equal(R.frequency_singular_values, freq), A.shape
         res = R.residuals
-        assert res.pair_right.shape == right.shape
-        assert res.pair_left.shape == left.shape
-        assert np.max(np.abs(res.pair_right - right)) <= 1e-14, A.shape
-        assert np.max(np.abs(res.pair_left - left)) <= 1e-14, A.shape
+        # One residual per singular tuple and side stands for all p shifts.
+        r = min(A.shape[:2])
+        assert res.pair_right.shape == res.pair_left.shape == (r,)
+        assert np.max(np.abs(res.pair_right[:, None] - right)) <= 1e-14, \
+            A.shape
+        assert np.max(np.abs(res.pair_left[:, None] - left)) <= 1e-14, \
+            A.shape
         assert res.pair_max == float(max(res.pair_right.max(),
                                          res.pair_left.max()))
 
