@@ -15,16 +15,17 @@ factored as one real stack and the other half-spectrum bins as one complex
 stack, so each decomposition makes at most two stacked ``eigh`` calls.  One
 vectorized canonical phase rotates every vector of every bin.
 
-The eigenpairs are certified by one residual tensor ``A * U - U * D``,
-whose lateral slice ``j`` is ``A * U_j - d_j act U_j``: one product of the
-half spectrum of ``A`` (already in hand, so ``A`` is transformed once) with
-one transform of ``U``, less the tube actions taken bin by bin, and one
-inverse transform.  Each eigentuple gets one residual, and the residuals
-of its ``p`` shifts are inferred from it: a shift ``U_j^[k]`` is the
-action of the unit tube ``e_k`` on ``U_j``, which commutes with the
-t-product and with every tube action and only permutes entries, so
-``A * U_j^[k] - d_j act U_j^[k]`` is the ``k``-shift of the unshifted
-residual and has the same norm (Kilmer & Martin 2011).
+Each certificate is its t-product identity, taken bin by bin from the
+half spectrum of ``A`` that the factorization used and one transform of
+each returned factor (``U``, ``D``; ``U^T`` is the per-bin conjugate
+transpose), then brought back by one inverse transform for its norm:
+``A - U * D * U^T``, ``U^T * U - I``, and ``A * U - U * D``, whose lateral
+slice ``j`` is ``A * U_j - d_j act U_j``.  Each eigentuple gets one
+residual, and the residuals of its ``p`` shifts are inferred from it: a
+shift ``U_j^[k]`` is the action of the unit tube ``e_k`` on ``U_j``, which
+commutes with the t-product and with every tube action and only permutes
+entries, so ``A * U_j^[k] - d_j act U_j^[k]`` is the ``k``-shift of the
+unshifted residual and has the same norm (Kilmer & Martin 2011).
 The dense :func:`tubal_spectra.oracle.oracle_ted_check`, which ``verify``
 runs, computes every shift's residual independently.
 
@@ -51,12 +52,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTSymmetric, ShapeError, ZeroMatrix
-from .tensor3 import (as_matslice, identity, is_t_symmetric, require_square,
+from .tensor3 import (as_matslice, is_t_symmetric, require_square,
                       shift_columns, transpose)
 from .transform import (_mirrored_bins, _real_bins, freq_from_half,
                         from_freq, hermitize_check, to_freq)
 from .tproduct import tprod, tprod_mat
-from .tubal import INCOMPARABLE, tube_action, tube_le, tube_transpose
+from .tubal import INCOMPARABLE, tube_action, tube_le
 
 SPECTRAL_PD = "PD"
 SPECTRAL_PSD = "PSD"
@@ -163,30 +164,33 @@ def _canonical_phase(V):
     return V * phase[:, None, :], phase
 
 
-def _shift_block(X):
-    """The ``p`` cyclic column shifts of an ``(n, p)`` matrix, as an
-    ``(n, p, p)`` block whose lateral slice ``k`` is
-    ``shift_columns(X, k)``."""
-    p = X.shape[1]
-    k = np.arange(p)
-    return X[:, (k[None, :] - k[:, None]) % p]
+def _spectrum(X):
+    """The half spectrum of a real ``(m, n, p)`` tensor as a
+    ``(p // 2 + 1, m, n)`` stack, so that ``@`` is the per-bin product."""
+    return np.fft.rfft(X, axis=2).transpose(2, 0, 1)
 
 
-def _pair_residuals(Ah, tuples, Xh, Yh):
-    """``||A * X_j - tuples_j act Y_j||_F`` for every lateral slice ``j``.
+def _ct(Xh):
+    """Per-bin conjugate transpose: the half spectrum of ``X^T``."""
+    return Xh.conj().swapaxes(1, 2)
 
-    ``Ah``, ``Xh`` and ``Yh`` are the half spectra ``rfft(., axis=2)``,
-    moved to ``(p // 2 + 1, rows, columns)``, of an ``(m, n, p)`` tensor
-    ``A``, an ``(n, c, p)`` block ``X`` and an ``(m, c, p)`` block ``Y``;
-    ``tuples`` is ``(c, p)``.  The residual tensor is formed in the
-    frequency domain in one batch (the action ``Y_j @ circ(t_j)`` scales bin
-    ``k`` of ``Y_j`` by ``conj(rfft(t_j)[k])``) and brought back by one
-    inverse transform.
-    """
-    p = tuples.shape[1]
-    th = np.fft.rfft(tuples, axis=1).conj().T
-    R = np.matmul(Ah, Xh) - Yh * th[:, None, :]
-    return np.linalg.norm(np.fft.irfft(R, n=p, axis=0), axis=(0, 1))
+
+def _norm(Xh, p, axis=None):
+    """``np.linalg.norm`` of the real tensor with half spectrum ``Xh``,
+    after one inverse transform; ``axis=(0, 1)`` gives the norms of its
+    lateral slices."""
+    return np.linalg.norm(np.fft.irfft(Xh, n=p, axis=0), axis=axis)
+
+
+def _f_diagonal(values, m, n, p):
+    """The real f-diagonal ``(m, n, p)`` tensor whose diagonal tube ``j``
+    has the values ``values[:, j]`` on bins ``0..p//2``, and its diagonal
+    tubes index-reversed as rows (the eigen- or singular tuples)."""
+    half = np.zeros((m, n, p // 2 + 1), dtype=np.complex128)
+    j = np.arange(values.shape[1])
+    half[j, j, :] = values.T
+    D = from_freq(freq_from_half(half, p))
+    return D, D[j, j][:, -np.arange(p) % p]
 
 
 def ted(A, tol=None):
@@ -198,12 +202,9 @@ def ted(A, tol=None):
     """
     A = require_square(A)
     n, _, p = A.shape
+    F = to_freq(A)
     if not is_t_symmetric(A, tol):
         raise NotTSymmetric("tensor is not T-symmetric within tolerance")
-    F = to_freq(A)
-    if not np.isfinite(F.half).all():
-        raise ValueError("frequency spectrum overflows: the transform of "
-                         "the tensor is not finite")
     htol = 1e-10 * max(1.0, float(np.max(np.abs(F.half))))
     if not hermitize_check(F, htol):
         raise NotTSymmetric("frequency slices are not Hermitian")
@@ -215,21 +216,19 @@ def ted(A, tol=None):
         w[bins], V[bins] = np.linalg.eigh(0.5 * (M + M.conj().swapaxes(1, 2)))
     w = w[:, ::-1]
     V, _ = _canonical_phase(V[:, :, ::-1])
-    dh = np.zeros((n, n, h), dtype=np.complex128)
-    dh[np.arange(n), np.arange(n), :] = w.T
     U = from_freq(freq_from_half(V.transpose(1, 2, 0), p))
-    D = from_freq(freq_from_half(dh, p))
+    D, eigentuples = _f_diagonal(w, n, n, p)
 
-    eigentuples = np.vstack([tube_transpose(D[j, j, :]) for j in range(n)])
-
-    recon = float(np.linalg.norm(A - tprod(tprod(U, D), transpose(U))))
+    # Transform the returned real factors, not the stack V, so that the
+    # certificates also catch a fault in from_freq.
+    Af, Uf = F.half.transpose(2, 0, 1), _spectrum(U)
+    UD = Uf @ _spectrum(D)
+    recon = float(_norm(Af - UD @ _ct(Uf), p))
     normA = float(np.linalg.norm(A))
     if normA > 0.0:
         recon /= normA
-    orth = float(np.linalg.norm(tprod(transpose(U), U) - identity(n, p)))
-    Uh = np.fft.rfft(U, axis=2).transpose(2, 0, 1)
-    pair = (_pair_residuals(F.half.transpose(2, 0, 1), eigentuples, Uh, Uh)
-            / np.linalg.norm(U, axis=(0, 2)))
+    orth = float(_norm(_ct(Uf) @ Uf - np.eye(n), p))
+    pair = _norm(Af @ Uf - UD, p, (0, 1)) / np.linalg.norm(U, axis=(0, 2))
 
     slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))
     firsts = eigentuples[:, 0]
@@ -315,11 +314,7 @@ def expand_in_eigenbasis(result, X):
         raise ShapeError(
             f"matrix slice of shape {X.shape} does not match factors of "
             f"shape {result.u.shape}")
-    alpha = np.empty((n, p))
-    for j in range(n):
-        alpha[j] = np.tensordot(_shift_block(result.u[:, j, :]), X,
-                                axes=([0, 2], [0, 1]))
-    return alpha
+    return tprod(transpose(result.u), X[:, None, :])[:, 0, :]
 
 
 def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):

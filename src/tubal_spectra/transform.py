@@ -66,9 +66,15 @@ def freq_from_half(half, p):
 
 
 def to_freq(A):
-    """Frequency slices of a real tensor, with exact conjugate symmetry."""
+    """Frequency slices of a real tensor, with exact conjugate symmetry;
+    ``ValueError`` if the tensor holds nan or inf or its transform
+    overflows."""
     A = as_tensor3(A)
-    return freq_from_half(np.fft.rfft(A, axis=2), A.shape[2])
+    F = freq_from_half(np.fft.rfft(A, axis=2), A.shape[2])
+    if not np.isfinite(F.half).all():
+        raise ValueError("frequency spectrum overflows: the transform of "
+                         "the tensor is not finite")
+    return F
 
 
 def from_freq(F, tol=1e-10):

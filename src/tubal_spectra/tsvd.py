@@ -15,18 +15,13 @@ singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
 ``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`:
 one stacked SVD of the real self-conjugate bins and one of the other
 half-spectrum bins, and the shared vectorized canonical phase.  The
-singular pairs are certified by one residual tensor per side,
-``A * V_r - U_r * S_r`` and ``A^T * U_r - V_r * S_r^T`` over the first
-``r = min(m, n)`` lateral slices, with one residual per singular tuple and
-side.  (``S_r^T`` equals ``S_r`` up to roundoff: each diagonal tube has the
-singular values as its real spectrum, so it is its own tube transpose.)
-As in ``ted``, the shifted residuals are inferred from these: shifting
+certificates are taken as in ``ted``, from one transform of each returned
+factor: ``A - U * S * V^T``, ``U^T * U - I``, ``V^T * V - I`` and the first
+``r = min(m, n)`` lateral slices of ``A * V - U * S`` and
+``A^T * U - V * S^T``, one residual per singular tuple and side.  Shifting
 both singular matrices by ``k`` shifts the residual by ``k`` and keeps its
 norm.  No dense check recomputes the per-shift values for ``tsvd``; the
-test suite compares them with a per-shift loop.  Both sides read the half
-spectrum of ``A`` that the factorization used; the spectrum of ``A^T`` is
-its per-bin conjugate transpose, so ``A`` is transformed once.  ``U_r`` and
-``V_r`` are transformed once each.
+test suite compares them with a per-shift loop.
 
 ``gram_consistency`` cross-checks a TSVD against the eigendecompositions of
 both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples must match
@@ -43,22 +38,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import CheckResult
-from .spectral import (_canonical_phase, _full_spectrum, _half_spectrum_groups,
-                       _pair_residuals, classify_ted, ted)
-from .tensor3 import as_tensor3, identity, shift_columns, transpose
+from .spectral import (_canonical_phase, _ct, _f_diagonal, _full_spectrum,
+                       _half_spectrum_groups, _norm, _spectrum, classify_ted,
+                       ted)
+from .tensor3 import as_tensor3, shift_columns, transpose
 from .transform import freq_from_half, from_freq, to_freq
 from .tproduct import tprod
-from .tubal import tube_mul, tube_transpose
+from .tubal import tube_mul
 
 
 @dataclass
 class TsvdDiagnostics:
     """Residuals certifying one decomposition.
 
-    ``pair_right[j]`` is ``||A * X_j - s_j act Y_j||_F`` and
-    ``pair_left[j]`` is ``||A^T * Y_j - s_j act X_j||_F``, with shape
+    ``pair_right[j]`` is ``||A * X_j - Y_j * S_jj||_F`` and
+    ``pair_left[j]`` is ``||A^T * Y_j - X_j * (S^T)_jj||_F``, with shape
     ``(min(m, n),)`` (the singular matrices have unit norm, so the values
-    are absolute).  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the
+    are absolute).  Every value is computed from one transform of each
+    returned factor.  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the
     same residuals (see the module docstring).
     """
 
@@ -124,25 +121,21 @@ def tsvd(A):
     Vh[:, :r, :] *= np.conj(phase[:, :r, None])
     unpaired, _ = _canonical_phase(Vh[:, r:, :].swapaxes(1, 2))
     Vh[:, r:, :] = unpaired.swapaxes(1, 2)
-    sh = np.zeros((m, n, h), dtype=np.complex128)
-    sh[np.arange(r), np.arange(r), :] = sig.T
     U = from_freq(freq_from_half(Us.transpose(1, 2, 0), p))
-    S = from_freq(freq_from_half(sh, p))
+    S, tuples = _f_diagonal(sig, m, n, p)
     V = from_freq(freq_from_half(Vh.conj().transpose(2, 1, 0), p))
 
-    tuples = np.vstack([tube_transpose(S[j, j, :]) for j in range(r)])
-
-    recon = float(np.linalg.norm(A - tprod(tprod(U, S), transpose(V))))
+    Af = F.half.transpose(2, 0, 1)
+    Uf, Sf, Vf = _spectrum(U), _spectrum(S), _spectrum(V)
+    US = Uf @ Sf
+    recon = float(_norm(Af - US @ _ct(Vf), p))
     normA = float(np.linalg.norm(A))
     if normA > 0.0:
         recon /= normA
-    orth_u = float(np.linalg.norm(tprod(transpose(U), U) - identity(m, p)))
-    orth_v = float(np.linalg.norm(tprod(transpose(V), V) - identity(n, p)))
-    Ah = F.half.transpose(2, 0, 1)
-    Xh = np.fft.rfft(V[:, :r, :], axis=2).transpose(2, 0, 1)
-    Yh = np.fft.rfft(U[:, :r, :], axis=2).transpose(2, 0, 1)
-    right = _pair_residuals(Ah, tuples, Xh, Yh)
-    left = _pair_residuals(Ah.conj().swapaxes(1, 2), tuples, Yh, Xh)
+    orth_u = float(_norm(_ct(Uf) @ Uf - np.eye(m), p))
+    orth_v = float(_norm(_ct(Vf) @ Vf - np.eye(n), p))
+    right = _norm(Af @ Vf[:, :, :r] - US[:, :, :r], p, (0, 1))
+    left = _norm(_ct(Af) @ Uf[:, :, :r] - (Vf @ _ct(Sf))[:, :, :r], p, (0, 1))
     pair_max = float(max(right.max(), left.max())) if r else 0.0
 
     return TsvdResult(

@@ -12,8 +12,8 @@ from tubal_spectra.errors import NotTSymmetric, ShapeError, ZeroMatrix
 from tubal_spectra.oracle import (oracle_psd_exact, oracle_quadform_dense,
                                   oracle_ted_check, oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
-                                    SPECTRAL_PSD, _pair_residuals,
-                                    _shift_block, classify_ted, eigenmatrices,
+                                    SPECTRAL_PSD, _ct, _f_diagonal, _norm,
+                                    _spectrum, classify_ted, eigenmatrices,
                                     expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
@@ -74,24 +74,11 @@ def test_ted_batched_core_matches_per_slice_loop():
             T.residuals.eigenpair.max())
 
 
-def test_shift_block_holds_every_cyclic_shift():
-    for n, p in ((1, 1), (3, 2), (2, 5), (4, 6)):
-        X = RNG.standard_normal((n, p))
-        B = _shift_block(X)
-        assert B.shape == (n, p, p)
-        for k in range(p):
-            assert np.array_equal(B[:, k, :], shift_columns(X, k))
-
-
-def _half(X):
-    """The half spectrum of ``X`` in the layout ``_pair_residuals`` takes."""
-    return np.fft.rfft(X, axis=2).transpose(2, 0, 1)
-
-
 def test_pair_residuals_match_one_call_per_candidate():
-    # Unrelated random candidates, each with its own tube: a helper that
+    # Unrelated random candidates, each with its own tube: a residual that
     # evaluated only the first lateral slice, or applied one tube to all of
-    # them, would fail here.
+    # them, would fail here.  The tubes are not their own transposes, so
+    # the left side also tells the spectrum of D^T from that of D.
     rng = np.random.default_rng(32)
     for m, n, p, c in ((4, 4, 5, 5), (3, 3, 1, 3), (5, 3, 4, 6),
                        (2, 6, 2, 2), (4, 4, 8, 8)):
@@ -99,19 +86,29 @@ def test_pair_residuals_match_one_call_per_candidate():
         d = rng.standard_normal((c, p))
         X = rng.standard_normal((n, c, p))
         Y = rng.standard_normal((m, c, p))
-        Ah = np.fft.rfft(A, axis=2).transpose(2, 0, 1)
-        got = _pair_residuals(Ah, d, _half(X), _half(Y))
+        # Diagonal tube j of D is d_j reversed, so Y_j * D_jj = d_j act Y_j.
+        D, tuples = _f_diagonal(np.fft.rfft(d, axis=1).conj().T, c, c, p)
+        assert is_f_diagonal(D, tol=0.0)
+        assert np.allclose(tuples, d, rtol=0.0, atol=1e-14)
+        Af, Xf, Yf, Df = _spectrum(A), _spectrum(X), _spectrum(Y), _spectrum(D)
+        got = _norm(Af @ Xf - Yf @ Df, p, (0, 1))
         expected = [float(np.linalg.norm(
             tprod_mat(A, X[:, j, :]) - tube_action(d[j], Y[:, j, :])))
             for j in range(c)]
         assert got.shape == (c,)
         assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
+        got = _norm(_ct(Af) @ Yf - Xf @ _ct(Df), p, (0, 1))
+        expected = [float(np.linalg.norm(
+            tprod_mat(transpose(A), Y[:, j, :])
+            - tube_action(tube_transpose(d[j]), X[:, j, :])))
+            for j in range(c)]
+        assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
+        assert np.isclose(_norm(Af, p), np.linalg.norm(A), rtol=1e-14)
         if m == n:
             norms = np.linalg.norm(X, axis=(0, 2))
             expected = [verify_eigenpair(A, d[j], X[:, j, :])
                         for j in range(c)]
-            assert np.allclose(_pair_residuals(Ah, d, _half(X), _half(X))
-                               / norms,
+            assert np.allclose(_norm(Af @ Xf - Xf @ Df, p, (0, 1)) / norms,
                                expected, rtol=1e-14, atol=1e-14)
 
 
@@ -129,32 +126,39 @@ def test_shifted_residuals_are_constant_across_shifts():
         assert np.max(np.ptp(left, axis=1)) <= 1e-14, shape
 
 
+def _eigen_residuals(A, U, D):
+    """Lateral-slice norms of ``A * U - U * D``, formed as ``ted`` forms
+    its eigenpair certificate."""
+    Uf = _spectrum(U)
+    return _norm(_spectrum(A) @ Uf - Uf @ _spectrum(D), A.shape[2], (0, 1))
+
+
 def test_perturbed_tuple_raises_only_its_own_residual():
     rng = np.random.default_rng(37)
     A = random_tsym(rng, 5, 6)
     T = ted(A)
-    Ah = to_freq(A).half.transpose(2, 0, 1)
-    Uh = _half(T.u)
-    base = _pair_residuals(Ah, T.eigentuples, Uh, Uh)
+    base = _eigen_residuals(A, T.u, T.d)
     assert np.max(base) <= 1e-13
+    assert np.array_equal(base / np.linalg.norm(T.u, axis=(0, 2)),
+                          T.residuals.eigenpair)
     for j in range(5):
         U = T.u.copy()
         U[:, j, :] += 1e-3 * rng.standard_normal((5, 6))
-        d = T.eigentuples.copy()
-        d[j] += 1e-3 * rng.standard_normal(6)
+        D = T.d.copy()
+        D[j, j, :] += 1e-3 * rng.standard_normal(6)
         others = np.arange(5) != j
-        for got in (_pair_residuals(Ah, T.eigentuples, _half(U), _half(U)),
-                    _pair_residuals(Ah, d, Uh, Uh)):
+        for got in (_eigen_residuals(A, U, T.d), _eigen_residuals(A, T.u, D)):
             assert got[j] > 1e-6
             assert np.array_equal(got[others], base[others])
 
 
 def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-shift residual call")
+        raise AssertionError("per-shift or spatial certificate call")
 
     for module in (tproduct_module, spectral_module, tsvd_module):
-        for name in ("tprod_mat", "verify_eigenpair"):
+        for name in ("tprod_mat", "verify_eigenpair", "tprod", "transpose",
+                     "identity"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     rng = np.random.default_rng(33)
     T = ted(random_tsym(rng, 4, 5))
@@ -163,28 +167,83 @@ def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
     assert R.residuals.pair_max <= 1e-12
 
 
-@pytest.mark.parametrize("decompose, A", [
-    (ted, random_tsym(np.random.default_rng(34), 4, 6)),
-    (tsvd, random_tensor(np.random.default_rng(35), 5, 3, 7)),
+@pytest.mark.parametrize("decompose, A, calls", [
+    (ted, random_tsym(np.random.default_rng(34), 4, 6), 3),
+    (tsvd, random_tensor(np.random.default_rng(35), 5, 3, 7), 4),
 ], ids=["ted", "tsvd"])
-def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A):
-    # The residuals reuse the half spectrum of to_freq (see
-    # test_transform's test_half_spectrum_is_rfft_bit_for_bit), and tsvd
-    # reads the spectrum of A^T as its per-bin conjugate transpose.
+def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A,
+                                                 calls):
+    # One rfft of A (reused from to_freq, see test_transform's
+    # test_half_spectrum_is_rfft_bit_for_bit) and one of each returned
+    # factor: U, D for ted and U, S, V for tsvd.  The spectrum of a
+    # transpose is the per-bin conjugate transpose, never a new rfft.
     real = np.fft.rfft
-    At = transpose(A)
-    seen, seen_t = [], []
+    inputs = []
 
     def counted(a, *args, **kwargs):
-        seen.append(np.shape(a) == A.shape and np.array_equal(a, A))
-        seen_t.append(np.shape(a) == At.shape and np.array_equal(a, At))
+        inputs.append(np.array(a))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     decompose(A)
-    assert sum(seen) == 1
+    assert len(inputs) == calls
+    assert sum(np.array_equal(a, A) for a in inputs) == 1
     if decompose is tsvd:
-        assert not any(seen_t)
+        assert not any(np.array_equal(a, transpose(A)) for a in inputs)
+    assert not any(np.array_equal(a, b)
+                   for i, a in enumerate(inputs) for b in inputs[i + 1:])
+
+
+def test_certificates_read_the_returned_factors(monkeypatch):
+    # Perturb every factor as from_freq returns it.  The certificates must
+    # see the perturbation, and each must equal its t-product identity
+    # evaluated on the returned factors: A = U * D * U^T and U^T * U = I,
+    # A * U - U * D for ted; A = U * S * V^T, U^T * U = I, V^T * V = I,
+    # A * V_r - U * S_r and A^T * U_r - V * S_r^T for tsvd.
+    rng = np.random.default_rng(38)
+    real = spectral_module.from_freq
+
+    def perturbed(F, *args, **kwargs):
+        X = real(F, *args, **kwargs)
+        return X + 1e-6 * rng.standard_normal(X.shape)
+
+    for module in (spectral_module, tsvd_module):
+        monkeypatch.setattr(module, "from_freq", perturbed)
+
+    def close(got, expected):
+        return np.allclose(got, expected, rtol=1e-7, atol=1e-14)
+
+    def lateral(X):
+        return np.linalg.norm(X, axis=(0, 2))
+
+    A = random_tsym(rng, 4, 6)
+    T = ted(A)
+    U, D, res = T.u, T.d, T.residuals
+    assert res.reconstruction > 1e-8 and res.orthogonality > 1e-8
+    assert close(res.reconstruction, np.linalg.norm(
+        A - tprod(tprod(U, D), transpose(U))) / np.linalg.norm(A))
+    assert close(res.orthogonality, np.linalg.norm(
+        tprod(transpose(U), U) - identity(4, 6)))
+    assert close(res.eigenpair, lateral(tprod(A, U) - tprod(U, D))
+                 / lateral(U))
+
+    for m, n in ((5, 3), (3, 5)):
+        A = random_tensor(rng, m, n, 7)
+        R = tsvd(A)
+        U, S, V, res = R.u, R.s, R.v, R.residuals
+        assert min(res.reconstruction, res.orthogonality_u,
+                   res.orthogonality_v) > 1e-8
+        assert close(res.reconstruction, np.linalg.norm(
+            A - tprod(tprod(U, S), transpose(V))) / np.linalg.norm(A))
+        assert close(res.orthogonality_u, np.linalg.norm(
+            tprod(transpose(U), U) - identity(m, 7)))
+        assert close(res.orthogonality_v, np.linalg.norm(
+            tprod(transpose(V), V) - identity(n, 7)))
+        r = min(m, n)
+        assert close(res.pair_right,
+                     lateral(tprod(A, V) - tprod(U, S))[:r])
+        assert close(res.pair_left, lateral(
+            tprod(transpose(A), U) - tprod(V, transpose(S)))[:r])
 
 
 def test_ted_rejects_non_symmetric():

@@ -9,7 +9,9 @@ from tubal_spectra.errors import (ImaginaryResidual, ShapeError,
 from tubal_spectra.tensor3 import bcirc, identity, transpose
 from tubal_spectra.transform import (freq_from_half, from_freq,
                                      hermitize_check, to_freq)
-from tubal_spectra.tproduct import tprod
+from tubal_spectra.spectral import ted
+from tubal_spectra.tproduct import t_inverse, tprod
+from tubal_spectra.tsvd import tsvd
 
 RNG = np.random.default_rng(20260814)
 
@@ -150,6 +152,27 @@ def test_from_freq_rejects_non_finite_spectra(value, where):
     bad[where] += value
     with pytest.raises(ValueError, match="non-finite"):
         from_freq(bad)
+
+
+def _with_entry(value):
+    A = identity(2, 2)
+    A[0, 0, 0] = value
+    return A
+
+
+@pytest.mark.parametrize("decompose", [ted, tsvd, t_inverse],
+                         ids=["ted", "tsvd", "t_inverse"])
+@pytest.mark.parametrize("A", [_with_entry(np.nan), _with_entry(np.inf),
+                               np.full((2, 2, 2), 1.7e308)],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_spectrum_is_one_value_error(decompose, A):
+    # One gate in to_freq: before it, ted called these tensors
+    # NotTSymmetric, tsvd and t_inverse raised LinAlgError (a ValueError
+    # subclass) or returned a nan reconstruction.
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+        decompose(A)
+    assert type(info.value) is ValueError
+    assert "frequency spectrum overflows" in str(info.value)
 
 
 def test_freq_from_half_mirrors_and_realifies():
