@@ -10,6 +10,8 @@ the ``j``-th diagonal tube of ``D``, so that
 ``A * U_j^[k] = d_j act U_j^[k]`` for every cyclic column shift ``k``.
 
 The frequency core is batched and shared with :mod:`tubal_spectra.tsvd`.
+It works on the bin-major half-spectrum stack of
+:mod:`tubal_spectra.transform` and reaches the FFT only through it.
 The self-conjugate bins (``k = 0`` and, for even ``p``, ``k = p/2``) are
 factored as one real stack and the other half-spectrum bins as one complex
 stack, so each decomposition makes at most two stacked ``eigh`` calls.  One
@@ -54,10 +56,10 @@ import numpy as np
 from .errors import NotTSymmetric, ShapeError, ZeroMatrix
 from .tensor3 import (as_matslice, is_t_symmetric, require_square,
                       shift_columns, transpose)
-from .transform import (_mirrored_bins, _real_bins, freq_from_half,
-                        from_freq, hermitize_check, to_freq)
+from .transform import (FreqSlices, _ct, _mirrored_bins, _real_bins,
+                        freq_from_half, from_freq, hermitize_check, to_freq)
 from .tproduct import tprod, tprod_mat
-from .tubal import INCOMPARABLE, tube_action, tube_le
+from .tubal import descending_chain, tube_action
 
 SPECTRAL_PD = "PD"
 SPECTRAL_PSD = "PSD"
@@ -128,24 +130,19 @@ def _half_spectrum_groups(F):
     real ``(b, m, n)`` stack; the remaining half-spectrum bins, if any, form
     one complex stack.
     """
-    p = F.p
-    half = F.half.transpose(2, 0, 1)
-    real = _real_bins(p)
-    groups = [(real, half[real].real)]
-    mirrored = _mirrored_bins(p)
+    real = _real_bins(F.p)
+    groups = [(real, F.half[real].real)]
+    mirrored = _mirrored_bins(F.p)
     if mirrored.size:
-        groups.append((mirrored, half[mirrored]))
+        groups.append((mirrored, F.half[mirrored]))
     return groups
 
 
 def _full_spectrum(values, p):
     """Per-bin values ``(p // 2 + 1, c)`` as a ``(c, p)`` array over all
-    ``p`` bins, copying bin ``k`` to its mirror ``p - k``."""
-    out = np.empty((values.shape[1], p))
-    out[:, :values.shape[0]] = values.T
-    k = _mirrored_bins(p)
-    out[:, p - k] = values[k].T
-    return out
+    ``p`` bins: bin ``k`` reads stored bin ``min(k, p - k)``."""
+    k = np.arange(p)
+    return values[np.minimum(k, p - k)].T
 
 
 def _canonical_phase(V):
@@ -164,31 +161,20 @@ def _canonical_phase(V):
     return V * phase[:, None, :], phase
 
 
-def _spectrum(X):
-    """The half spectrum of a real ``(m, n, p)`` tensor as a
-    ``(p // 2 + 1, m, n)`` stack, so that ``@`` is the per-bin product."""
-    return np.fft.rfft(X, axis=2).transpose(2, 0, 1)
-
-
-def _ct(Xh):
-    """Per-bin conjugate transpose: the half spectrum of ``X^T``."""
-    return Xh.conj().swapaxes(1, 2)
-
-
 def _norm(Xh, p, axis=None):
     """``np.linalg.norm`` of the real tensor with half spectrum ``Xh``,
-    after one inverse transform; ``axis=(0, 1)`` gives the norms of its
+    after one inverse transform; ``axis=(0, 2)`` gives the norms of its
     lateral slices."""
-    return np.linalg.norm(np.fft.irfft(Xh, n=p, axis=0), axis=axis)
+    return np.linalg.norm(from_freq(FreqSlices(Xh, p)), axis=axis)
 
 
 def _f_diagonal(values, m, n, p):
     """The real f-diagonal ``(m, n, p)`` tensor whose diagonal tube ``j``
     has the values ``values[:, j]`` on bins ``0..p//2``, and its diagonal
     tubes index-reversed as rows (the eigen- or singular tuples)."""
-    half = np.zeros((m, n, p // 2 + 1), dtype=np.complex128)
+    half = np.zeros((p // 2 + 1, m, n), dtype=np.complex128)
     j = np.arange(values.shape[1])
-    half[j, j, :] = values.T
+    half[:, j, j] = values
     D = from_freq(freq_from_half(half, p))
     return D, D[j, j][:, -np.arange(p) % p]
 
@@ -209,44 +195,36 @@ def ted(A, tol=None):
     if not hermitize_check(F, htol):
         raise NotTSymmetric("frequency slices are not Hermitian")
 
-    h = p // 2 + 1
-    w = np.empty((h, n))
-    V = np.empty((h, n, n), dtype=np.complex128)
+    w = np.empty(F.half.shape[:2])
+    V = np.empty_like(F.half)
     for bins, M in _half_spectrum_groups(F):
-        w[bins], V[bins] = np.linalg.eigh(0.5 * (M + M.conj().swapaxes(1, 2)))
+        w[bins], V[bins] = np.linalg.eigh(0.5 * (M + _ct(M)))
     w = w[:, ::-1]
     V, _ = _canonical_phase(V[:, :, ::-1])
-    U = from_freq(freq_from_half(V.transpose(1, 2, 0), p))
+    U = from_freq(freq_from_half(V, p))
     D, eigentuples = _f_diagonal(w, n, n, p)
 
     # Transform the returned real factors, not the stack V, so that the
-    # certificates also catch a fault in from_freq.
-    Af, Uf = F.half.transpose(2, 0, 1), _spectrum(U)
-    UD = Uf @ _spectrum(D)
+    # certificates also catch a fault in their inverse transform.
+    Af, Uf = F.half, to_freq(U).half
+    UD = Uf @ to_freq(D).half
     recon = float(_norm(Af - UD @ _ct(Uf), p))
     normA = float(np.linalg.norm(A))
     if normA > 0.0:
         recon /= normA
     orth = float(_norm(_ct(Uf) @ Uf - np.eye(n), p))
-    pair = _norm(Af @ Uf - UD, p, (0, 1)) / np.linalg.norm(U, axis=(0, 2))
+    pair = _norm(Af @ Uf - UD, p, (0, 2)) / np.linalg.norm(U, axis=(0, 2))
 
     slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))
     firsts = eigentuples[:, 0]
     sorted_ok = bool(np.all(firsts[1:] <= firsts[:-1] + slack))
-    verdicts = [tube_le(eigentuples[j + 1], eigentuples[j])
-                for j in range(n - 1)]
-    if all(v is True for v in verdicts):
-        chain = True
-    elif any(v == INCOMPARABLE for v in verdicts):
-        chain = INCOMPARABLE
-    else:
-        chain = False
 
     return TedResult(
         u=U, d=D, eigentuples=eigentuples,
         frequency_eigenvalues=_full_spectrum(w, p),
         residuals=TedDiagnostics(recon, orth, pair, float(pair.max())),
-        first_components_sorted=sorted_ok, elementwise_chain=chain)
+        first_components_sorted=sorted_ok,
+        elementwise_chain=descending_chain(eigentuples))
 
 
 def eigenmatrices(result, j):
@@ -322,19 +300,21 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):
 
     ``PD`` when every entry of every eigentuple exceeds ``tol``, ``PSD``
     when every entry is at least ``-tol``, else ``NOT_PSD_BY_CRITERION``.
-    Non-T-symmetric input raises :class:`NotTSymmetric` unless
-    ``auto_symmetrize`` is set, in which case ``(A + A^T) / 2`` is
-    classified instead; that tensor shares the first form component
-    (the classical quadratic form) with ``A``.
+    Symmetry is decided once, by the gates of :func:`ted`.  Non-T-symmetric
+    input raises :class:`NotTSymmetric` unless ``auto_symmetrize`` is set,
+    in which case ``(A + A^T) / 2`` is classified instead; that tensor
+    shares the first form component (the classical quadratic form) with
+    ``A``.
     """
     A = require_square(A)
-    if not is_t_symmetric(A, symmetry_tol):
+    try:
+        return classify_ted(ted(A, symmetry_tol), tol)
+    except NotTSymmetric:
         if not auto_symmetrize:
             raise NotTSymmetric(
                 "tensor is not T-symmetric; pass auto_symmetrize=True to "
-                "classify (A + A^T) / 2 instead")
-        A = 0.5 * symmetrize(A)
-    return classify_ted(ted(A, symmetry_tol), tol)
+                "classify (A + A^T) / 2 instead") from None
+    return classify_ted(ted(0.5 * symmetrize(A), symmetry_tol), tol)
 
 
 def classify_ted(result, tol=1e-10):

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import NotBlockCirculant, ShapeError
-from .tubal import INCOMPARABLE, tube_le
+from .tubal import descending_chain
 
 
 def as_tensor3(A):
@@ -175,21 +175,15 @@ def is_f_diagonal(S, tol=1e-10):
 def is_standard_form(S, tol=1e-10):
     """Three-valued check that an f-diagonal tensor has ordered diagonal tubes.
 
-    Returns ``True`` when each diagonal tube dominates the next elementwise,
-    ``False`` when the chain is comparable but violated, and
-    :data:`INCOMPARABLE` when some adjacent pair is not elementwise
-    comparable.  Raises :class:`ShapeError` if ``S`` is not f-diagonal.
+    Returns the verdict of :func:`~tubal_spectra.tubal.descending_chain` on
+    the diagonal tubes: ``True``, ``False`` or ``"incomparable"``.  Raises
+    :class:`ShapeError` if ``S`` is not f-diagonal.
     """
     S = as_tensor3(S)
     if not is_f_diagonal(S, tol):
         raise ShapeError("standard form is defined for f-diagonal tensors")
-    r = min(S.shape[0], S.shape[1])
-    verdicts = [tube_le(S[j + 1, j + 1, :], S[j, j, :]) for j in range(r - 1)]
-    if all(v is True for v in verdicts):
-        return True
-    if any(v == INCOMPARABLE for v in verdicts):
-        return INCOMPARABLE
-    return False
+    j = np.arange(min(S.shape[0], S.shape[1]))
+    return descending_chain(S[j, j])
 
 
 # --- text serialization ----------------------------------------------------

@@ -1,9 +1,10 @@
 """T-product calculus: products, inverses, powers, orthogonality.
 
-``tprod`` multiplies slice-by-slice in the frequency domain, which equals
-the defining block-circulant product ``fold(bcirc(A) @ unfold(B))``; the
-dense route lives in :mod:`tubal_spectra.oracle` and the two are compared
-in the test suite rather than merged.
+``tprod`` is one batched matrix product of the two half-spectrum stacks
+from :mod:`tubal_spectra.transform`, bin by bin, which equals the defining
+block-circulant product ``fold(bcirc(A) @ unfold(B))``; the dense route
+lives in :mod:`tubal_spectra.oracle` and the two are compared in the test
+suite rather than merged.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeError, Singular
 from .tensor3 import as_matslice, as_tensor3, identity, require_square, transpose
-from .transform import freq_from_half, from_freq, to_freq
+from .transform import FreqSlices, freq_from_half, from_freq, to_freq
 
 
 def tprod(A, B):
@@ -24,12 +25,9 @@ def tprod(A, B):
     if A.shape[2] != B.shape[2]:
         raise ShapeError(
             f"tube lengths differ: {A.shape} * {B.shape}")
-    p = A.shape[2]
-    Ah = np.fft.rfft(A, axis=2)
-    Bh = np.fft.rfft(B, axis=2)
-    # (h, m, s) @ (h, s, n) batched over the frequency axis.
-    Ch = np.matmul(Ah.transpose(2, 0, 1), Bh.transpose(2, 0, 1))
-    return np.fft.irfft(Ch.transpose(1, 2, 0), n=p, axis=2)
+    # A product of half spectra is the half spectrum of the product.
+    Ch = np.matmul(to_freq(A).half, to_freq(B).half)
+    return from_freq(FreqSlices(Ch, A.shape[2]))
 
 
 def tprod_mat(A, X):
@@ -51,11 +49,9 @@ def t_inverse(A, tol=1e-12):
     below ``tol`` times its largest (or the slice is zero).
     """
     A = require_square(A)
-    n, _, p = A.shape
     F = to_freq(A)
-    half = np.empty((n, n, p // 2 + 1), dtype=np.complex128)
-    for k in range(p // 2 + 1):
-        M = F.slice(k)
+    half = np.empty_like(F.half)
+    for k, M in enumerate(F.half):
         sigma = np.linalg.svd(M, compute_uv=False)
         cutoff = tol * float(sigma[0])
         if sigma[0] == 0.0 or float(sigma[-1]) <= cutoff:
@@ -64,8 +60,8 @@ def t_inverse(A, tol=1e-12):
                 f"(sigma_min {float(sigma[-1]):.3e}, cutoff {cutoff:.3e})",
                 slice_index=k, sigma_min=float(sigma[-1]),
                 sigma_max=float(sigma[0]), cutoff=cutoff)
-        half[:, :, k] = np.linalg.inv(M)
-    return from_freq(freq_from_half(half, p))
+        half[k] = np.linalg.inv(M)
+    return from_freq(freq_from_half(half, F.p))
 
 
 def t_power(A, k):

@@ -3,13 +3,15 @@
 ``to_freq`` applies the unnormalized DFT along the tube dimension; its
 ``p`` complex frontal slices block-diagonalize ``bcirc``.  Real input makes
 the slices conjugate-symmetric, ``F_{p-k} = conj(F_k)``, so a
-:class:`FreqSlices` stores only bins ``k <= p // 2`` and reads the others
-as conjugates.  The self-conjugate bins (``k = 0`` and, for even ``p``,
-``k = p/2``) have their imaginary parts zeroed, so the symmetry is exact by
-construction.  ``from_freq`` inverts a :class:`FreqSlices` with one inverse
-half-spectrum transform, so the reconstruction is real by construction
-rather than by cancellation.  Only a raw full spectrum from outside is
-validated, before it is cut to its half.
+:class:`FreqSlices` stores only bins ``k <= p // 2``, as the one
+``(p // 2 + 1, m, n)`` stack that batched ``@``, ``eigh`` and ``svd`` read,
+and reads the others as conjugates.  The self-conjugate bins (``k = 0``
+and, for even ``p``, ``k = p/2``) have their imaginary parts zeroed, so
+the symmetry is exact by construction.  ``from_freq`` inverts with one
+inverse half-spectrum transform, so the result is real by construction
+rather than by cancellation.  Only a raw full ``(m, n, p)`` spectrum from
+outside is validated.  No other fast-path module calls ``rfft`` or
+``irfft``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .tensor3 import as_tensor3
 
 @dataclass(frozen=True)
 class FreqSlices:
-    """The ``p`` frequency slices of a real tensor, stored as bins
-    ``0..p//2`` in an ``(m, n, p // 2 + 1)`` complex array ``half``."""
+    """The ``p`` frequency slices of a real ``(m, n, p)`` tensor, stored as
+    bins ``0..p//2`` in a ``(p // 2 + 1, m, n)`` complex stack ``half``:
+    ``half[k]`` is slice ``k``."""
 
     half: np.ndarray
     p: int
@@ -34,8 +37,8 @@ class FreqSlices:
         """Frequency slice ``k`` as an ``(m, n)`` complex matrix."""
         k = range(self.p)[k]
         if k > self.p // 2:
-            return np.conj(self.half[:, :, self.p - k])
-        return self.half[:, :, k]
+            return np.conj(self.half[self.p - k])
+        return self.half[k]
 
 
 def _mirrored_bins(p):
@@ -48,20 +51,25 @@ def _real_bins(p):
     return [0, p // 2] if p % 2 == 0 else [0]
 
 
+def _ct(Xh):
+    """Per-bin conjugate transpose: the half spectrum of ``X^T``."""
+    return Xh.conj().swapaxes(1, 2)
+
+
 def freq_from_half(half, p):
-    """Conjugate-symmetric :class:`FreqSlices` from bins ``0..p//2``.
+    """Conjugate-symmetric :class:`FreqSlices` from the stack of bins
+    ``0..p//2``.
 
     The self-conjugate bins are coerced to real, so the result satisfies the
     symmetry exactly.
     """
-    # C order: callers pass transposed views, and irfft keeps the layout.
+    # C order: callers pass transposed views, and batched @ reads the stack.
     half = np.array(half, dtype=np.complex128, order="C")
-    if half.ndim != 3 or half.shape[2] != p // 2 + 1:
+    if half.ndim != 3 or half.shape[0] != p // 2 + 1:
         raise ShapeError(
             f"expected {p // 2 + 1} half-spectrum slices, got shape "
             f"{half.shape}")
-    real = _real_bins(p)
-    half[:, :, real] = half[:, :, real].real
+    half.imag[_real_bins(p)] = 0.0
     return FreqSlices(half, p)
 
 
@@ -70,7 +78,7 @@ def to_freq(A):
     ``ValueError`` if the tensor holds nan or inf or its transform
     overflows."""
     A = as_tensor3(A)
-    F = freq_from_half(np.fft.rfft(A, axis=2), A.shape[2])
+    F = freq_from_half(np.fft.rfft(A, axis=2).transpose(2, 0, 1), A.shape[2])
     if not np.isfinite(F.half).all():
         raise ValueError("frequency spectrum overflows: the transform of "
                          "the tensor is not finite")
@@ -84,7 +92,9 @@ def from_freq(F, tol=1e-10):
     spectrum is checked first: :class:`ShapeError` if not 3-D, ``ValueError``
     if non-finite, :class:`SymmetryViolation` if a mirrored pair differs by
     more than ``tol`` (max-abs), :class:`ImaginaryResidual` if a
-    self-conjugate bin has imaginary mass above ``tol``.
+    self-conjugate bin has imaginary mass above ``tol``.  The result is
+    the ``(p, m, n)`` output of the transform seen as ``(m, n, p)``, so its
+    frontal slices are contiguous.
     """
     if not isinstance(F, FreqSlices):
         S = np.asarray(F, dtype=np.complex128)
@@ -105,8 +115,8 @@ def from_freq(F, tol=1e-10):
             raise ImaginaryResidual(
                 f"self-conjugate frequency bins carry imaginary mass "
                 f"{residual:.3e} (tol {tol:.3e})")
-        F = freq_from_half(S[:, :, :p // 2 + 1], p)
-    return np.fft.irfft(F.half, n=F.p, axis=2)
+        F = freq_from_half(S[:, :, :p // 2 + 1].transpose(2, 0, 1), p)
+    return np.fft.irfft(F.half, n=F.p, axis=0).transpose(1, 2, 0)
 
 
 def hermitize_check(F, tol=1e-10):
@@ -116,8 +126,8 @@ def hermitize_check(F, tol=1e-10):
     when the slice is.
     """
     S = F.half
-    m, n, _ = S.shape
+    _, m, n = S.shape
     if m != n:
         raise ShapeError(
             f"Hermitian check requires square slices, got {m} x {n}")
-    return float(np.max(np.abs(S - S.conj().transpose(1, 0, 2)))) <= tol
+    return float(np.max(np.abs(S - _ct(S)))) <= tol

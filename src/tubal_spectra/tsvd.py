@@ -12,11 +12,12 @@ index-reversed diagonal tubes of ``s``; they satisfy the shifted
 singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
 ``A^T * Y_j^[k] = s_j act X_j^[k]``.
 
-``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`:
-one stacked SVD of the real self-conjugate bins and one of the other
-half-spectrum bins, and the shared vectorized canonical phase.  The
-certificates are taken as in ``ted``, from one transform of each returned
-factor: ``A - U * S * V^T``, ``U^T * U - I``, ``V^T * V - I`` and the first
+``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`
+over the half-spectrum stack of :mod:`tubal_spectra.transform`: one stacked
+SVD of the real self-conjugate bins and one of the other half-spectrum
+bins, and the shared vectorized canonical phase.  The certificates are
+taken as in ``ted``, from one transform of each returned factor:
+``A - U * S * V^T``, ``U^T * U - I``, ``V^T * V - I`` and the first
 ``r = min(m, n)`` lateral slices of ``A * V - U * S`` and
 ``A^T * U - V * S^T``, one residual per singular tuple and side.  Shifting
 both singular matrices by ``k`` shifts the residual by ``k`` and keeps its
@@ -38,11 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import CheckResult
-from .spectral import (_canonical_phase, _ct, _f_diagonal, _full_spectrum,
-                       _half_spectrum_groups, _norm, _spectrum, classify_ted,
-                       ted)
+from .spectral import (_canonical_phase, _f_diagonal, _full_spectrum,
+                       _half_spectrum_groups, _norm, classify_ted, ted)
 from .tensor3 import as_tensor3, shift_columns, transpose
-from .transform import freq_from_half, from_freq, to_freq
+from .transform import _ct, freq_from_half, from_freq, to_freq
 from .tproduct import tprod
 from .tubal import tube_mul
 
@@ -116,17 +116,16 @@ def tsvd(A):
     for bins, M in _half_spectrum_groups(F):
         Us[bins], sig[bins], Vh[bins] = np.linalg.svd(M, full_matrices=True)
     Us, phase = _canonical_phase(Us)
-    # Keep u_j s_j v_j^H invariant: rotate v_j by the same phase, i.e. row
-    # j of V^H by its conjugate.
-    Vh[:, :r, :] *= np.conj(phase[:, :r, None])
-    unpaired, _ = _canonical_phase(Vh[:, r:, :].swapaxes(1, 2))
-    Vh[:, r:, :] = unpaired.swapaxes(1, 2)
-    U = from_freq(freq_from_half(Us.transpose(1, 2, 0), p))
+    Vs = _ct(Vh)
+    # Keep u_j s_j v_j^H invariant: rotate v_j by the same phase.
+    Vs[:, :, :r] *= phase[:, None, :r]
+    Vs[:, :, r:], _ = _canonical_phase(Vs[:, :, r:])
+    U = from_freq(freq_from_half(Us, p))
     S, tuples = _f_diagonal(sig, m, n, p)
-    V = from_freq(freq_from_half(Vh.conj().transpose(2, 1, 0), p))
+    V = from_freq(freq_from_half(Vs, p))
 
-    Af = F.half.transpose(2, 0, 1)
-    Uf, Sf, Vf = _spectrum(U), _spectrum(S), _spectrum(V)
+    Af = F.half
+    Uf, Sf, Vf = (to_freq(X).half for X in (U, S, V))
     US = Uf @ Sf
     recon = float(_norm(Af - US @ _ct(Vf), p))
     normA = float(np.linalg.norm(A))
@@ -134,8 +133,8 @@ def tsvd(A):
         recon /= normA
     orth_u = float(_norm(_ct(Uf) @ Uf - np.eye(m), p))
     orth_v = float(_norm(_ct(Vf) @ Vf - np.eye(n), p))
-    right = _norm(Af @ Vf[:, :, :r] - US[:, :, :r], p, (0, 1))
-    left = _norm(_ct(Af) @ Uf[:, :, :r] - (Vf @ _ct(Sf))[:, :, :r], p, (0, 1))
+    right = _norm(Af @ Vf[:, :, :r] - US[:, :, :r], p, (0, 2))
+    left = _norm(_ct(Af) @ Uf[:, :, :r] - (Vf @ _ct(Sf))[:, :, :r], p, (0, 2))
     pair_max = float(max(right.max(), left.max())) if r else 0.0
 
     return TsvdResult(

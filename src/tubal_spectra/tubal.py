@@ -142,6 +142,21 @@ def tube_le(a, b, tol=0.0):
     return INCOMPARABLE
 
 
+def descending_chain(tubes):
+    """Three-valued check that each tube dominates the next elementwise.
+
+    Returns ``True`` when ``tubes[j + 1] <= tubes[j]`` for every adjacent
+    pair, :data:`INCOMPARABLE` when some adjacent pair is not comparable,
+    and ``False`` otherwise.
+    """
+    verdicts = [tube_le(b, a) for a, b in zip(tubes, tubes[1:])]
+    if all(v is True for v in verdicts):
+        return True
+    if any(v == INCOMPARABLE for v in verdicts):
+        return INCOMPARABLE
+    return False
+
+
 def tube_dft(a):
     """Forward DFT of a tube (the eigenvalues of ``circ(a)``)."""
     return np.fft.fft(as_tube(a))

@@ -88,8 +88,8 @@ def ted_by_loop(A):
     n, _, p = A.shape
     F = to_freq(A)
     h = p // 2 + 1
-    uh = np.empty((n, n, h), dtype=np.complex128)
-    dh = np.zeros((n, n, h), dtype=np.complex128)
+    uh = np.empty((h, n, n), dtype=np.complex128)
+    dh = np.zeros((h, n, n), dtype=np.complex128)
     freq_eigs = np.empty((n, p))
     for k in range(h):
         M = F.slice(k)
@@ -100,8 +100,8 @@ def ted_by_loop(A):
         w, V = np.linalg.eigh(H)
         w, V = w[::-1], np.ascontiguousarray(V[:, ::-1])
         V = _phase_columns_by_loop(V.astype(np.complex128))
-        uh[:, :, k] = V
-        dh[:, :, k] = np.diag(w.astype(np.complex128))
+        uh[k] = V
+        dh[k] = np.diag(w.astype(np.complex128))
         freq_eigs[:, k] = w
         if 0 < k < p - k:
             freq_eigs[:, p - k] = w
@@ -128,9 +128,9 @@ def tsvd_by_loop(A):
     r = min(m, n)
     F = to_freq(A)
     h = p // 2 + 1
-    uh = np.empty((m, m, h), dtype=np.complex128)
-    sh = np.zeros((m, n, h), dtype=np.complex128)
-    vh = np.empty((n, n, h), dtype=np.complex128)
+    uh = np.empty((h, m, m), dtype=np.complex128)
+    sh = np.zeros((h, m, n), dtype=np.complex128)
+    vh = np.empty((h, n, n), dtype=np.complex128)
     freq_sv = np.empty((r, p))
     for k in range(h):
         M = F.slice(k)
@@ -154,9 +154,9 @@ def tsvd_by_loop(A):
             mag = abs(z)
             if mag > 0.0:
                 Vh_[j, :] = Vh_[j, :] * (np.conj(z) / mag)
-        uh[:, :, k] = U_
-        vh[:, :, k] = Vh_.conj().T
-        sh[:r, :r, k] = np.diag(sig.astype(np.complex128))
+        uh[k] = U_
+        vh[k] = Vh_.conj().T
+        sh[k, :r, :r] = np.diag(sig.astype(np.complex128))
         freq_sv[:, k] = sig
         if 0 < k < p - k:
             freq_sv[:, p - k] = sig

@@ -12,8 +12,8 @@ from tubal_spectra.errors import NotTSymmetric, ShapeError, ZeroMatrix
 from tubal_spectra.oracle import (oracle_psd_exact, oracle_quadform_dense,
                                   oracle_ted_check, oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
-                                    SPECTRAL_PSD, _ct, _f_diagonal, _norm,
-                                    _spectrum, classify_ted, eigenmatrices,
+                                    SPECTRAL_PSD, _f_diagonal, _norm,
+                                    classify_ted, eigenmatrices,
                                     expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
@@ -22,7 +22,7 @@ from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal,
                                    is_t_symmetric, shift_columns, transpose,
                                    unfold_mat)
 from tubal_spectra.tproduct import tprod, tprod_mat
-from tubal_spectra.transform import freq_from_half, from_freq, to_freq
+from tubal_spectra.transform import _ct, freq_from_half, from_freq, to_freq
 from tubal_spectra.tsvd import tsvd
 from tubal_spectra.tubal import (INCOMPARABLE, tube_action, tube_le,
                                  tube_transpose, unit_tube)
@@ -90,14 +90,14 @@ def test_pair_residuals_match_one_call_per_candidate():
         D, tuples = _f_diagonal(np.fft.rfft(d, axis=1).conj().T, c, c, p)
         assert is_f_diagonal(D, tol=0.0)
         assert np.allclose(tuples, d, rtol=0.0, atol=1e-14)
-        Af, Xf, Yf, Df = _spectrum(A), _spectrum(X), _spectrum(Y), _spectrum(D)
-        got = _norm(Af @ Xf - Yf @ Df, p, (0, 1))
+        Af, Xf, Yf, Df = (to_freq(T).half for T in (A, X, Y, D))
+        got = _norm(Af @ Xf - Yf @ Df, p, (0, 2))
         expected = [float(np.linalg.norm(
             tprod_mat(A, X[:, j, :]) - tube_action(d[j], Y[:, j, :])))
             for j in range(c)]
         assert got.shape == (c,)
         assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
-        got = _norm(_ct(Af) @ Yf - Xf @ _ct(Df), p, (0, 1))
+        got = _norm(_ct(Af) @ Yf - Xf @ _ct(Df), p, (0, 2))
         expected = [float(np.linalg.norm(
             tprod_mat(transpose(A), Y[:, j, :])
             - tube_action(tube_transpose(d[j]), X[:, j, :])))
@@ -108,7 +108,7 @@ def test_pair_residuals_match_one_call_per_candidate():
             norms = np.linalg.norm(X, axis=(0, 2))
             expected = [verify_eigenpair(A, d[j], X[:, j, :])
                         for j in range(c)]
-            assert np.allclose(_norm(Af @ Xf - Xf @ Df, p, (0, 1)) / norms,
+            assert np.allclose(_norm(Af @ Xf - Xf @ Df, p, (0, 2)) / norms,
                                expected, rtol=1e-14, atol=1e-14)
 
 
@@ -129,8 +129,8 @@ def test_shifted_residuals_are_constant_across_shifts():
 def _eigen_residuals(A, U, D):
     """Lateral-slice norms of ``A * U - U * D``, formed as ``ted`` forms
     its eigenpair certificate."""
-    Uf = _spectrum(U)
-    return _norm(_spectrum(A) @ Uf - Uf @ _spectrum(D), A.shape[2], (0, 1))
+    Af, Uf, Df = (to_freq(T).half for T in (A, U, D))
+    return _norm(Af @ Uf - Uf @ Df, A.shape[2], (0, 2))
 
 
 def test_perturbed_tuple_raises_only_its_own_residual():
@@ -195,20 +195,22 @@ def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A,
 
 
 def test_certificates_read_the_returned_factors(monkeypatch):
-    # Perturb every factor as from_freq returns it.  The certificates must
-    # see the perturbation, and each must equal its t-product identity
-    # evaluated on the returned factors: A = U * D * U^T and U^T * U = I,
-    # A * U - U * D for ted; A = U * S * V^T, U^T * U = I, V^T * V = I,
-    # A * V_r - U * S_r and A^T * U_r - V * S_r^T for tsvd.
+    # Perturb the half spectrum of every factor on its way to the inverse
+    # transform (freq_from_half as bound in spectral and tsvd; the residual
+    # spectra reach from_freq without it).  The certificates must see the
+    # perturbation, and each must equal its t-product identity evaluated
+    # on the returned factors: A = U * D * U^T and U^T * U = I, A * U - U * D
+    # for ted; A = U * S * V^T, U^T * U = I, V^T * V = I, A * V_r - U * S_r
+    # and A^T * U_r - V * S_r^T for tsvd.
     rng = np.random.default_rng(38)
-    real = spectral_module.from_freq
+    real = spectral_module.freq_from_half
 
-    def perturbed(F, *args, **kwargs):
-        X = real(F, *args, **kwargs)
-        return X + 1e-6 * rng.standard_normal(X.shape)
+    def perturbed(half, p):
+        half = np.asarray(half)
+        return real(half + 1e-6 * rng.standard_normal(half.shape), p)
 
     for module in (spectral_module, tsvd_module):
-        monkeypatch.setattr(module, "from_freq", perturbed)
+        monkeypatch.setattr(module, "freq_from_half", perturbed)
 
     def close(got, expected):
         return np.allclose(got, expected, rtol=1e-7, atol=1e-14)
@@ -365,14 +367,14 @@ def test_canonical_form_invariant_under_eigen_order_permutation():
         rng = np.random.default_rng(seed)
         F = to_freq(S)
         p, n = 5, 4
-        dhalf = np.zeros((n, n, 3), dtype=np.complex128)
+        dhalf = np.zeros((3, n, n), dtype=np.complex128)
         for k in range(3):
             M = F.slice(k)
             H = 0.5 * (M + M.conj().T) if k else 0.5 * (M.real + M.real.T)
             w = np.linalg.eigvalsh(H)
             w = w[rng.permutation(n)]
             w = w[np.argsort(-w, kind="stable")]  # re-canonicalize
-            dhalf[:, :, k] = np.diag(w)
+            dhalf[k] = np.diag(w)
         D2 = from_freq(freq_from_half(dhalf, p))
         d_top = tube_transpose(D2[0, 0, :])
         d_bot = tube_transpose(D2[n - 1, n - 1, :])
@@ -553,10 +555,22 @@ def test_psd_zero_tensor_is_psd():
 
 def test_psd_requires_symmetry_unless_flagged():
     A = random_tensor(RNG, 3, 3, 4)
-    with pytest.raises(NotTSymmetric):
+    with pytest.raises(NotTSymmetric, match="auto_symmetrize=True"):
         psd_spectral(A)
     v = psd_spectral(A, auto_symmetrize=True)
     assert v.spectral_class in (SPECTRAL_PD, SPECTRAL_PSD, SPECTRAL_NOT_PSD)
+    w = classify_ted(ted(0.5 * symmetrize(A)))
+    assert v.spectral_class == w.spectral_class
+    assert np.array_equal(v.smallest_eigentuple, w.smallest_eigentuple)
+    # Symmetry is decided by ted's gates, after the finite gate of to_freq:
+    # a nan is an overflow, not an unsymmetric tensor.
+    N = identity(2, 2)
+    N[0, 0, 0] = np.nan
+    for auto in (False, True):
+        with pytest.raises(ValueError) as info:
+            psd_spectral(N, auto_symmetrize=auto)
+        assert type(info.value) is ValueError
+        assert "frequency spectrum overflows" in str(info.value)
 
 
 def test_psd_gram_tensors_report():

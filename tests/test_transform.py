@@ -1,9 +1,15 @@
 """Frequency transform: round trips, block diagonalization, symmetry gates."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import random_tensor
+from tubal_spectra import spectral as spectral_module
+from tubal_spectra import tproduct as tproduct_module
+from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import (ImaginaryResidual, ShapeError,
                                   SymmetryViolation)
 from tubal_spectra.tensor3 import bcirc, identity, transpose
@@ -47,20 +53,23 @@ def test_symmetry_is_exact_by_construction():
 
 
 def test_freq_slices_store_the_half_spectrum():
-    # Only bins 0..p//2 are stored, and the inverse is one irfft of them.
+    # Only bins 0..p//2 are stored, bin-major, and the inverse is one irfft
+    # along the bin axis.
     for m, n, p in ((2, 3, 1), (3, 3, 2), (2, 2, 3), (3, 2, 4), (2, 4, 7),
                     (3, 3, 8)):
         A = random_tensor(RNG, m, n, p)
         F = to_freq(A)
         assert F.p == p
-        assert F.half.shape == (m, n, p // 2 + 1)
-        assert (from_freq(F).tobytes()
-                == np.fft.irfft(F.half, n=p, axis=2).tobytes())
-        # ted and tsvd pass transposed half spectra; they are stored in C
-        # order, so the factors come back C-contiguous.
-        G = freq_from_half(F.half.transpose(1, 0, 2), p)
+        assert F.half.shape == (p // 2 + 1, m, n)
+        assert F.half.flags.c_contiguous
+        X = np.fft.irfft(F.half, n=p, axis=0)
+        assert from_freq(F).tobytes() == X.transpose(1, 2, 0).tobytes()
+        # to_freq and tsvd pass transposed half spectra; they are stored in
+        # C order, and the inverse is the transform's own output, with no
+        # copy: its frontal slices are contiguous.
+        G = freq_from_half(F.half.transpose(0, 2, 1), p)
         assert G.half.flags.c_contiguous
-        assert from_freq(G).flags.c_contiguous
+        assert from_freq(G).transpose(2, 0, 1).flags.c_contiguous
 
 
 def test_half_spectrum_is_rfft_bit_for_bit():
@@ -70,7 +79,8 @@ def test_half_spectrum_is_rfft_bit_for_bit():
     for m, n, p in ((3, 3, 1), (3, 2, 2), (4, 4, 5), (2, 5, 8), (6, 6, 32)):
         A = random_tensor(rng, m, n, p)
         half = to_freq(A).half
-        assert half.tobytes() == np.fft.rfft(A, axis=2).tobytes()
+        assert (half.tobytes()
+                == np.fft.rfft(A, axis=2).transpose(2, 0, 1).tobytes())
 
 
 def test_matches_explicit_dft_block_diagonalization():
@@ -160,15 +170,19 @@ def _with_entry(value):
     return A
 
 
-@pytest.mark.parametrize("decompose", [ted, tsvd, t_inverse],
-                         ids=["ted", "tsvd", "t_inverse"])
+def _tprod_square(A):
+    return tprod(A, A)
+
+
+@pytest.mark.parametrize("decompose", [ted, tsvd, t_inverse, _tprod_square],
+                         ids=["ted", "tsvd", "t_inverse", "tprod"])
 @pytest.mark.parametrize("A", [_with_entry(np.nan), _with_entry(np.inf),
                                np.full((2, 2, 2), 1.7e308)],
                          ids=["nan", "inf", "overflow"])
 def test_non_finite_spectrum_is_one_value_error(decompose, A):
     # One gate in to_freq: before it, ted called these tensors
     # NotTSymmetric, tsvd and t_inverse raised LinAlgError (a ValueError
-    # subclass) or returned a nan reconstruction.
+    # subclass) or returned a nan reconstruction, and tprod returned nan.
     with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
         decompose(A)
     assert type(info.value) is ValueError
@@ -176,16 +190,21 @@ def test_non_finite_spectrum_is_one_value_error(decompose, A):
 
 
 def test_freq_from_half_mirrors_and_realifies():
-    half = RNG.standard_normal((2, 2, 3)) + 1j * RNG.standard_normal((2, 2, 3))
+    # Bins lead: a (bins, m, n) stack with m != n, so no other axis order
+    # passes the shape check.
+    half = RNG.standard_normal((3, 2, 5)) + 1j * RNG.standard_normal((3, 2, 5))
     given = half.copy()
     F = freq_from_half(half, 4)
     assert np.array_equal(half, given)  # the caller's array is not changed
-    assert np.array_equal(F.half[:, :, 1], half[:, :, 1])
+    assert np.array_equal(F.half[1], half[1])
+    assert np.array_equal(F.slice(1), half[1])
     assert np.array_equal(F.slice(3), np.conj(F.slice(1)))
-    assert np.max(np.abs(F.slice(0).imag)) == 0.0
-    assert np.max(np.abs(F.slice(2).imag)) == 0.0
+    assert np.array_equal(F.slice(0), half[0].real)
+    assert np.array_equal(F.slice(2), half[2].real)
     with pytest.raises(ShapeError):
         freq_from_half(half, 7)
+    with pytest.raises(ShapeError):
+        freq_from_half(half.transpose(1, 2, 0), 4)
 
 
 def test_hermitize_check():
@@ -203,11 +222,11 @@ def test_vectorized_checks_match_slice_loops():
     # array expressions; they agree with per-slice loops bit for bit.
     for p in (1, 2, 3, 4, 7, 8):
         h = p // 2 + 1
-        half = (RNG.standard_normal((3, 3, h))
-                + 1j * RNG.standard_normal((3, 3, h)))
+        half = (RNG.standard_normal((h, 3, 3))
+                + 1j * RNG.standard_normal((h, 3, 3)))
         F = freq_from_half(half, p)
         full = np.zeros((3, 3, p), dtype=np.complex128)
-        full[:, :, :h] = half
+        full[:, :, :h] = half.transpose(1, 2, 0)
         full[:, :, 0] = full[:, :, 0].real
         if p % 2 == 0:
             full[:, :, p // 2] = full[:, :, p // 2].real
@@ -242,3 +261,20 @@ def test_vectorized_checks_match_slice_loops():
         from_freq(full, imag)
         with pytest.raises(ImaginaryResidual):
             from_freq(full, float(np.nextafter(imag, 0.0)))
+
+
+def test_transform_is_the_only_fast_path_fft():
+    # The half-spectrum layout belongs to transform: the fast-path modules
+    # reach rfft and irfft only through to_freq and from_freq.
+    for module in (spectral_module, tproduct_module, tsvd_module):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "fft" not in (node.module or "").split("."), \
+                    ast.dump(node)
+                assert "fft" not in {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert "fft" not in alias.name.split("."), alias.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "fft", (module.__name__, ast.dump(node))
