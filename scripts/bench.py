@@ -14,7 +14,9 @@ shape.  The topics are:
 ``certify`` (seed 2011)
     The dense certification path on Gram tensors ``B^T * B``: the
     polarization matrices, ``bcirc``, ``gram_consistency``, the exact PSD
-    oracle, and ``verify`` and ``psd --exact`` end to end.
+    oracle, the dense check of a ``ted`` result (``oracle_ted_check``, its
+    ``ted`` computed outside the timed call), and ``verify`` and
+    ``psd --exact`` end to end.
 ``decompose`` (seed 2403)
     ``ted`` on T-symmetric tensors ``(G + G^T) / 2`` and ``tsvd`` on
     Gaussian tensors, and both end to end on the shapes of the
@@ -89,7 +91,9 @@ def _cli(*argv):
 
 def measure_certify(seed, workdir):
     from tubal_spectra.oracle import (oracle_psd_exact,
-                                      oracle_quadform_matrices)
+                                      oracle_quadform_matrices,
+                                      oracle_ted_check)
+    from tubal_spectra.spectral import ted
     from tubal_spectra.tensor3 import bcirc, transpose, write_tensor3
     from tubal_spectra.tproduct import tprod
     from tubal_spectra.tsvd import gram_consistency
@@ -109,6 +113,8 @@ def measure_certify(seed, workdir):
          lambda: oracle_quadform_matrices(G[8, 8])),
         ("bcirc", "6x6x8", lambda: bcirc(G[6, 8])),
         ("gram_consistency", "6x6x8", lambda: gram_consistency(G[6, 8])),
+        ("oracle_ted_check", "6x6x8",
+         lambda T=ted(G[6, 8]): oracle_ted_check(G[6, 8], T)),
         ("cli verify", "6x6x8", _cli("verify", path, "-o", out)),
         ("cli psd --exact", "6x6x8",
          _cli("psd", path, "--exact", "--format", "json", "-o", out)),

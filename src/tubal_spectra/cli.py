@@ -14,6 +14,10 @@ document is an error in both formats (exit 1).
 Exit codes: 0 success, 1 usage or input-format error, 2 numerical error
 (for example a non-T-symmetric input to ``ted``), 3 verification failure.
 
+Every command is one entry of :data:`COMMANDS`.  A call builds only its own
+command's parser, or the full table when no known command leads the
+arguments (no command, ``--help``, an unknown name); the output is the same.
+
 The ``TUBAL_SPECTRA_THREADS`` environment variable caps BLAS/FFT
 parallelism.  It must take effect before numpy is first imported, which is
 why this module sets the standard threading variables at import time and
@@ -81,10 +85,6 @@ def _json_scalar(value):
     return _scalar(value)
 
 
-def _is_scalar(value):
-    return not isinstance(value, (dict, list, tuple))
-
-
 def _emit(value, indent):
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -95,12 +95,11 @@ def _emit(value, indent):
                 for k, v in value.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
+        if not value:
             return "[]"
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(_json_scalar(v) for v in items) + "]"
-        rows = [f"{inner}{_emit(v, indent + 1)}" for v in items]
+        if not any(isinstance(v, (dict, list, tuple)) for v in value):
+            return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
+        rows = [f"{inner}{_emit(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     return _json_scalar(value)
 
@@ -114,10 +113,8 @@ def dumps_doc(doc):
 
 def _check_finite(value):
     """Reject a non-finite number anywhere in ``value``, as JSON does."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        for item in value:
+    if isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
             _check_finite(item)
     elif isinstance(value, (float, np.floating)):
         _finite(value)
@@ -323,9 +320,7 @@ def _cmd_psd(args):
             "tol": verdict.tol},
         "exact": None, "verdicts_agree": None}
     if args.exact:
-        work = A
-        if args.auto_symmetrize and not is_t_symmetric(A):
-            work = 0.5 * symmetrize(A)
+        work = 0.5 * symmetrize(A) if verdict.symmetrized else A
         exact = oracle_psd_exact(work, tol=args.tol, max_np=args.max_size)
         doc["exact"] = {
             "class": exact.label,
@@ -408,65 +403,68 @@ def _cmd_random(args):
     return _tensor_doc("random", A)
 
 
-_HANDLERS = {"info": _cmd_info, "tprod": _cmd_tprod,
-             "transpose": _cmd_transpose, "ted": _cmd_ted, "tsvd": _cmd_tsvd,
-             "psd": _cmd_psd, "quadform": _cmd_quadform,
-             "verify": _cmd_verify, "random": _cmd_random}
+# --- the command table ------------------------------------------------------
+
+def _opt(*names, **kwargs):
+    return names, kwargs
 
 
-# --- parser -----------------------------------------------------------------
+_INPUT = _opt("input")
+_OUTPUT = _opt("-o", "--output", default=None,
+               help="write the result to this file")
+_SEED = _opt("--seed", type=int, default=42, help="random seed (default 42)")
 
-def build_parser():
+#: name: (handler, help line, *arguments); every command also takes --format.
+COMMANDS = {
+    "info": (_cmd_info, "summarize a tensor file", _INPUT),
+    "tprod": (_cmd_tprod, "T-product of two tensors", _opt("a"), _opt("b"),
+              _OUTPUT),
+    "transpose": (_cmd_transpose, "tensor transpose", _INPUT, _OUTPUT),
+    "ted": (_cmd_ted, "T-eigendecomposition of a T-symmetric tensor", _INPUT,
+            _OUTPUT, _opt("--tol", type=float, default=None, help=(
+                "symmetry tolerance (default: relative to max|A|)"))),
+    "tsvd": (_cmd_tsvd, "tensor singular value decomposition", _INPUT,
+             _OUTPUT),
+    "psd": (_cmd_psd, "classify the T-quadratic form", _INPUT, _OUTPUT,
+            _opt("--tol", type=float, default=1e-10,
+                 help="classification tolerance"),
+            _opt("--exact", action="store_true",
+                 help="also run the elementwise oracle"),
+            _opt("--auto-symmetrize", action="store_true",
+                 help="classify (A + A^T) / 2 when A is not T-symmetric"),
+            _opt("--max-size", type=int, default=64,
+                 help="n*p bound for the exact oracle (default 64)")),
+    "quadform": (_cmd_quadform,
+                 "evaluate the T-quadratic form at a matrix slice",
+                 _opt("a"), _opt("x"), _OUTPUT),
+    "verify": (_cmd_verify, "run the oracle checks on a tensor", _INPUT,
+               _OUTPUT, _SEED, _opt("--max-size", type=int, default=64, help=(
+                   "n*p bound for polarization checks (default 64)"))),
+    "random": (_cmd_random, "generate a random tensor", _OUTPUT, _SEED,
+               _opt("kind", choices=("general", "tsym", "fdiag", "psd")),
+               *(_opt(size, type=int) for size in "mnp")),
+}
+
+
+def build_parser(command=None):
+    """The top-level parser with the subparser of ``command`` only, or with
+    every subparser of :data:`COMMANDS` when ``command`` is None."""
     parser = _Parser(prog="tubal-spectra",
                      description="Tubal tensor algebra toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text, *inputs, output=True, seed=False):
+    for name in COMMANDS if command is None else (command,):
+        _, help_text, *args = COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
-        for arg in inputs:
-            sp.add_argument(arg)
         sp.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
-        if output:
-            sp.add_argument("-o", "--output", default=None,
-                            help="write the result to this file")
-        if seed:
-            sp.add_argument("--seed", type=int, default=42,
-                            help="random seed (default 42)")
-        return sp
-
-    add("info", "summarize a tensor file", "input", output=False)
-    add("tprod", "T-product of two tensors", "a", "b")
-    add("transpose", "tensor transpose", "input")
-    add("ted", "T-eigendecomposition of a T-symmetric tensor",
-        "input").add_argument(
-            "--tol", type=float, default=None,
-            help="symmetry tolerance (default: relative to max|A|)")
-    add("tsvd", "tensor singular value decomposition", "input")
-    psd = add("psd", "classify the T-quadratic form", "input")
-    psd.add_argument("--tol", type=float, default=1e-10,
-                     help="classification tolerance")
-    psd.add_argument("--exact", action="store_true",
-                     help="also run the elementwise oracle")
-    psd.add_argument("--auto-symmetrize", action="store_true",
-                     help="classify (A + A^T) / 2 when A is not T-symmetric")
-    psd.add_argument("--max-size", type=int, default=64,
-                     help="n*p bound for the exact oracle (default 64)")
-    add("quadform", "evaluate the T-quadratic form at a matrix slice",
-        "a", "x")
-    add("verify", "run the oracle checks on a tensor", "input",
-        seed=True).add_argument(
-            "--max-size", type=int, default=64,
-            help="n*p bound for polarization checks (default 64)")
-    rand = add("random", "generate a random tensor", seed=True)
-    rand.add_argument("kind", choices=("general", "tsym", "fdiag", "psd"))
-    for size in "mnp":
-        rand.add_argument(size, type=int)
+        for names, kwargs in args:
+            sp.add_argument(*names, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _CliError as exc:
@@ -485,7 +483,7 @@ def main(argv=None):
             raise _CliError("--tol must be positive")
         if getattr(args, "max_size", 64) <= 0:
             raise _CliError("--max-size must be positive")
-        doc = _HANDLERS[args.command](args)
+        doc = COMMANDS[args.command][0](args)
         _deliver(args, doc)
         return 0 if doc.get("passed", True) else 3
     except (_CliError, ShapeError, ValueError, OSError) as exc:

@@ -109,8 +109,10 @@ class PsdVerdict:
     ``spectral_class`` is ``PD``, ``PSD`` or ``NOT_PSD_BY_CRITERION`` from
     the spatial eigentuple entries at tolerance ``tol``.
     ``min_frequency_eigenvalue`` certifies the classical (first form
-    component) side.  ``exact_class`` and ``witness`` are filled in only
-    when the elementwise oracle is consulted.
+    component) side.  ``symmetrized`` is true when the verdict is for
+    ``(A + A^T) / 2`` rather than ``A`` itself (see :func:`psd_spectral`).
+    ``exact_class`` and ``witness`` are filled in only when the elementwise
+    oracle is consulted.
     """
 
     spectral_class: str
@@ -118,6 +120,7 @@ class PsdVerdict:
     min_entry: float
     min_frequency_eigenvalue: float
     tol: float
+    symmetrized: bool = False
     exact_class: str | None = None
     witness: np.ndarray | None = None
 
@@ -304,7 +307,7 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):
     input raises :class:`NotTSymmetric` unless ``auto_symmetrize`` is set,
     in which case ``(A + A^T) / 2`` is classified instead; that tensor
     shares the first form component (the classical quadratic form) with
-    ``A``.
+    ``A``, and the verdict's ``symmetrized`` field is set.
     """
     A = require_square(A)
     try:
@@ -314,7 +317,9 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):
             raise NotTSymmetric(
                 "tensor is not T-symmetric; pass auto_symmetrize=True to "
                 "classify (A + A^T) / 2 instead") from None
-    return classify_ted(ted(0.5 * symmetrize(A), symmetry_tol), tol)
+    verdict = classify_ted(ted(0.5 * symmetrize(A), symmetry_tol), tol)
+    verdict.symmetrized = True
+    return verdict
 
 
 def classify_ted(result, tol=1e-10):

@@ -9,7 +9,8 @@ import numpy as np
 
 from tubal_spectra.oracle import oracle_quadform_dense
 from tubal_spectra.spectral import verify_eigenpair
-from tubal_spectra.tensor3 import fold_mat, shift_columns, transpose
+from tubal_spectra.tensor3 import (bcirc, fold_mat, shift_columns, transpose,
+                                   unfold_mat)
 from tubal_spectra.tproduct import tprod_mat
 from tubal_spectra.transform import freq_from_half, from_freq, to_freq
 from tubal_spectra.tubal import tube_action, tube_transpose
@@ -34,6 +35,11 @@ def record_acceptance(name, passed, detail):
     line = f"[acceptance] {name}: {status} ({detail})"
     ACCEPTANCE_LINES.append(line)
     print(line)
+
+
+# (n, p) shapes for the batched core: p = 1, p = 2, odd and even p, n = 1.
+CORE_SHAPES = ((1, 1), (4, 1), (3, 2), (5, 3), (4, 4), (6, 5), (1, 6),
+               (7, 8), (8, 9))
 
 
 def random_tensor(rng, m, n, p):
@@ -187,3 +193,21 @@ def _phase_columns_by_loop(V):
         if mag > 0.0:
             V[:, j] = V[:, j] * (np.conj(z) / mag)
     return V
+
+
+def oracle_eigenpair_by_loop(A, result):
+    """The largest shifted eigenpair residual of ``result``, one dense
+    matrix-vector product and one :func:`tube_action` per shift, kept as
+    an independent witness for :func:`tubal_spectra.oracle.oracle_ted_check`.
+    """
+    n, _, p = A.shape
+    bcA = bcirc(A)
+    worst = 0.0
+    for j in range(n):
+        d = result.eigentuples[j]
+        for k in range(p):
+            X = shift_columns(result.u[:, j, :], k)
+            resid = float(np.linalg.norm(
+                fold_mat(bcA @ unfold_mat(X), p) - tube_action(d, X)))
+            worst = max(worst, resid)
+    return worst

@@ -10,7 +10,8 @@ import pytest
 from helpers import random_tensor, random_tsym
 from tubal_spectra import cli
 from tubal_spectra import tsvd as tsvd_module
-from tubal_spectra.spectral import psd_spectral
+from tubal_spectra.oracle import oracle_psd_exact
+from tubal_spectra.spectral import psd_spectral, symmetrize
 from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
                                    read_tensor3, tensor3_from_text, transpose,
                                    write_tensor3)
@@ -87,6 +88,75 @@ def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
     assert "error" in err
+
+
+# One representative argv per command, every option of the command given.
+ARGV = {
+    "info": ["info", "a.t3", "--format", "json"],
+    "tprod": ["tprod", "a.t3", "b.t3", "-o", "c.t3"],
+    "transpose": ["transpose", "a.t3", "--format", "json", "--output", "o"],
+    "ted": ["ted", "a.t3", "--tol", "1e-9", "-o", "o"],
+    "tsvd": ["tsvd", "a.t3", "--format", "text", "-o", "o"],
+    "psd": ["psd", "a.t3", "--exact", "--auto-symmetrize", "--max-size", "32",
+            "--tol", "1e-8", "--format", "json", "-o", "o"],
+    "quadform": ["quadform", "a.t3", "x.mat", "--format", "json", "-o", "o"],
+    "verify": ["verify", "a.t3", "--seed", "7", "--max-size", "16", "-o",
+               "o", "--format", "json"],
+    "random": ["random", "psd", "3", "3", "4", "--seed", "5", "-o", "o",
+               "--format", "json"],
+}
+
+
+def test_argv_table_covers_every_command():
+    assert list(ARGV) == list(cli.COMMANDS)
+
+
+def _usage_error(parser, argv):
+    with pytest.raises(cli._CliError) as exc:
+        parser.parse_args(argv)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("command", list(ARGV))
+def test_one_command_parser_matches_the_full_table(capsys, command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert one.parse_args(ARGV[command]) == full.parse_args(ARGV[command])
+
+    helps = []
+    for parser in (full, one):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: tubal-spectra {command} ")
+
+    for bad in (ARGV[command] + ["--bogus"], [command]):
+        assert _usage_error(one, bad) == _usage_error(full, bad)
+
+
+def test_main_builds_only_the_invoked_command(capsys, monkeypatch,
+                                              tsym_file):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["info", tsym_file], ["--help"], ["frobnicate"], [],
+                 ["-h", "info"]):
+        cli.main(argv)
+    assert built == ["info", None, None, None, None]
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = out.split("positional arguments:")[1]
+    for name, (_, help_text, *_args) in cli.COMMANDS.items():
+        assert f"    {name}" in listed and help_text in listed
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):
@@ -354,6 +424,33 @@ def test_psd_gram_tensor_reports_nonnegative_frequency_floor(capsys,
         assert spectral["class"] == "NOT_PSD_BY_CRITERION"
         assert spectral["min_entry"] < -spectral["tol"]
     assert doc["exact"] is None and doc["verdicts_agree"] is None
+
+
+def test_psd_exact_classifies_what_the_spectral_route_classified(
+        capsys, monkeypatch, tmp_path):
+    # Within tolerance in space, yet bin 0 is not Hermitian within ted's
+    # tolerance: the spectral route symmetrizes, so the exact oracle must
+    # see (A + A^T) / 2 too, not A.
+    A = identity(2, 8)
+    A[0, 1, :] += 0.9e-10
+    assert is_t_symmetric(A)
+    path = tmp_path / "near.t3"
+    write_tensor3(str(path), A)
+    seen = []
+
+    def spy(X, **kwargs):
+        seen.append(X)
+        return oracle_psd_exact(X, **kwargs)
+
+    monkeypatch.setattr(cli, "oracle_psd_exact", spy)
+    code, out, _ = run(capsys, "psd", str(path), "--exact",
+                       "--auto-symmetrize", "--format", "json")
+    assert code == 0
+    work = 0.5 * symmetrize(A)
+    assert len(seen) == 1 and np.array_equal(seen[0], work)
+    doc = json.loads(out)
+    assert doc["exact"]["min_eigenvalue"] == \
+        oracle_psd_exact(work).min_eigenvalue
 
 
 def test_psd_requires_symmetry_unless_asked(capsys, tmp_path):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import polarization_by_evaluation, random_tensor, random_tsym
+from helpers import (CORE_SHAPES, oracle_eigenpair_by_loop,
+                     polarization_by_evaluation, random_tensor, random_tsym)
 from tubal_spectra import oracle
 from tubal_spectra.errors import ShapeError, TooLarge
 from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
@@ -213,6 +214,44 @@ def test_ted_check_flags_lateral_swap_but_not_orthogonality():
     assert by_name["orthogonality"].passed
     assert not by_name["reconstruction"].passed
     assert not by_name["eigenpair_residuals"].passed
+
+
+def _eigenpair_check(A, result):
+    return next(c for c in oracle_ted_check(A, result)
+                if c.check == "eigenpair_residuals")
+
+
+def test_ted_check_eigenpair_residual_matches_shift_loop():
+    # One dense product gives every shifted residual; the per-shift loop of
+    # matvecs and tube actions is the reference.  On a T-symmetric A no
+    # residual norm tells d_j from its transpose, so each shape also checks
+    # a general A with random u and random tuples.
+    rng = np.random.default_rng(47)
+    cases = [random_tsym(rng, n, p) for n, p in CORE_SHAPES]
+    cases += [identity(3, 4), identity(4, 1), random_tsym(rng, 5, 1)]
+    for A in cases:
+        T = ted(A)
+        noise = replace(T, u=rng.standard_normal(T.u.shape),
+                        eigentuples=rng.standard_normal(T.eigentuples.shape))
+        for B, result in ((A, T), (rng.standard_normal(A.shape), noise)):
+            found = _eigenpair_check(B, result).residual
+            expected = oracle_eigenpair_by_loop(B, result)
+            bound = 1e-13 * max(1.0, float(np.linalg.norm(B)))
+            assert abs(found - expected) <= bound, A.shape
+
+
+def test_ted_check_flags_swapped_eigentuples():
+    # The residuals read the reported eigentuples, not d: swapping two of
+    # them breaks the eigenpairs while u and d still reconstruct A.
+    S = random_tsym(RNG, 4, 3)
+    T = ted(S)
+    swapped = T.eigentuples.copy()
+    swapped[[0, 2]] = swapped[[2, 0]]
+    by_name = {c.check: c
+               for c in oracle_ted_check(S, replace(T, eigentuples=swapped))}
+    assert by_name["reconstruction"].passed
+    assert not by_name["eigenpair_residuals"].passed
+    assert by_name["eigenpair_residuals"].residual > 1e-3
 
 
 def test_check_result_dict_shape():

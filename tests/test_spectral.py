@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import (random_tensor, random_tsym, record_finding, rel_err,
-                     ted_by_loop, tsvd_by_loop)
+from helpers import (CORE_SHAPES, random_tensor, random_tsym, record_finding,
+                     rel_err, ted_by_loop, tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
@@ -48,11 +48,6 @@ def test_ted_invariants_random():
         # per-slice descending frequency eigenvalues
         lam = T.frequency_eigenvalues
         assert np.all(lam[1:, :] <= lam[:-1, :] + 1e-12)
-
-
-# (n, p) shapes for the batched core: p = 1, p = 2, odd and even p, n = 1.
-CORE_SHAPES = ((1, 1), (4, 1), (3, 2), (5, 3), (4, 4), (6, 5), (1, 6),
-               (7, 8), (8, 9))
 
 
 def test_ted_batched_core_matches_per_slice_loop():
@@ -562,6 +557,9 @@ def test_psd_requires_symmetry_unless_flagged():
     w = classify_ted(ted(0.5 * symmetrize(A)))
     assert v.spectral_class == w.spectral_class
     assert np.array_equal(v.smallest_eigentuple, w.smallest_eigentuple)
+    assert v.symmetrized and not w.symmetrized
+    S = 0.5 * symmetrize(A)
+    assert not psd_spectral(S, auto_symmetrize=True).symmetrized
     # Symmetry is decided by ted's gates, after the finite gate of to_freq:
     # a nan is an overflow, not an unsymmetric tensor.
     N = identity(2, 2)
