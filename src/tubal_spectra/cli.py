@@ -42,7 +42,7 @@ if _threads:
 
 import numpy as np
 
-from .errors import ShapeError, TubalError
+from .errors import NotTSymmetric, ShapeError, TubalError
 from .oracle import (CheckResult, oracle_psd_exact, oracle_quadform_matrices,
                      oracle_ted_check, oracle_tprod)
 from .spectral import psd_spectral, quadform, symmetrize, ted
@@ -362,9 +362,14 @@ def _cmd_verify(args):
     checks = [CheckResult(name, float(r), bound, bool(r <= bound))
               for name, r, bound in measured] + gram.checks
 
-    if m == n and is_t_symmetric(A):
+    # Symmetry is decided by ted's own gates, as in psd_spectral.
+    try:
+        T = ted(A) if m == n else None
+    except NotTSymmetric:
+        T = None
+    if T is not None:
         checks.extend(replace(c, check=f"ted_{c.check}")
-                      for c in oracle_ted_check(A, ted(A)))
+                      for c in oracle_ted_check(A, T))
         if n * p <= args.max_size:
             M = oracle_quadform_matrices(A)
             X = rng.standard_normal((n, p))

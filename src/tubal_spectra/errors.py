@@ -19,46 +19,12 @@ class DimensionMismatch(ShapeError):
     """Tube operands differ in length or do not match a matrix dimension."""
 
 
-class NotCirculant(TubalError):
-    """A matrix expected to be circulant is not, within tolerance."""
-
-
 class NotBlockCirculant(TubalError):
     """A matrix expected to be block circulant is not, within tolerance."""
 
 
-class SymmetryViolation(TubalError):
-    """Frequency slices violate the conjugate-symmetry pairing."""
-
-
-class ImaginaryResidual(TubalError):
-    """A self-conjugate frequency bin carries non-negligible imaginary mass."""
-
-
 class NotTSymmetric(TubalError):
     """A tensor expected to equal its transpose does not, within tolerance."""
-
-
-class Singular(TubalError):
-    """A frequency slice is singular (or nearly so) where invertibility is required.
-
-    Attributes
-    ----------
-    slice_index : int or None
-        Index of the offending frequency slice.
-    sigma_min, sigma_max : float or None
-        Extreme singular values of that slice.
-    cutoff : float or None
-        The threshold ``sigma_min`` fell below.
-    """
-
-    def __init__(self, message, slice_index=None, sigma_min=None,
-                 sigma_max=None, cutoff=None):
-        super().__init__(message)
-        self.slice_index = slice_index
-        self.sigma_min = sigma_min
-        self.sigma_max = sigma_max
-        self.cutoff = cutoff
 
 
 class ZeroMatrix(TubalError):

@@ -1,4 +1,5 @@
-"""T-product calculus: products, inverses, powers, orthogonality.
+"""T-product calculus: the product of two tensors, and of a tensor and a
+matrix slice.
 
 ``tprod`` is one batched matrix product of the two half-spectrum stacks
 from :mod:`tubal_spectra.transform`, bin by bin, which equals the defining
@@ -11,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, Singular
-from .tensor3 import as_matslice, as_tensor3, identity, require_square, transpose
-from .transform import FreqSlices, freq_from_half, from_freq, to_freq
+from .errors import ShapeError
+from .tensor3 import as_matslice, as_tensor3
+from .transform import FreqSlices, from_freq, to_freq
 
 
 def tprod(A, B):
@@ -39,45 +40,3 @@ def tprod_mat(A, X):
             f"tensor of shape {A.shape} cannot act on a matrix slice of "
             f"shape {X.shape}")
     return tprod(A, X[:, None, :])[:, 0, :]
-
-
-def t_inverse(A, tol=1e-12):
-    """T-product inverse of a square tensor.
-
-    Inverts each frequency slice for ``k <= p // 2`` and mirrors.  Raises
-    :class:`Singular` when a slice's smallest singular value falls at or
-    below ``tol`` times its largest (or the slice is zero).
-    """
-    A = require_square(A)
-    F = to_freq(A)
-    half = np.empty_like(F.half)
-    for k, M in enumerate(F.half):
-        sigma = np.linalg.svd(M, compute_uv=False)
-        cutoff = tol * float(sigma[0])
-        if sigma[0] == 0.0 or float(sigma[-1]) <= cutoff:
-            raise Singular(
-                f"frequency slice {k} is singular within tolerance "
-                f"(sigma_min {float(sigma[-1]):.3e}, cutoff {cutoff:.3e})",
-                slice_index=k, sigma_min=float(sigma[-1]),
-                sigma_max=float(sigma[0]), cutoff=cutoff)
-        half[k] = np.linalg.inv(M)
-    return from_freq(freq_from_half(half, F.p))
-
-
-def t_power(A, k):
-    """``k``-fold T-product ``A * A * ... * A`` for integer ``k >= 1``."""
-    A = require_square(A)
-    if int(k) != k or k < 1:
-        raise ValueError(f"power must be a positive integer, got {k!r}")
-    out = A.copy()
-    for _ in range(int(k) - 1):
-        out = tprod(out, A)
-    return out
-
-
-def is_orthogonal(U, tol=1e-10):
-    """Whether ``U^T * U`` is the identity tensor within ``tol * sqrt(n p)``."""
-    U = require_square(U)
-    n, _, p = U.shape
-    G = tprod(transpose(U), U)
-    return bool(np.linalg.norm(G - identity(n, p)) <= tol * np.sqrt(n * p))

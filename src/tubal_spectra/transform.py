@@ -9,8 +9,7 @@ and reads the others as conjugates.  The self-conjugate bins (``k = 0``
 and, for even ``p``, ``k = p/2``) have their imaginary parts zeroed, so
 the symmetry is exact by construction.  ``from_freq`` inverts with one
 inverse half-spectrum transform, so the result is real by construction
-rather than by cancellation.  Only a raw full ``(m, n, p)`` spectrum from
-outside is validated.  No other fast-path module calls ``rfft`` or
+rather than by cancellation.  No other fast-path module calls ``rfft`` or
 ``irfft``.
 """
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImaginaryResidual, ShapeError, SymmetryViolation
+from .errors import ShapeError
 from .tensor3 import as_tensor3
 
 
@@ -32,13 +31,6 @@ class FreqSlices:
 
     half: np.ndarray
     p: int
-
-    def slice(self, k):
-        """Frequency slice ``k`` as an ``(m, n)`` complex matrix."""
-        k = range(self.p)[k]
-        if k > self.p // 2:
-            return np.conj(self.half[self.p - k])
-        return self.half[k]
 
 
 def _mirrored_bins(p):
@@ -85,37 +77,13 @@ def to_freq(A):
     return F
 
 
-def from_freq(F, tol=1e-10):
-    """Invert :func:`to_freq` by one inverse half-spectrum transform.
+def from_freq(F):
+    """Invert :func:`to_freq` by one inverse half-spectrum transform of the
+    :class:`FreqSlices` ``F``.
 
-    A :class:`FreqSlices` is symmetric by construction.  A raw ``(m, n, p)``
-    spectrum is checked first: :class:`ShapeError` if not 3-D, ``ValueError``
-    if non-finite, :class:`SymmetryViolation` if a mirrored pair differs by
-    more than ``tol`` (max-abs), :class:`ImaginaryResidual` if a
-    self-conjugate bin has imaginary mass above ``tol``.  The result is
-    the ``(p, m, n)`` output of the transform seen as ``(m, n, p)``, so its
-    frontal slices are contiguous.
+    The result is the ``(p, m, n)`` output of the transform seen as
+    ``(m, n, p)``, so its frontal slices are contiguous.
     """
-    if not isinstance(F, FreqSlices):
-        S = np.asarray(F, dtype=np.complex128)
-        if S.ndim != 3 or S.size == 0:
-            raise ShapeError(f"expected an (m, n, p) spectrum, got {S.shape}")
-        if not np.isfinite(S).all():
-            raise ValueError("non-finite value in frequency spectrum")
-        p = S.shape[2]
-        k = _mirrored_bins(p)
-        residual = float(np.max(np.abs(S[:, :, p - k] - np.conj(S[:, :, k])),
-                                initial=0.0))
-        if residual > tol:
-            raise SymmetryViolation(
-                f"mirrored frequency slices differ by {residual:.3e} "
-                f"(tol {tol:.3e})")
-        residual = float(np.max(np.abs(S[:, :, _real_bins(p)].imag)))
-        if residual > tol:
-            raise ImaginaryResidual(
-                f"self-conjugate frequency bins carry imaginary mass "
-                f"{residual:.3e} (tol {tol:.3e})")
-        F = freq_from_half(S[:, :, :p // 2 + 1].transpose(2, 0, 1), p)
     return np.fft.irfft(F.half, n=F.p, axis=0).transpose(1, 2, 0)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCirculant
+from .errors import DimensionMismatch
 
 #: Sentinel returned by :func:`tube_le` when two tubes are not elementwise
 #: comparable in either direction.
@@ -54,24 +54,6 @@ def circ(a):
     p = a.shape[0]
     idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
     return a[idx]
-
-
-def circ_inv(M, tol=1e-10):
-    """Recover the defining tube from a circulant matrix.
-
-    Raises :class:`NotCirculant` if ``M`` is not square or deviates from the
-    circulant rebuilt from its first column by more than ``tol`` (max-abs).
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise NotCirculant(f"expected a square matrix, got shape {M.shape}")
-    a = M[:, 0].copy()
-    residual = float(np.max(np.abs(M - circ(a))))
-    if residual > tol:
-        raise NotCirculant(
-            f"matrix deviates from circulant structure by {residual:.3e} "
-            f"(tol {tol:.3e})")
-    return a
 
 
 def _check_same_length(a, b):
@@ -108,11 +90,6 @@ def tube_action(a, X):
             f"matrix has {X.shape[1]} columns but the tube has length "
             f"{a.shape[0]}")
     return X @ circ(a)
-
-
-def tube_abs(a):
-    """Entrywise absolute value."""
-    return np.abs(as_tube(a))
 
 
 def tube_transpose(a):
@@ -155,21 +132,6 @@ def descending_chain(tubes):
     if any(v == INCOMPARABLE for v in verdicts):
         return INCOMPARABLE
     return False
-
-
-def tube_dft(a):
-    """Forward DFT of a tube (the eigenvalues of ``circ(a)``)."""
-    return np.fft.fft(as_tube(a))
-
-
-def tube_idft(ah):
-    """Inverse DFT (``1/p``-scaled)."""
-    ah = np.asarray(ah, dtype=np.complex128)
-    if ah.ndim != 1 or ah.size == 0:
-        raise DimensionMismatch(
-            f"a tube spectrum must be a nonempty 1-D array, got shape "
-            f"{ah.shape}")
-    return np.fft.ifft(ah)
 
 
 class SqrtRoot(NamedTuple):

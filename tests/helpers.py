@@ -98,7 +98,7 @@ def ted_by_loop(A):
     dh = np.zeros((h, n, n), dtype=np.complex128)
     freq_eigs = np.empty((n, p))
     for k in range(h):
-        M = F.slice(k)
+        M = F.half[k]
         if k == 0 or (p % 2 == 0 and k == p // 2):
             H = 0.5 * (M.real + M.real.T)
         else:
@@ -139,7 +139,7 @@ def tsvd_by_loop(A):
     vh = np.empty((h, n, n), dtype=np.complex128)
     freq_sv = np.empty((r, p))
     for k in range(h):
-        M = F.slice(k)
+        M = F.half[k]
         if k == 0 or (p % 2 == 0 and k == p // 2):
             M = M.real
         U_, sig, Vh_ = np.linalg.svd(M, full_matrices=True)

@@ -565,6 +565,26 @@ def test_verify_passes_on_rectangular_input(capsys, tmp_path):
     assert "ted_reconstruction" not in names  # not square-symmetric
 
 
+def test_verify_skips_ted_checks_when_ted_refuses(capsys, tmp_path):
+    # T-symmetric in space within tolerance, but bin 0 is not Hermitian
+    # within ted's tolerance: verify runs its other checks, as psd does.
+    A = identity(2, 8)
+    A[0, 1, :] += 0.9e-10
+    assert is_t_symmetric(A)
+    path = tmp_path / "near.t3"
+    write_tensor3(str(path), A)
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0 and "t_symmetric: true" in out
+    code, out, err = run(capsys, "verify", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    names = [c["check"] for c in doc["checks"]]
+    assert "tsvd_reconstruction" in names
+    assert not [name for name in names if name.startswith("ted_")]
+    assert "quadform_polarization" not in names
+
+
 def test_verify_reports_failure_with_exit_3(capsys, tsym_file, monkeypatch):
     # Simulate a broken fast path: the cross-route check must catch it.
     monkeypatch.setattr(cli, "tprod", lambda A, B: tprod(A, B) + 1e-3)

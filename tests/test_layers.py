@@ -1,0 +1,30 @@
+"""The traced benchmark binds every name in ``perfbench/tracer.py``'s
+``LAYERS`` with ``getattr`` at run time, so each must exist in its module."""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _layers():
+    """``LAYERS`` read from the tracer's source, without importing it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["LAYERS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS assignment in {TRACER}")
+
+
+def test_every_traced_name_is_a_package_function():
+    layers = _layers()
+    assert "tubal" in layers and "transform" in layers
+    missing = [f"{layer}.{name}" for layer, names in layers.items()
+               for name in names
+               if not callable(getattr(
+                   importlib.import_module(f"tubal_spectra.{layer}"), name,
+                   None))]
+    assert missing == []

@@ -364,7 +364,7 @@ def test_canonical_form_invariant_under_eigen_order_permutation():
         p, n = 5, 4
         dhalf = np.zeros((3, n, n), dtype=np.complex128)
         for k in range(3):
-            M = F.slice(k)
+            M = F.half[k]
             H = 0.5 * (M + M.conj().T) if k else 0.5 * (M.real + M.real.T)
             w = np.linalg.eigvalsh(H)
             w = w[rng.permutation(n)]

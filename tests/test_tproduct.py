@@ -1,15 +1,13 @@
-"""T-product calculus: cross-path agreement, inverses, powers, orthogonality."""
+"""T-product calculus: cross-path agreement, algebra, matrix action."""
 
 import numpy as np
 import pytest
 
-from helpers import random_tensor, random_tsym, rel_err
-from tubal_spectra.errors import ShapeError, Singular
+from helpers import random_tensor, rel_err
+from tubal_spectra.errors import ShapeError
 from tubal_spectra.oracle import oracle_tprod
-from tubal_spectra.spectral import ted
 from tubal_spectra.tensor3 import bcirc, identity, transpose
-from tubal_spectra.tproduct import (is_orthogonal, t_inverse, t_power, tprod,
-                                    tprod_mat)
+from tubal_spectra.tproduct import tprod, tprod_mat
 from tubal_spectra.tubal import circ
 
 RNG = np.random.default_rng(20260814)
@@ -73,49 +71,3 @@ def test_constant_diagonal_tube_action():
         A[j, j, :] = a
     X = RNG.standard_normal((3, 4))
     assert np.allclose(tprod_mat(A, X), X @ circ(a).T, atol=1e-12)
-
-
-def test_t_inverse():
-    A = random_tensor(RNG, 4, 4, 3)
-    Ainv = t_inverse(A)
-    E = identity(4, 3)
-    assert np.allclose(tprod(A, Ainv), E, atol=1e-10)
-    assert np.allclose(tprod(Ainv, A), E, atol=1e-10)
-
-
-def test_t_inverse_zero_frequency_slice_is_singular():
-    # Slices (S, -S) give a zero slice at frequency 0.
-    S = RNG.standard_normal((3, 3))
-    A = np.stack([S, -S], axis=2)
-    with pytest.raises(Singular) as info:
-        t_inverse(A)
-    assert info.value.slice_index == 0
-    assert info.value.sigma_min is not None
-
-
-def test_t_inverse_near_singular_reports_slice():
-    A = identity(2, 2)
-    A[:, :, 0] = np.diag([1.0, 1e-15])
-    with pytest.raises(Singular) as info:
-        t_inverse(A, tol=1e-12)
-    assert info.value.cutoff >= info.value.sigma_min
-
-
-def test_t_power():
-    S = random_tsym(RNG, 4, 3)
-    assert np.array_equal(t_power(S, 1), S)
-    assert rel_err(t_power(S, 2), tprod(S, S)) == 0.0
-    T = ted(S)
-    ref = tprod(tprod(T.u, t_power(T.d, 3)), transpose(T.u))
-    assert rel_err(t_power(S, 3), ref) <= 1e-9
-    with pytest.raises(ValueError):
-        t_power(S, 0)
-    with pytest.raises(ShapeError):
-        t_power(random_tensor(RNG, 2, 3, 2), 2)
-
-
-def test_is_orthogonal():
-    T = ted(random_tsym(RNG, 5, 4))
-    assert is_orthogonal(T.u)
-    assert not is_orthogonal(2.0 * T.u)
-    assert is_orthogonal(identity(3, 5))

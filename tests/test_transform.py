@@ -1,4 +1,5 @@
-"""Frequency transform: round trips, block diagonalization, symmetry gates."""
+"""Frequency transform: round trips, block diagonalization, half-spectrum
+layout, the Hermitian gate."""
 
 import ast
 from pathlib import Path
@@ -10,13 +11,12 @@ from helpers import random_tensor
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
-from tubal_spectra.errors import (ImaginaryResidual, ShapeError,
-                                  SymmetryViolation)
+from tubal_spectra.errors import ShapeError
 from tubal_spectra.tensor3 import bcirc, identity, transpose
 from tubal_spectra.transform import (freq_from_half, from_freq,
                                      hermitize_check, to_freq)
 from tubal_spectra.spectral import ted
-from tubal_spectra.tproduct import t_inverse, tprod
+from tubal_spectra.tproduct import tprod
 from tubal_spectra.tsvd import tsvd
 
 RNG = np.random.default_rng(20260814)
@@ -30,26 +30,22 @@ def test_roundtrip():
 
 
 def full_spectrum(F):
-    """All ``p`` slices of ``F`` as a raw ``(m, n, p)`` array."""
-    return np.stack([F.slice(k) for k in range(F.p)], axis=2)
+    """All ``p`` slices of ``F`` as an ``(m, n, p)`` array: slice ``k`` is
+    ``half[k]``, and slice ``p - k`` its conjugate."""
+    p = F.p
+    return np.stack([F.half[k] if k <= p // 2 else np.conj(F.half[p - k])
+                     for k in range(p)], axis=2)
 
 
 def test_symmetry_is_exact_by_construction():
     for p in (1, 2, 3, 4, 5, 8):
         A = random_tensor(RNG, 2, 3, p)
         F = to_freq(A)
-        for k in range(1, p):
-            if k != p - k:
-                assert (F.slice(p - k).tobytes()
-                        == np.conj(F.slice(k)).tobytes())
-        assert not F.slice(0).imag.any()
+        assert not F.half[0].imag.any()
         if p % 2 == 0:
-            assert not F.slice(p // 2).imag.any()
+            assert not F.half[p // 2].imag.any()
         assert np.allclose(full_spectrum(F), np.fft.fft(A, axis=2),
                            atol=1e-12)
-        assert np.array_equal(F.slice(-1), F.slice(p - 1))
-        with pytest.raises(IndexError):
-            F.slice(p)
 
 
 def test_freq_slices_store_the_half_spectrum():
@@ -93,12 +89,12 @@ def test_matches_explicit_dft_block_diagonalization():
     Fm = np.kron(W / np.sqrt(p), np.eye(m))
     Fn = np.kron(W / np.sqrt(p), np.eye(n))
     blockdiag = Fm @ bcirc(A) @ Fn.conj().T
-    F = to_freq(A)
+    S = full_spectrum(to_freq(A))
     for i in range(p):
         for j in range(p):
             block = blockdiag[i * m:(i + 1) * m, j * n:(j + 1) * n]
             if i == j:
-                assert np.allclose(block, F.slice(i), atol=1e-12)
+                assert np.allclose(block, S[:, :, i], atol=1e-12)
             else:
                 assert np.max(np.abs(block)) <= 1e-12
 
@@ -109,59 +105,15 @@ def test_linearity_and_product_theorem():
     FA, FB = to_freq(A), to_freq(B)
     FS = to_freq(2.0 * A + transpose(transpose(A)))
     FP = to_freq(tprod(A, B))
-    for k in range(4):
-        assert np.allclose(FS.slice(k), 3.0 * FA.slice(k), atol=1e-12)
-        assert np.allclose(FP.slice(k), FA.slice(k) @ FB.slice(k),
-                           atol=1e-12)
+    assert np.allclose(FS.half, 3.0 * FA.half, atol=1e-12)
+    assert np.allclose(FP.half, FA.half @ FB.half, atol=1e-12)
 
 
 def test_identity_frequency_slices_are_exact():
     for p in range(1, 9):
         F = to_freq(identity(3, p))
-        for k in range(p):
-            assert np.array_equal(F.slice(k), np.eye(3).astype(complex))
-
-
-def test_from_freq_rejects_symmetry_violations():
-    A = random_tensor(RNG, 2, 2, 5)
-    bad = full_spectrum(to_freq(A))
-    bad[0, 0, 1] += 1e-6
-    with pytest.raises(SymmetryViolation):
-        from_freq(bad)
-    assert np.allclose(from_freq(bad, tol=1e-3), A, atol=1e-5)
-
-
-def test_from_freq_rejects_imaginary_mass_on_real_bins():
-    A = random_tensor(RNG, 2, 2, 4)
-    bad = full_spectrum(to_freq(A))
-    bad[1, 1, 0] += 1e-6j
-    with pytest.raises(ImaginaryResidual):
-        from_freq(bad)
-    bad = full_spectrum(to_freq(A))
-    bad[0, 1, 2] += 1e-6j  # p // 2 bin for p = 4
-    with pytest.raises(ImaginaryResidual):
-        from_freq(bad)
-
-
-def test_from_freq_rejects_non_3d_input():
-    with pytest.raises(ShapeError):
-        from_freq(np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        from_freq(np.zeros((2, 2, 0)))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)],
-                         ids=["nan", "inf", "imaginary-nan"])
-@pytest.mark.parametrize("where", [(0, 1, 4), (1, 0, 0)],
-                         ids=["mirrored-bin", "bin-0"])
-def test_from_freq_rejects_non_finite_spectra(value, where):
-    # A nan in a mirrored bin used to pass both gates and come back as nan
-    # entries; nan imaginary mass on bin 0 was dropped, since nan > tol is
-    # false.
-    bad = full_spectrum(to_freq(random_tensor(RNG, 2, 2, 5)))
-    bad[where] += value
-    with pytest.raises(ValueError, match="non-finite"):
-        from_freq(bad)
+        for k in range(p // 2 + 1):
+            assert np.array_equal(F.half[k], np.eye(3).astype(complex))
 
 
 def _with_entry(value):
@@ -174,15 +126,15 @@ def _tprod_square(A):
     return tprod(A, A)
 
 
-@pytest.mark.parametrize("decompose", [ted, tsvd, t_inverse, _tprod_square],
-                         ids=["ted", "tsvd", "t_inverse", "tprod"])
+@pytest.mark.parametrize("decompose", [ted, tsvd, _tprod_square],
+                         ids=["ted", "tsvd", "tprod"])
 @pytest.mark.parametrize("A", [_with_entry(np.nan), _with_entry(np.inf),
                                np.full((2, 2, 2), 1.7e308)],
                          ids=["nan", "inf", "overflow"])
 def test_non_finite_spectrum_is_one_value_error(decompose, A):
     # One gate in to_freq: before it, ted called these tensors
-    # NotTSymmetric, tsvd and t_inverse raised LinAlgError (a ValueError
-    # subclass) or returned a nan reconstruction, and tprod returned nan.
+    # NotTSymmetric, tsvd raised LinAlgError (a ValueError subclass) or
+    # returned a nan reconstruction, and tprod returned nan.
     with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
         decompose(A)
     assert type(info.value) is ValueError
@@ -197,10 +149,8 @@ def test_freq_from_half_mirrors_and_realifies():
     F = freq_from_half(half, 4)
     assert np.array_equal(half, given)  # the caller's array is not changed
     assert np.array_equal(F.half[1], half[1])
-    assert np.array_equal(F.slice(1), half[1])
-    assert np.array_equal(F.slice(3), np.conj(F.slice(1)))
-    assert np.array_equal(F.slice(0), half[0].real)
-    assert np.array_equal(F.slice(2), half[2].real)
+    assert np.array_equal(F.half[0], half[0].real)
+    assert np.array_equal(F.half[2], half[2].real)
     with pytest.raises(ShapeError):
         freq_from_half(half, 7)
     with pytest.raises(ShapeError):
@@ -218,8 +168,8 @@ def test_hermitize_check():
 
 
 def test_vectorized_checks_match_slice_loops():
-    # freq_from_half, the gate of from_freq and hermitize_check are single
-    # array expressions; they agree with per-slice loops bit for bit.
+    # freq_from_half and hermitize_check are single array expressions;
+    # they agree with per-slice loops bit for bit.
     for p in (1, 2, 3, 4, 7, 8):
         h = p // 2 + 1
         half = (RNG.standard_normal((h, 3, 3))
@@ -236,31 +186,10 @@ def test_vectorized_checks_match_slice_loops():
 
         herm = 0.0
         for k in range(p):
-            M = F.slice(k)
+            M = full[:, :, k]
             herm = max(herm, float(np.max(np.abs(M - M.conj().T))))
         assert hermitize_check(F, herm)
         assert not hermitize_check(F, float(np.nextafter(herm, 0.0)))
-
-        # The gate's thresholds are exact: a raw spectrum passes at its own
-        # pair residual or imaginary mass, and fails just below it.
-        raw = (RNG.standard_normal((3, 3, p))
-               + 1j * RNG.standard_normal((3, 3, p)))
-        real = [0, p // 2] if p % 2 == 0 else [0]
-        raw[:, :, real] = raw[:, :, real].real
-        worst = 0.0
-        for k in range(1, (p - 1) // 2 + 1):
-            delta = raw[:, :, p - k] - np.conj(raw[:, :, k])
-            worst = max(worst, float(np.max(np.abs(delta))))
-        from_freq(raw, worst)
-        if worst > 0.0:
-            with pytest.raises(SymmetryViolation):
-                from_freq(raw, float(np.nextafter(worst, 0.0)))
-
-        full[:, :, real] += 1j * RNG.standard_normal((3, 3, len(real)))
-        imag = max(float(np.max(np.abs(full[:, :, k].imag))) for k in real)
-        from_freq(full, imag)
-        with pytest.raises(ImaginaryResidual):
-            from_freq(full, float(np.nextafter(imag, 0.0)))
 
 
 def test_transform_is_the_only_fast_path_fft():
