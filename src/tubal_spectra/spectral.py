@@ -8,6 +8,8 @@ each eigenvector's largest-magnitude entry made real and positive, and
 conjugate bins mirrored exactly.  Eigentuple ``j`` is the index reversal of
 the ``j``-th diagonal tube of ``D``, so that
 ``A * U_j^[k] = d_j act U_j^[k]`` for every cyclic column shift ``k``.
+Symmetry is decided by one scale-free gate, ``tensor3.is_t_symmetric``;
+by Parseval its Frobenius ratio is the same in either domain.
 
 The frequency core is batched and shared with :mod:`tubal_spectra.tsvd`.
 It works on the bin-major half-spectrum stack of
@@ -57,7 +59,7 @@ from .errors import NotTSymmetric, ShapeError, ZeroMatrix
 from .tensor3 import (as_matslice, is_t_symmetric, require_square,
                       shift_columns, transpose)
 from .transform import (FreqSlices, _ct, _mirrored_bins, _real_bins,
-                        freq_from_half, from_freq, hermitize_check, to_freq)
+                        freq_from_half, from_freq, to_freq)
 from .tproduct import tprod, tprod_mat
 from .tubal import descending_chain, tube_action
 
@@ -182,21 +184,18 @@ def _f_diagonal(values, m, n, p):
     return D, D[j, j][:, -np.arange(p) % p]
 
 
-def ted(A, tol=None):
+def ted(A, tol=1e-10):
     """T-eigendecomposition of a T-symmetric tensor, in canonical form.
 
-    ``tol`` is the symmetry tolerance (``None`` means relative to
-    ``max|A|``); it is validated both spatially and on the frequency
-    slices, which must be Hermitian.
+    ``tol`` bounds ``||A - A^T||_F / ||A||_F`` (the one symmetry gate).  The
+    factors are those of ``(A + A^T) / 2``, so the reconstruction residual
+    is at most ``tol / 2`` plus roundoff.
     """
     A = require_square(A)
     n, _, p = A.shape
     F = to_freq(A)
     if not is_t_symmetric(A, tol):
         raise NotTSymmetric("tensor is not T-symmetric within tolerance")
-    htol = 1e-10 * max(1.0, float(np.max(np.abs(F.half))))
-    if not hermitize_check(F, htol):
-        raise NotTSymmetric("frequency slices are not Hermitian")
 
     w = np.empty(F.half.shape[:2])
     V = np.empty_like(F.half)
@@ -298,12 +297,12 @@ def expand_in_eigenbasis(result, X):
     return tprod(transpose(result.u), X[:, None, :])[:, 0, :]
 
 
-def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):
+def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
     """Classify the T-quadratic form of ``A`` by the spectral criterion.
 
     ``PD`` when every entry of every eigentuple exceeds ``tol``, ``PSD``
     when every entry is at least ``-tol``, else ``NOT_PSD_BY_CRITERION``.
-    Symmetry is decided once, by the gates of :func:`ted`.  Non-T-symmetric
+    Symmetry is decided once, by the gate of :func:`ted`.  Non-T-symmetric
     input raises :class:`NotTSymmetric` unless ``auto_symmetrize`` is set,
     in which case ``(A + A^T) / 2`` is classified instead; that tensor
     shares the first form component (the classical quadratic form) with
@@ -311,13 +310,13 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False, symmetry_tol=None):
     """
     A = require_square(A)
     try:
-        return classify_ted(ted(A, symmetry_tol), tol)
+        return classify_ted(ted(A), tol)
     except NotTSymmetric:
         if not auto_symmetrize:
             raise NotTSymmetric(
                 "tensor is not T-symmetric; pass auto_symmetrize=True to "
                 "classify (A + A^T) / 2 instead") from None
-    verdict = classify_ted(ted(0.5 * symmetrize(A), symmetry_tol), tol)
+    verdict = classify_ted(ted(0.5 * symmetrize(A)), tol)
     verdict.symmetrized = True
     return verdict
 

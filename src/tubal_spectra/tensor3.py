@@ -153,15 +153,16 @@ def identity(n, p):
     return E
 
 
-def is_t_symmetric(A, tol=None):
-    """Whether ``A`` equals its tensor transpose within ``tol`` (max-abs).
+def is_t_symmetric(A, tol=1e-10):
+    """Whether ``||A - A^T||_F <= tol * ||A||_F``: the one T-symmetry gate.
 
-    With ``tol=None`` the tolerance is ``1e-10 * max|A|``.
+    Both norms are taken of ``A`` scaled by ``2^-e``, where ``e`` is the
+    binary exponent of ``max|A|``: the scaling is exact and cannot overflow,
+    so the verdict does not depend on the scale of ``A``.
     """
     A = require_square(A)
-    if tol is None:
-        tol = 1e-10 * float(np.max(np.abs(A)))
-    return bool(np.max(np.abs(A - transpose(A))) <= tol)
+    A = np.ldexp(A, -math.frexp(float(np.max(np.abs(A))))[1])
+    return bool(np.linalg.norm(A - transpose(A)) <= tol * np.linalg.norm(A))
 
 
 def is_f_diagonal(S, tol=1e-10):

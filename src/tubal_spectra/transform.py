@@ -91,7 +91,7 @@ def hermitize_check(F, tol=1e-10):
     """Whether every frequency slice is Hermitian within ``tol`` (max-abs).
 
     Bins ``0..p//2`` suffice: the conjugate of a slice is Hermitian exactly
-    when the slice is.
+    when the slice is.  Kept only because the perfbench tracer binds it.
     """
     S = F.half
     _, m, n = S.shape

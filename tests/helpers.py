@@ -51,6 +51,23 @@ def random_tsym(rng, n, p):
     return 0.5 * (A + transpose(A))
 
 
+def near_tsym(rng, n, p, ratio):
+    """A random T-symmetric ``S`` plus an antisymmetric ``K`` with
+    ``||A - A^T||_F = 2 ||K||_F = ratio * ||S||_F``.
+
+    ``S`` and ``K`` are Frobenius-orthogonal (the transpose permutes
+    entries), so ``||A - A^T||_F / ||A||_F`` is ``ratio`` to within a
+    relative ``ratio**2 / 8`` and roundoff.  For ``n = p = 1``, ``K = 0``.
+    """
+    S = random_tsym(rng, n, p)
+    G = rng.standard_normal((n, n, p))
+    K = G - transpose(G)
+    norm = float(np.linalg.norm(K))
+    if norm > 0.0:
+        K *= ratio * float(np.linalg.norm(S)) / (2.0 * norm)
+    return S + K
+
+
 def rel_err(found, expected):
     scale = max(float(np.linalg.norm(found)),
                 float(np.linalg.norm(expected)), 1.0)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, file I/O."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_tensor, random_tsym
+from helpers import near_tsym, random_tensor, random_tsym
 from tubal_spectra import cli
 from tubal_spectra import tsvd as tsvd_module
+from tubal_spectra.errors import NotTSymmetric
 from tubal_spectra.oracle import oracle_psd_exact
-from tubal_spectra.spectral import psd_spectral, symmetrize
+from tubal_spectra.spectral import psd_spectral, symmetrize, ted
 from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
                                    read_tensor3, tensor3_from_text, transpose,
                                    write_tensor3)
@@ -426,14 +428,20 @@ def test_psd_gram_tensor_reports_nonnegative_frequency_floor(capsys,
     assert doc["exact"] is None and doc["verdicts_agree"] is None
 
 
-def test_psd_exact_classifies_what_the_spectral_route_classified(
-        capsys, monkeypatch, tmp_path):
-    # Within tolerance in space, yet bin 0 is not Hermitian within ted's
-    # tolerance: the spectral route symmetrizes, so the exact oracle must
-    # see (A + A^T) / 2 too, not A.
+def _near():
+    """``identity(2, 8)`` plus 0.9e-10 on tube ``(0, 1)``: max-abs
+    asymmetry 0.9e-10, Frobenius ratio 2.5e-10."""
     A = identity(2, 8)
     A[0, 1, :] += 0.9e-10
-    assert is_t_symmetric(A)
+    return A
+
+
+def test_psd_exact_classifies_what_the_spectral_route_classified(
+        capsys, monkeypatch, tmp_path):
+    # Frobenius ratio 2.5e-10, outside the one gate: the spectral route
+    # symmetrizes, so the exact oracle must see (A + A^T) / 2 too, not A.
+    A = _near()
+    assert not is_t_symmetric(A)
     path = tmp_path / "near.t3"
     write_tensor3(str(path), A)
     seen = []
@@ -451,6 +459,40 @@ def test_psd_exact_classifies_what_the_spectral_route_classified(
     doc = json.loads(out)
     assert doc["exact"]["min_eigenvalue"] == \
         oracle_psd_exact(work).min_eigenvalue
+
+
+@pytest.mark.parametrize("scale", [-1000, 0, 1000])
+def test_info_and_ted_share_one_symmetry_gate(tmp_path, scale):
+    # info's t_symmetric is exactly "ted accepts", at every scale.  The
+    # info document is taken from its handler: at 2^1000 its frobenius_norm
+    # overflows, so the command itself exits 1.
+    cases = [(_near(), False)]
+    cases += [(near_tsym(RNG, 3, 4, ratio), ratio < 1e-10)
+              for ratio in (0.5e-10, 0.9e-10, 1.1e-10, 2e-10)]
+    for i, (A, expected) in enumerate(cases):
+        path = str(tmp_path / f"a{i}.t3")
+        write_tensor3(path, np.ldexp(A, scale))
+        with np.errstate(all="ignore"):
+            info = cli._cmd_info(argparse.Namespace(input=path))
+            try:
+                ted(read_tensor3(path))
+                accepted = True
+            except NotTSymmetric:
+                accepted = False
+        assert info["t_symmetric"] == accepted == expected
+
+
+def test_ted_honours_its_tol(capsys, tmp_path):
+    path = str(tmp_path / "near.t3")
+    write_tensor3(path, _near())
+    code, _, err = run(capsys, "ted", path)
+    assert code == 2
+    assert err == ("error: NotTSymmetric: tensor is not T-symmetric within "
+                   "tolerance\n")
+    code, out, err = run(capsys, "ted", path, "--tol", "1e-9", "--format",
+                         "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["residuals"]["reconstruction"] <= 0.5e-9
 
 
 def test_psd_requires_symmetry_unless_asked(capsys, tmp_path):
@@ -566,15 +608,14 @@ def test_verify_passes_on_rectangular_input(capsys, tmp_path):
 
 
 def test_verify_skips_ted_checks_when_ted_refuses(capsys, tmp_path):
-    # T-symmetric in space within tolerance, but bin 0 is not Hermitian
-    # within ted's tolerance: verify runs its other checks, as psd does.
-    A = identity(2, 8)
-    A[0, 1, :] += 0.9e-10
-    assert is_t_symmetric(A)
+    # Frobenius ratio 2.5e-10, outside the one gate: verify runs its other
+    # checks, as psd does.
+    A = _near()
+    assert not is_t_symmetric(A)
     path = tmp_path / "near.t3"
     write_tensor3(str(path), A)
     code, out, _ = run(capsys, "info", str(path))
-    assert code == 0 and "t_symmetric: true" in out
+    assert code == 0 and "t_symmetric: false" in out
     code, out, err = run(capsys, "verify", str(path), "--format", "json")
     assert (code, err) == (0, "")
     doc = json.loads(out)
@@ -723,3 +764,17 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "shape: 2 x 2 x 2" in proc.stdout
+
+
+def test_overflow_reports_one_error_line_without_warnings(tmp_path):
+    # numpy's RuntimeWarnings stay silent; the finite gates report overflow.
+    path = str(tmp_path / "big.t3")
+    write_tensor3(path, np.full((2, 2, 2), 1e200))
+    for argv in (("tprod", path, path), ("verify", path)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tubal_spectra", *argv],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), \
+            proc.stderr

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import (CORE_SHAPES, random_tensor, random_tsym, record_finding,
-                     rel_err, ted_by_loop, tsvd_by_loop)
+from helpers import (CORE_SHAPES, near_tsym, random_tensor, random_tsym,
+                     record_finding, rel_err, ted_by_loop, tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
@@ -248,6 +248,22 @@ def test_ted_rejects_non_symmetric():
         ted(random_tensor(RNG, 4, 4, 3))
     with pytest.raises(ShapeError):
         ted(random_tensor(RNG, 3, 4, 2))
+
+
+def test_symmetry_gate_bounds_the_reconstruction():
+    # ted factors (A + A^T) / 2, whose distance from A is half of
+    # ||A - A^T||_F: just inside the gate, the certificate still holds.
+    worst = 0.0
+    for n, p in CORE_SHAPES:
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            A = scale * near_tsym(RNG, n, p, 0.99e-10)
+            T = ted(A)
+            worst = max(worst, T.residuals.reconstruction)
+            checks = {c.check: c for c in oracle_ted_check(A, T)}
+            assert checks["reconstruction"].passed
+    assert worst <= 0.5e-10 + 1e-14
+    record_finding(f"ted reconstruction just inside the symmetry gate "
+                   f"(ratio 0.99e-10): worst {worst:.3e}")
 
 
 def test_identity_eigentuples_are_unit_tubes():

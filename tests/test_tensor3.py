@@ -129,6 +129,16 @@ def test_t_symmetry_check():
         is_t_symmetric(random_tensor(RNG, 2, 3, 2))
 
 
+@pytest.mark.parametrize("value", [1.7e308, 2e-323])
+def test_t_symmetry_gate_survives_overflow_and_underflow(value):
+    # Unscaled, ||A - A^T||_F and ||A||_F are both inf at the top and both
+    # 0 at the bottom, and the flipped tensor would pass.
+    A = np.full((2, 2, 3), value)
+    A[0, 1, 1] = -value
+    assert not is_t_symmetric(A)
+    assert is_t_symmetric(0.5 * A + 0.5 * transpose(A))
+
+
 def test_f_diagonal_and_standard_form():
     S = np.zeros((3, 3, 2))
     S[0, 0, :] = [5.0, 1.0]

@@ -207,3 +207,16 @@ def test_transform_is_the_only_fast_path_fft():
                     assert "fft" not in alias.name.split("."), alias.name
             elif isinstance(node, ast.Attribute):
                 assert node.attr != "fft", (module.__name__, ast.dump(node))
+
+
+def test_symmetry_is_decided_in_one_place():
+    # is_t_symmetric is the one T-symmetry gate: no module but transform,
+    # which defines it, names the frequency-domain hermitize_check.
+    package = Path(spectral_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "transform.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            assert "hermitize_check" not in names, (path.name, ast.dump(node))
