@@ -13,10 +13,11 @@ shape.  The topics are:
 
 ``certify`` (seed 2011)
     The dense certification path on Gram tensors ``B^T * B``: the
-    polarization matrices, ``bcirc``, ``gram_consistency``, the exact PSD
-    oracle, the dense check of a ``ted`` result (``oracle_ted_check``, its
-    ``ted`` computed outside the timed call), and ``verify`` and
-    ``psd --exact`` end to end.
+    polarization matrices, ``bcirc``, ``gram_consistency``, the dense exact
+    PSD oracle (the tests' reference), the dense check of a ``ted`` result
+    (``oracle_ted_check``, its ``ted`` computed outside the timed call),
+    and ``verify`` and ``psd --exact`` end to end, the latter also at
+    ``n*p = 128``.
 ``decompose`` (seed 2403)
     ``ted`` on T-symmetric tensors ``(G + G^T) / 2`` and ``tsvd`` on
     Gaussian tensors, and both end to end on the shapes of the
@@ -105,6 +106,8 @@ def measure_certify(seed, workdir):
     G = {(n, p): gram(n, p) for n, p in ((6, 8), (8, 8), (8, 16))}
     path = os.path.join(workdir, "gram.t3")
     write_tensor3(path, G[6, 8])
+    big = os.path.join(workdir, "gram128.t3")
+    write_tensor3(big, G[8, 16])
     out = os.path.join(workdir, "out.txt")
     return [
         ("oracle_quadform_matrices", "6x6x8",
@@ -118,10 +121,12 @@ def measure_certify(seed, workdir):
         ("cli verify", "6x6x8", _cli("verify", path, "-o", out)),
         ("cli psd --exact", "6x6x8",
          _cli("psd", path, "--exact", "--format", "json", "-o", out)),
+        ("cli psd --exact", "8x8x16 (n*p=128)",
+         _cli("psd", big, "--exact", "--format", "json", "-o", out)),
         ("oracle_psd_exact", "8x8x8 (n*p=64)",
-         lambda: oracle_psd_exact(G[8, 8], max_np=64)),
+         lambda: oracle_psd_exact(G[8, 8])),
         ("oracle_psd_exact", "8x8x16 (n*p=128)",
-         lambda: oracle_psd_exact(G[8, 16], max_np=128)),
+         lambda: oracle_psd_exact(G[8, 16])),
     ]
 
 

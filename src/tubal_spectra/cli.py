@@ -43,12 +43,13 @@ if _threads:
 import numpy as np
 
 from .errors import NotTSymmetric, ShapeError, TubalError
-from .oracle import (CheckResult, oracle_psd_exact, oracle_quadform_matrices,
-                     oracle_ted_check, oracle_tprod)
-from .spectral import psd_spectral, quadform, symmetrize, ted
+from .oracle import (CheckResult, oracle_quadform_matrices, oracle_ted_check,
+                     oracle_tprod)
+from .spectral import exact_psd, psd_spectral, quadform, ted
 from .tensor3 import (_fmt, bcirc, bcirc_inv, fold, is_f_diagonal,
                       is_standard_form, is_t_symmetric, read_tensor3,
-                      tensor3_text, transpose, unfold, unfold_mat)
+                      tensor3_text, transpose, unfold, unfold_mat,
+                      unit_scaled)
 from .tproduct import tprod
 from .tsvd import gram_consistency, tsvd
 
@@ -247,10 +248,11 @@ def _deliver(args, doc):
 def _cmd_info(args):
     A = read_tensor3(args.input)
     m, n, _ = A.shape
+    S, e = unit_scaled(A)  # the norm neither overflows nor underflows
     fdiag = bool(is_f_diagonal(A))
     return {"schema": SCHEMA, "kind": "info", "input": args.input,
             "shape": _shape(A),
-            "frobenius_norm": float(np.linalg.norm(A)),
+            "frobenius_norm": float(np.ldexp(np.linalg.norm(S), e)),
             "max_abs": float(np.max(np.abs(A))),
             "t_symmetric": bool(is_t_symmetric(A)) if m == n else None,
             "f_diagonal": fdiag,
@@ -320,8 +322,7 @@ def _cmd_psd(args):
             "tol": verdict.tol},
         "exact": None, "verdicts_agree": None}
     if args.exact:
-        work = 0.5 * symmetrize(A) if verdict.symmetrized else A
-        exact = oracle_psd_exact(work, tol=args.tol, max_np=args.max_size)
+        exact = verdict.exact
         doc["exact"] = {
             "class": exact.label,
             "min_eigenvalue": exact.min_eigenvalue,
@@ -379,6 +380,13 @@ def _cmd_verify(args):
             r = float(np.max(np.abs(direct - poly)))
             checks.append(CheckResult("quadform_polarization", r, 1e-10,
                                       r <= 1e-10))
+            # The closed form describes (A + A^T) / 2, the tensor ted factors.
+            lam = np.linalg.eigvalsh(
+                oracle_quadform_matrices(0.5 * (A + transpose(A))))
+            r = abs(exact_psd(A, T).min_eigenvalue - float(lam.min())) / max(
+                1.0, float(np.max(np.abs(T.frequency_eigenvalues))))
+            checks.append(CheckResult("exact_psd_cross_path", r, 1e-12,
+                                      r <= 1e-12))
 
     passed = all(c.passed for c in checks if c.passed is not None)
     return {"schema": SCHEMA, "kind": "verify", "input": args.input,
@@ -435,11 +443,9 @@ COMMANDS = {
             _opt("--tol", type=float, default=1e-10,
                  help="classification tolerance"),
             _opt("--exact", action="store_true",
-                 help="also run the elementwise oracle"),
+                 help="also report the exact elementwise answer"),
             _opt("--auto-symmetrize", action="store_true",
-                 help="classify (A + A^T) / 2 when A is not T-symmetric"),
-            _opt("--max-size", type=int, default=64,
-                 help="n*p bound for the exact oracle (default 64)")),
+                 help="classify (A + A^T) / 2 when A is not T-symmetric")),
     "quadform": (_cmd_quadform,
                  "evaluate the T-quadratic form at a matrix slice",
                  _opt("a"), _opt("x"), _OUTPUT),

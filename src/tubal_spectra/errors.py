@@ -29,7 +29,3 @@ class NotTSymmetric(TubalError):
 
 class ZeroMatrix(TubalError):
     """An operation that normalizes by a matrix norm received a zero matrix."""
-
-
-class TooLarge(TubalError):
-    """A brute-force oracle was asked to run beyond its size bound."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, TooLarge, TubalError
+from .errors import ShapeError, TubalError
 from .tensor3 import (as_matslice, as_tensor3, bcirc, fold, fold_mat,
                       require_square, transpose, unfold, unfold_mat)
 
@@ -65,7 +65,8 @@ class ExactPsdResult:
 
     ``component`` is the smallest 1-based tube component whose matrix
     attains the most negative eigenvalue; ``witness`` (when present) is a
-    matrix slice with ``F_A(witness)[component] == witness_value < -tol``.
+    unit-norm matrix slice with
+    ``F_A(witness)[component] == witness_value < -tol``.
     """
 
     label: str
@@ -126,7 +127,7 @@ def oracle_quadform_matrices(A):
     return _quadform_matrices(bcirc(A), n, p)
 
 
-def oracle_psd_exact(A, tol=1e-10, max_np=64):
+def oracle_psd_exact(A, tol=1e-10):
     """Exact elementwise PSD classification of the T-quadratic form.
 
     Eigendecomposes every polarization matrix; the form is elementwise PSD
@@ -137,14 +138,11 @@ def oracle_psd_exact(A, tol=1e-10, max_np=64):
     below ``-tol`` its eigenvector, signed so that its largest-magnitude
     entry (first on ties) is positive, is folded into a witness matrix
     slice and re-verified through the dense form before being returned.
-    Guarding the ``O(p (n p)^3)`` eigensolves, inputs with
-    ``n * p > max_np`` raise :class:`TooLarge`.
+    It costs ``O(p (n p)^3)``: no command runs it, and it is the tests'
+    reference for :func:`tubal_spectra.spectral.exact_psd`.
     """
     A = require_square(A)
     n, _, p = A.shape
-    if n * p > max_np:
-        raise TooLarge(
-            f"exact PSD oracle is limited to n*p <= {max_np}, got {n * p}")
     bcA = bcirc(A)
     w, V = np.linalg.eigh(_quadform_matrices(bcA, n, p))
     r = int(np.argmin(w[:, 0]))

@@ -45,8 +45,8 @@ elementwise order is partial, and entrywise-nonnegative eigentuples are not
 necessary for entrywise-nonnegative form values, nor sufficient in the
 strict sense.  The verdict therefore also records the smallest frequency
 eigenvalue, which certifies classical PSD-ness of the first form component,
-and the exact elementwise answer is available separately from
-:func:`tubal_spectra.oracle.oracle_psd_exact`.
+and the exact elementwise answer, which :func:`exact_psd` reads off the
+same decomposition in closed form.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTSymmetric, ShapeError, ZeroMatrix
+from .errors import NotTSymmetric, ShapeError, TubalError, ZeroMatrix
+from .oracle import ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD, ExactPsdResult
 from .tensor3 import (as_matslice, is_t_symmetric, require_square,
                       shift_columns, transpose)
 from .transform import (FreqSlices, _ct, _mirrored_bins, _real_bins,
@@ -113,8 +114,8 @@ class PsdVerdict:
     ``min_frequency_eigenvalue`` certifies the classical (first form
     component) side.  ``symmetrized`` is true when the verdict is for
     ``(A + A^T) / 2`` rather than ``A`` itself (see :func:`psd_spectral`).
-    ``exact_class`` and ``witness`` are filled in only when the elementwise
-    oracle is consulted.
+    ``exact`` is the elementwise answer of :func:`exact_psd` for that same
+    tensor; :func:`classify_ted` alone leaves it unset.
     """
 
     spectral_class: str
@@ -123,8 +124,7 @@ class PsdVerdict:
     min_frequency_eigenvalue: float
     tol: float
     symmetrized: bool = False
-    exact_class: str | None = None
-    witness: np.ndarray | None = None
+    exact: ExactPsdResult | None = None
 
 
 def _half_spectrum_groups(F):
@@ -306,18 +306,21 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
     input raises :class:`NotTSymmetric` unless ``auto_symmetrize`` is set,
     in which case ``(A + A^T) / 2`` is classified instead; that tensor
     shares the first form component (the classical quadratic form) with
-    ``A``, and the verdict's ``symmetrized`` field is set.
+    ``A``, and the verdict's ``symmetrized`` field is set.  The verdict's
+    ``exact`` field holds :func:`exact_psd` of the classified tensor.
     """
-    A = require_square(A)
+    A, symmetrized = require_square(A), False
     try:
-        return classify_ted(ted(A), tol)
+        result = ted(A)
     except NotTSymmetric:
         if not auto_symmetrize:
             raise NotTSymmetric(
                 "tensor is not T-symmetric; pass auto_symmetrize=True to "
                 "classify (A + A^T) / 2 instead") from None
-    verdict = classify_ted(ted(0.5 * symmetrize(A)), tol)
-    verdict.symmetrized = True
+        A, symmetrized = 0.5 * symmetrize(A), True
+        result = ted(A)
+    verdict = classify_ted(result, tol)
+    verdict.symmetrized, verdict.exact = symmetrized, exact_psd(A, result, tol)
     return verdict
 
 
@@ -340,3 +343,33 @@ def classify_ted(result, tol=1e-10):
         min_entry=min_entry,
         min_frequency_eigenvalue=float(result.frequency_eigenvalues.min()),
         tol=tol)
+
+
+def exact_psd(A, result, tol=1e-10):
+    """Exact elementwise PSD answer for ``A`` from its :func:`ted` result.
+
+    Each ``M_r`` of :mod:`tubal_spectra.oracle` is block-circulant, with the
+    eigenvalues ``cos(2 pi m / p) lambda_j(F_k)``, ``m = (r k) mod p`` folded
+    to ``min(m, p - m)`` so that components ``r`` and ``p - r`` tie exactly.
+    The first minimum in ``(r, j, k)`` order is reported; below ``-tol``, with
+    the unit-norm witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` column
+    ``j`` of the canonically phased bin ``k`` of the spectrum of ``result.u``.
+    """
+    lam = result.frequency_eigenvalues
+    p = lam.shape[1]
+    m = np.outer(np.arange(p), np.arange(p)) % p
+    values = np.cos(2 * np.pi * np.minimum(m, p - m) / p)[:, None, :] * lam
+    r, j, k = np.unravel_index(np.argmin(values), values.shape)
+    min_eig = float(values[r, j, k])
+    if min_eig >= -tol:
+        return ExactPsdResult(ELEMENTWISE_PSD, min_eig, int(r) + 1)
+    # Bins k and p - k tie exactly, so the first minimum has k <= p // 2.
+    v = to_freq(result.u).half[k, :, j]
+    witness = (v[:, None] * np.exp(2j * np.pi * k * np.arange(p) / p)).real
+    witness /= np.linalg.norm(witness)
+    value = float(quadform(A, witness)[r])
+    if value >= -tol:
+        raise TubalError(
+            "internal inconsistency: PSD witness failed re-evaluation")
+    return ExactPsdResult(NOT_ELEMENTWISE_PSD, min_eig, int(r) + 1, witness,
+                          value)

@@ -153,24 +153,34 @@ def identity(n, p):
     return E
 
 
+def unit_scaled(A):
+    """``(A * 2^-e, e)``, where ``e`` is the binary exponent of ``max|A|``.
+
+    The scaling is exact, and the scaled entries lie below 1 in magnitude,
+    so norms of the scaled tensor neither overflow nor underflow.
+    """
+    e = math.frexp(float(np.max(np.abs(A))))[1]
+    return np.ldexp(A, -e), e
+
+
 def is_t_symmetric(A, tol=1e-10):
     """Whether ``||A - A^T||_F <= tol * ||A||_F``: the one T-symmetry gate.
 
-    Both norms are taken of ``A`` scaled by ``2^-e``, where ``e`` is the
-    binary exponent of ``max|A|``: the scaling is exact and cannot overflow,
-    so the verdict does not depend on the scale of ``A``.
+    Both norms are taken of :func:`unit_scaled` ``A``, so the verdict does
+    not depend on the scale of ``A``.
     """
-    A = require_square(A)
-    A = np.ldexp(A, -math.frexp(float(np.max(np.abs(A))))[1])
+    A, _ = unit_scaled(require_square(A))
     return bool(np.linalg.norm(A - transpose(A)) <= tol * np.linalg.norm(A))
 
 
 def is_f_diagonal(S, tol=1e-10):
-    """Whether every frontal slice is diagonal within ``tol`` (max-abs)."""
+    """Whether every frontal slice is diagonal within ``tol`` relative to
+    ``max|S|`` (max-abs), so the verdict does not depend on the scale."""
     S = as_tensor3(S)
     m, n, _ = S.shape
     off = ~np.eye(m, n, dtype=bool)
-    return bool(np.max(np.abs(S[off, :]), initial=0.0) <= tol)
+    return bool(np.max(np.abs(S[off, :]), initial=0.0)
+                <= tol * np.max(np.abs(S)))
 
 
 def is_standard_form(S, tol=1e-10):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from helpers import near_tsym, random_tensor, random_tsym
-from tubal_spectra import cli
+from tubal_spectra import cli, oracle
 from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import NotTSymmetric
 from tubal_spectra.oracle import oracle_psd_exact
-from tubal_spectra.spectral import psd_spectral, symmetrize, ted
+from tubal_spectra.spectral import exact_psd, psd_spectral, symmetrize, ted
 from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
                                    read_tensor3, tensor3_from_text, transpose,
                                    write_tensor3)
@@ -99,8 +100,8 @@ ARGV = {
     "transpose": ["transpose", "a.t3", "--format", "json", "--output", "o"],
     "ted": ["ted", "a.t3", "--tol", "1e-9", "-o", "o"],
     "tsvd": ["tsvd", "a.t3", "--format", "text", "-o", "o"],
-    "psd": ["psd", "a.t3", "--exact", "--auto-symmetrize", "--max-size", "32",
-            "--tol", "1e-8", "--format", "json", "-o", "o"],
+    "psd": ["psd", "a.t3", "--exact", "--auto-symmetrize", "--tol", "1e-8",
+            "--format", "json", "-o", "o"],
     "quadform": ["quadform", "a.t3", "x.mat", "--format", "json", "-o", "o"],
     "verify": ["verify", "a.t3", "--seed", "7", "--max-size", "16", "-o",
                "o", "--format", "json"],
@@ -190,9 +191,12 @@ def test_non_finite_file_is_input_error(capsys, tmp_path, command, token):
 def test_non_finite_result_exits_1_in_both_formats(capsys, tmp_path, command,
                                                    fmt):
     # A finite file whose norm, residuals or factors overflow: neither
-    # format prints inf or nan, and no output file is written.
+    # format prints inf or nan, and no output file is written.  info's
+    # norm is taken scaled, so only a norm above the largest double
+    # overflows (6 * 1.7e308 here).
     path = tmp_path / "huge.t3"
-    write_tensor3(str(path), np.full((3, 3, 4), 1e300))
+    value = 1.7e308 if command == "info" else 1e300
+    write_tensor3(str(path), np.full((3, 3, 4), value))
     out_file = tmp_path / "out.txt"
     argv = [command, str(path), "--format", fmt]
     if command != "info":
@@ -437,28 +441,103 @@ def _near():
 
 
 def test_psd_exact_classifies_what_the_spectral_route_classified(
-        capsys, monkeypatch, tmp_path):
+        capsys, tmp_path):
     # Frobenius ratio 2.5e-10, outside the one gate: the spectral route
-    # symmetrizes, so the exact oracle must see (A + A^T) / 2 too, not A.
+    # symmetrizes, so the exact answer must be that of (A + A^T) / 2 too.
     A = _near()
     assert not is_t_symmetric(A)
     path = tmp_path / "near.t3"
     write_tensor3(str(path), A)
-    seen = []
-
-    def spy(X, **kwargs):
-        seen.append(X)
-        return oracle_psd_exact(X, **kwargs)
-
-    monkeypatch.setattr(cli, "oracle_psd_exact", spy)
     code, out, _ = run(capsys, "psd", str(path), "--exact",
                        "--auto-symmetrize", "--format", "json")
     assert code == 0
     work = 0.5 * symmetrize(A)
-    assert len(seen) == 1 and np.array_equal(seen[0], work)
+    exact = psd_spectral(A, auto_symmetrize=True).exact
+    held = exact_psd(work, ted(work))
+    assert np.array_equal(exact.witness, held.witness)
     doc = json.loads(out)
-    assert doc["exact"]["min_eigenvalue"] == \
-        oracle_psd_exact(work).min_eigenvalue
+    assert doc["exact"]["min_eigenvalue"] == exact.min_eigenvalue \
+        == held.min_eigenvalue
+    assert doc["exact"]["witness_value"] == exact.witness_value \
+        == held.witness_value
+    assert doc["exact"]["class"] == oracle_psd_exact(work).label
+
+
+@pytest.mark.parametrize("n,p", [(8, 16), (24, 16)])
+def test_psd_exact_answers_beyond_the_old_size_cap(capsys, tmp_path, n, p):
+    # n*p = 128 and 384: the dense oracle was capped at 64.
+    B = random_tensor(np.random.default_rng(n), n, n, p)
+    A = tprod(transpose(B), B)
+    A = 0.5 * (A + transpose(A))
+    path = str(tmp_path / "gram.t3")
+    write_tensor3(path, A)
+    code, out, _ = run(capsys, "psd", path, "--exact", "--format", "json")
+    assert code == 0
+    exact, dense = json.loads(out)["exact"], oracle_psd_exact(A)
+    assert exact["class"] == dense.label
+    scale = max(1.0, float(np.max(np.abs(ted(A).frequency_eigenvalues))))
+    assert abs(exact["min_eigenvalue"] - dense.min_eigenvalue) <= \
+        1e-12 * scale
+
+
+def test_psd_exact_runs_no_dense_oracle(capsys, monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("psd ran the dense oracle")
+
+    monkeypatch.setattr(oracle, "oracle_psd_exact", forbidden)
+    path = str(tmp_path / "id.t3")
+    write_tensor3(path, identity(2, 4))
+    code, out, _ = run(capsys, "psd", path, "--exact", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["exact"]["class"] == "NOT_ELEMENTWISE_PSD"
+
+
+@pytest.mark.parametrize("extra", [[], ["--auto-symmetrize"],
+                                   ["--tol", "1e-6"]])
+def test_psd_exact_on_constant_huge_tubes(capsys, tmp_path, extra):
+    # Every tube is constant, so the form is elementwise PSD; bin 1 of the
+    # spectrum is exactly 0, where the dense oracle's roundoff reported a
+    # negative minimum and then failed its own witness check.
+    path = str(tmp_path / "big.t3")
+    write_tensor3(path, np.full((2, 2, 2), 1e200))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "psd", path, "--exact", *extra,
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert ("exact_class: ELEMENTWISE_PSD" in out if fmt == "text"
+                else json.loads(out)["exact"]["class"] == "ELEMENTWISE_PSD")
+
+
+@pytest.mark.parametrize("scale", [-1000, 0, 1000])
+def test_info_norm_is_scale_free(capsys, tmp_path, scale):
+    A = random_tsym(np.random.default_rng(4), 2, 4)
+    path = str(tmp_path / "a.t3")
+    write_tensor3(path, np.ldexp(A, scale))
+    code, out, _ = run(capsys, "info", path, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["frobenius_norm"] == np.ldexp(np.linalg.norm(A), scale)
+    assert doc["t_symmetric"] is True and doc["f_diagonal"] is False
+
+
+def test_info_on_huge_and_tiny_files(capsys, tmp_path):
+    path = str(tmp_path / "big.t3")
+    write_tensor3(path, np.full((2, 2, 2), 1e200))
+    code, out, _ = run(capsys, "info", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["frobenius_norm"] == pytest.approx(
+        np.sqrt(8) * 1e200, rel=1e-15)
+    F = np.zeros((3, 3, 4))
+    F[np.arange(3), np.arange(3), :] = random_tensor(RNG, 3, 4, 1)[:, :, 0]
+    dense = random_tsym(RNG, 3, 4)
+    for X, fdiag in ((F, True), (dense, False)):
+        for factor in (1e-300, 1.0, 1e300):
+            write_tensor3(path, X * factor)
+            code, out, _ = run(capsys, "info", path, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["f_diagonal"] is fdiag
+            assert doc["frobenius_norm"] > 0.0
 
 
 @pytest.mark.parametrize("scale", [-1000, 0, 1000])
@@ -557,7 +636,7 @@ def test_verify_check_names_and_order(capsys, tsym_file):
         "ted_reconstruction", "ted_orthogonality", "ted_d_f_diagonal",
         "ted_d_t_symmetric", "ted_eigenpair_residuals",
         "ted_frequency_ordering", "ted_first_component_ordering",
-        "quadform_polarization"]
+        "quadform_polarization", "exact_psd_cross_path"]
 
 
 def test_verify_decomposes_the_input_once(capsys, tsym_file, monkeypatch):
@@ -607,6 +686,45 @@ def test_verify_passes_on_rectangular_input(capsys, tmp_path):
     assert "ted_reconstruction" not in names  # not square-symmetric
 
 
+def test_exact_psd_cross_path_passes_just_inside_the_gate(capsys,
+                                                          tmp_path):
+    # The closed form describes (A + A^T) / 2; compared with the dense
+    # spectrum of that tensor, it agrees to roundoff at ratio 0.99e-10.
+    # The dense spectrum of A itself is off by more than the bound on some
+    # odd-p draws, so the check must not use it.
+    rng = np.random.default_rng(1)
+    path = str(tmp_path / "near.t3")
+    apart = 0
+    for n, p in ((1, 1), (3, 2), (4, 4), (2, 5), (3, 7), (7, 8)):
+        for _ in range(4):
+            A = near_tsym(rng, n, p, 0.99e-10)
+            write_tensor3(path, A)
+            code, out, _ = run(capsys, "verify", path, "--format", "json")
+            assert code == 0
+            check, = [c for c in json.loads(out)["checks"]
+                      if c["check"] == "exact_psd_cross_path"]
+            assert check["pass"] is True and check["threshold"] == 1e-12
+            T = ted(A)
+            lam = np.linalg.eigvalsh(oracle.oracle_quadform_matrices(A))
+            apart += abs(exact_psd(A, T).min_eigenvalue - lam.min()) > \
+                1e-12 * max(1.0, np.max(np.abs(T.frequency_eigenvalues)))
+    assert apart >= 1
+
+
+def test_exact_psd_cross_path_catches_a_moved_minimum(capsys, monkeypatch,
+                                                      tsym_file):
+    real = cli.exact_psd
+
+    def moved(A, result, tol=1e-10):
+        ex = real(A, result, tol)
+        return replace(ex, min_eigenvalue=ex.min_eigenvalue + 1e-9)
+
+    monkeypatch.setattr(cli, "exact_psd", moved)
+    code, out, _ = run(capsys, "verify", tsym_file)
+    assert code == 3
+    assert "FAIL exact_psd_cross_path" in out
+
+
 def test_verify_skips_ted_checks_when_ted_refuses(capsys, tmp_path):
     # Frobenius ratio 2.5e-10, outside the one gate: verify runs its other
     # checks, as psd does.
@@ -624,6 +742,7 @@ def test_verify_skips_ted_checks_when_ted_refuses(capsys, tmp_path):
     assert "tsvd_reconstruction" in names
     assert not [name for name in names if name.startswith("ted_")]
     assert "quadform_polarization" not in names
+    assert "exact_psd_cross_path" not in names
 
 
 def test_verify_reports_failure_with_exit_3(capsys, tsym_file, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from helpers import (CORE_SHAPES, oracle_eigenpair_by_loop,
                      polarization_by_evaluation, random_tensor, random_tsym)
 from tubal_spectra import oracle
-from tubal_spectra.errors import ShapeError, TooLarge
+from tubal_spectra.errors import ShapeError
 from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
                                   oracle_psd_exact, oracle_quadform_dense,
                                   oracle_quadform_matrices, oracle_ted_check,
@@ -171,12 +171,6 @@ def test_exact_psd_negative_identity():
     ex = oracle_psd_exact(-identity(2, 2))
     assert ex.label == NOT_ELEMENTWISE_PSD
     assert ex.witness_value < 0.0
-
-
-def test_exact_psd_size_guard():
-    with pytest.raises(TooLarge):
-        oracle_psd_exact(identity(5, 13))
-    oracle_psd_exact(identity(5, 13), max_np=65)  # raising the bound works
 
 
 def test_ted_check_passes_on_valid_result():

@@ -8,13 +8,16 @@ from helpers import (CORE_SHAPES, near_tsym, random_tensor, random_tsym,
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
-from tubal_spectra.errors import NotTSymmetric, ShapeError, ZeroMatrix
-from tubal_spectra.oracle import (oracle_psd_exact, oracle_quadform_dense,
-                                  oracle_ted_check, oracle_tprod)
+from tubal_spectra.errors import (NotTSymmetric, ShapeError, TubalError,
+                                  ZeroMatrix)
+from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
+                                  oracle_psd_exact, oracle_quadform_dense,
+                                  oracle_quadform_matrices, oracle_ted_check,
+                                  oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
                                     SPECTRAL_PSD, _f_diagonal, _norm,
                                     classify_ted, eigenmatrices,
-                                    expand_in_eigenbasis,
+                                    exact_psd, expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
                                     verify_eigenpair)
@@ -575,6 +578,9 @@ def test_psd_requires_symmetry_unless_flagged():
     assert np.array_equal(v.smallest_eigentuple, w.smallest_eigentuple)
     assert v.symmetrized and not w.symmetrized
     S = 0.5 * symmetrize(A)
+    # The exact answer is that of the classified tensor too.
+    ex = v.exact
+    assert ex.witness_value == quadform(S, ex.witness)[ex.component - 1]
     assert not psd_spectral(S, auto_symmetrize=True).symmetrized
     # Symmetry is decided by ted's gates, after the finite gate of to_freq:
     # a nan is an overflow, not an unsymmetric tensor.
@@ -637,3 +643,82 @@ def test_psd_criterion_vs_elementwise_oracle_gap():
     assert np.allclose(np.abs(w), [[1.0, 1.0]] / np.sqrt(2), atol=1e-12)
     value = quadform(E, ex.witness)[ex.component - 1]
     assert value < -1e-10
+    # The closed form gives the same answer, with the canonical witness.
+    closed = v.exact
+    assert (closed.label, closed.component, closed.min_eigenvalue) == (
+        ex.label, ex.component, -1.0)
+    assert np.allclose(closed.witness, [[1.0, -1.0]] / np.sqrt(2),
+                       atol=1e-15)
+    assert abs(closed.witness_value + 1.0) <= 1e-15
+
+
+# --- exact elementwise PSD in closed form ------------------------------------
+
+def _exact_cases(rng, n, p):
+    """A T-symmetric, a Gram and a constant-tube PSD tensor of shape
+    ``(n, n, p)``."""
+    B = random_tensor(rng, n, n, p)
+    C = random_tensor(rng, n, n, 1)[:, :, 0]
+    return (random_tsym(rng, n, p), tprod(transpose(B), B),
+            np.repeat((C @ C.T)[:, :, None], p, axis=2))
+
+
+@pytest.mark.parametrize("n,p", CORE_SHAPES)
+def test_exact_psd_matches_dense_polarization_spectrum(n, p):
+    # The closed-form minimum is the smallest eigenvalue of every dense
+    # polarization matrix, it is attained by the reported component, and
+    # the class is the dense oracle's.
+    rng = np.random.default_rng(1000 * n + p)
+    for A in _exact_cases(rng, n, p):
+        T = ted(A)
+        ex = exact_psd(A, T)
+        w = np.linalg.eigvalsh(oracle_quadform_matrices(A))
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(
+            T.frequency_eigenvalues))))
+        assert abs(ex.min_eigenvalue - w.min()) <= scale
+        assert abs(w[ex.component - 1].min() - w.min()) <= scale
+        assert ex.component <= p // 2 + 1  # r and p - r tie exactly
+        assert ex.label == oracle_psd_exact(A).label
+
+
+@pytest.mark.parametrize("n,p", CORE_SHAPES)
+def test_exact_psd_witness_attains_the_dense_minimum(n, p):
+    rng = np.random.default_rng(2000 * n + p)
+    negatives = 0
+    for A in (*_exact_cases(rng, n, p), -identity(n, p)):
+        ex = exact_psd(A, ted(A))
+        if ex.label == ELEMENTWISE_PSD:
+            assert ex.witness is None and ex.witness_value is None
+            continue
+        negatives += 1
+        assert ex.witness.shape == (n, p)
+        assert abs(np.linalg.norm(ex.witness) - 1.0) <= 1e-14
+        dense = oracle_quadform_dense(A, ex.witness)[ex.component - 1]
+        scale = 1e-12 * max(1.0, abs(ex.min_eigenvalue))
+        assert abs(dense - ex.min_eigenvalue) <= scale
+        assert ex.witness_value == quadform(A, ex.witness)[ex.component - 1]
+        assert ex.witness_value < -1e-10
+    assert negatives >= 1
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_exact_psd_constant_tubes(p):
+    # The form is elementwise PSD iff F_0 is PSD and every other bin
+    # vanishes, that is iff every tube is constant.
+    rng = np.random.default_rng(p)
+    C = random_tensor(rng, 3, 3, 1)[:, :, 0]
+    A = np.repeat((C @ C.T)[:, :, None], p, axis=2)
+    assert psd_spectral(A).exact.label == ELEMENTWISE_PSD
+    N = np.repeat(np.diag([1.0, -1.0])[:, :, None], p, axis=2)
+    assert exact_psd(N, ted(N)).label == NOT_ELEMENTWISE_PSD
+    if p > 1:  # a PSD bin 0 with a nonzero bin k > 0 is not enough
+        E = identity(3, p)
+        assert exact_psd(E, ted(E)).label == NOT_ELEMENTWISE_PSD
+
+
+def test_exact_psd_inconsistent_witness_is_an_internal_error(monkeypatch):
+    # A witness that does not attain the minimum is reported, not returned.
+    monkeypatch.setattr(spectral_module, "quadform",
+                        lambda A, X: np.zeros(A.shape[2]))
+    with pytest.raises(TubalError, match="internal inconsistency"):
+        exact_psd(identity(1, 2), ted(identity(1, 2)))

@@ -156,6 +156,20 @@ def test_f_diagonal_and_standard_form():
         is_standard_form(S)
 
 
+@pytest.mark.parametrize("scale", [-1000, 0, 1000])
+def test_f_diagonal_tolerance_is_relative(scale):
+    # Off-diagonal entries are measured against max|S|, at every scale.
+    S = np.zeros((3, 3, 2))
+    S[0, 0, :] = [4.0, 1.0]
+    S[1, 1, :] = [3.0, 0.5]
+    S[0, 1, 1] = 0.5e-10 * 4.0
+    assert is_f_diagonal(np.ldexp(S, scale))
+    assert is_standard_form(np.ldexp(S, scale)) is True
+    S[0, 1, 1] = 2e-10 * 4.0
+    assert not is_f_diagonal(np.ldexp(S, scale))
+    assert is_f_diagonal(np.zeros((2, 3, 2)))
+
+
 def test_rectangular_f_diagonal():
     S = np.zeros((2, 4, 3))
     S[0, 0, :] = 1.0
