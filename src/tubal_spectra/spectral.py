@@ -94,10 +94,13 @@ class TedResult:
     descending eigenvalues of frequency slice ``k``.
     ``first_components_sorted`` is computed with roundoff slack;
     ``elementwise_chain`` is ``True``/``False``/``"incomparable"``.
+    ``u_half`` is the half spectrum of ``u`` (``to_freq(u).half``), kept
+    from the certificates for :func:`exact_psd`'s witness.
     """
 
     u: np.ndarray
     d: np.ndarray
+    u_half: np.ndarray
     eigentuples: np.ndarray
     frequency_eigenvalues: np.ndarray
     residuals: TedDiagnostics
@@ -222,7 +225,7 @@ def ted(A, tol=1e-10):
     sorted_ok = bool(np.all(firsts[1:] <= firsts[:-1] + slack))
 
     return TedResult(
-        u=U, d=D, eigentuples=eigentuples,
+        u=U, d=D, u_half=Uf, eigentuples=eigentuples,
         frequency_eigenvalues=_full_spectrum(w, p),
         residuals=TedDiagnostics(recon, orth, pair, float(pair.max())),
         first_components_sorted=sorted_ok,
@@ -353,7 +356,7 @@ def exact_psd(A, result, tol=1e-10):
     to ``min(m, p - m)`` so that components ``r`` and ``p - r`` tie exactly.
     The first minimum in ``(r, j, k)`` order is reported; below ``-tol``, with
     the unit-norm witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` column
-    ``j`` of the canonically phased bin ``k`` of the spectrum of ``result.u``.
+    ``j`` of the canonically phased bin ``k`` of ``result.u_half``.
     """
     lam = result.frequency_eigenvalues
     p = lam.shape[1]
@@ -364,7 +367,7 @@ def exact_psd(A, result, tol=1e-10):
     if min_eig >= -tol:
         return ExactPsdResult(ELEMENTWISE_PSD, min_eig, int(r) + 1)
     # Bins k and p - k tie exactly, so the first minimum has k <= p // 2.
-    v = to_freq(result.u).half[k, :, j]
+    v = result.u_half[k, :, j]
     witness = (v[:, None] * np.exp(2j * np.pi * k * np.arange(p) / p)).real
     witness /= np.linalg.norm(witness)
     value = float(quadform(A, witness)[r])

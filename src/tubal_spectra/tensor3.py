@@ -202,14 +202,17 @@ def is_standard_form(S, tol=1e-10):
 #: Text format header of a tensor, a matrix slice and a tube, by ``ndim``.
 HEADERS = {3: "T3 1", 2: "MAT 1", 1: "TUBE 1"}
 
-#: 17 significant digits: float64 values round-trip exactly.
-_fmt = "{:.17g}".format
+#: The one number format, 17 significant digits: float64 values round-trip
+#: exactly.  The writer and :func:`_fmt` both derive from it.
+_FMT = "%.17g"
+_fmt = _FMT.__mod__
 
 
 def tensor3_text(X):
     """The text serialization of a tensor, matrix slice or tube ``X``.
 
     A tensor's rows come as its frontal slices, each after a blank line.
+    The whole file is one :data:`_FMT` template, formatted once.
     """
     X = np.asarray(X)
     if np.iscomplexobj(X):
@@ -220,10 +223,13 @@ def tensor3_text(X):
         raise ShapeError(f"no text format for an array of shape {X.shape}")
     blocks = (X.transpose(2, 0, 1) if X.ndim == 3
               else X.reshape(1, -1, X.shape[-1]))
-    chunks = [HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))]
-    chunks += ["\n".join(" ".join(map(_fmt, row)) for row in block)
-               for block in blocks.astype(np.float64, copy=False).tolist()]
-    return ("\n\n" if X.ndim == 3 else "\n").join(chunks) + "\n"
+    nblocks, nrows, width = blocks.shape
+    sep = "\n\n" if X.ndim == 3 else "\n"
+    block = "\n".join([" ".join([_FMT] * width)] * nrows)
+    template = (HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape)) + sep
+                + sep.join([block] * nblocks) + "\n")
+    return template % tuple(
+        blocks.astype(np.float64, copy=False).ravel().tolist())
 
 
 def write_tensor3(path, X):

@@ -1,11 +1,17 @@
-"""The traced benchmark binds every name in ``perfbench/tracer.py``'s
-``LAYERS`` with ``getattr`` at run time, so each must exist in its module."""
+"""Module boundaries the package keeps.
+
+The traced benchmark binds every name in ``perfbench/tracer.py``'s
+``LAYERS`` with ``getattr`` at run time, so each must exist in its module.
+The 17-digit number format is spelled once, in ``tensor3``.
+"""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "tubal_spectra"
 
 
 def _layers():
@@ -28,3 +34,13 @@ def test_every_traced_name_is_a_package_function():
                    importlib.import_module(f"tubal_spectra.{layer}"), name,
                    None))]
     assert missing == []
+
+
+def test_number_format_is_spelled_only_in_tensor3():
+    spelled = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if path.name != "tensor3.py"
+        and any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "17g" in node.value
+                for node in ast.walk(ast.parse(path.read_text("utf-8")))))
+    assert spelled == []

@@ -5,12 +5,13 @@ import pytest
 
 from helpers import random_tensor, random_tsym
 from tubal_spectra.errors import NotBlockCirculant, ShapeError
-from tubal_spectra.tensor3 import (bcirc, bcirc_inv, fold, fold_mat, identity,
-                                   is_f_diagonal, is_standard_form,
-                                   is_t_symmetric, read_tensor3,
-                                   shift_columns, tensor3_from_text,
-                                   tensor3_text, transpose, unfold,
-                                   unfold_mat, write_tensor3)
+from tubal_spectra.tensor3 import (HEADERS, bcirc, bcirc_inv, fold,
+                                   fold_mat, identity, is_f_diagonal,
+                                   is_standard_form, is_t_symmetric,
+                                   read_tensor3, shift_columns,
+                                   tensor3_from_text, tensor3_text,
+                                   transpose, unfold, unfold_mat,
+                                   write_tensor3)
 from tubal_spectra.tubal import INCOMPARABLE
 
 RNG = np.random.default_rng(20260814)
@@ -263,6 +264,93 @@ def test_tensor_file_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=str(path)):
             read_tensor3(path, 2)
+    # Two spaces in each row and the right token total, and a tab that
+    # makes up for a bad last token: a count of spaces or of all tokens
+    # accepts these.
+    for text, row, count in (("MAT 1\n2 3\n1  2\n3 4\t5 6\n", 1, 2),
+                             ("MAT 1\n2 3\n1 \t 2\n1 2 3\t4\n", 1, 2),
+                             ("MAT 1\n2 2\n1 2\t3\n4 x\n", 1, 3)):
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"data row {row} has {count} values"):
+            read_tensor3(path, 2)
+
+
+# The codec corpus: zeros of both signs, the smallest subnormal and normal,
+# the largest finite values, values with no short decimal form, integers,
+# exponents near +-300, then random finite bit patterns.
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+         -2 / 3, 1.0, -7.0, 2.0 ** 53, 12345678.0, -1e16, 1e300, -1e-300,
+         1.2345678901234567e300, -9.87654321e-300]
+_BITS = np.frombuffer(np.random.default_rng(20261019).bytes(8 * 4096),
+                      dtype=np.float64)
+CORPUS = np.concatenate([_EDGE, _BITS[np.isfinite(_BITS)]])[:4032]
+
+
+def _f_diagonal(m, n, p):
+    S = np.zeros((m, n, p))
+    j = np.arange(min(m, n))
+    S[j, j] = CORPUS[-j.size * p:].reshape(-1, p)
+    return S
+
+
+CODEC_ARRAYS = {
+    "T3": CORPUS.reshape(14, 16, 18), "MAT": CORPUS.reshape(63, 64),
+    "TUBE": CORPUS, "T3-1x1x1": CORPUS[2:3].reshape(1, 1, 1),
+    "T3-width-1": CORPUS[:40].reshape(8, 1, 5),
+    "MAT-width-1": CORPUS[:40].reshape(40, 1), "TUBE-1": CORPUS[5:6],
+    "T3-f-diagonal": _f_diagonal(6, 6, 5),
+    "T3-f-diagonal-wide": _f_diagonal(4, 7, 3),
+}
+
+
+def _reference_text(X):
+    """The text format written one value at a time with ``"{:.17g}"``."""
+    fmt = "{:.17g}".format
+    head = HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))
+    if X.ndim == 3:
+        slices = [X[:, :, k].tolist() for k in range(X.shape[2])]
+        return head + "".join("\n\n" + "\n".join(" ".join(map(fmt, row))
+                                               for row in rows)
+                              for rows in slices) + "\n"
+    rows = X.reshape(-1, X.shape[-1]).tolist()
+    return head + "".join("\n" + " ".join(map(fmt, row))
+                          for row in rows) + "\n"
+
+
+def _bits(X):
+    return np.ascontiguousarray(X, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("name", CODEC_ARRAYS)
+def test_text_writer_matches_per_value_reference(name):
+    X = CODEC_ARRAYS[name]
+    text = tensor3_text(X)
+    assert text == _reference_text(X)
+    back = tensor3_from_text(text, X.ndim)
+    assert back.shape == X.shape
+    assert np.array_equal(_bits(back), _bits(X))
+
+
+def test_reader_matches_float_on_hand_written_forms():
+    # Halfway and overflow-edge forms as well: the reader rounds as float.
+    tokens = ["1", "1E5", "1.e5", "+.5e-3", "00012", "-0", "-.0", "1e-400",
+              "2.4703282292062327e-324", "2.4703282292062328e-324",
+              "1.7976931348623158e308", "0.1000000000000000055511151231257827",
+              "1_0.5"]
+    text = f"TUBE 1\n{len(tokens)}\n" + " ".join(tokens) + "\n"
+    assert np.array_equal(_bits(tensor3_from_text(text, 1)),
+                          _bits([float(t) for t in tokens]))
+
+
+def test_reader_names_the_file_in_float_errors(tmp_path):
+    path = tmp_path / "nan.tube"
+    path.write_text("TUBE 1\n2\nnan(123) 1\n")
+    with pytest.raises(ValueError) as err:
+        read_tensor3(path, 1)
+    assert str(err.value) == (f"{path}: could not convert string to float: "
+                              f"'nan(123)'")
 
 
 def test_shape_validation():
