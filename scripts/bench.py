@@ -13,11 +13,12 @@ shape.  The topics are:
 
 ``certify`` (seed 2011)
     The dense certification path on Gram tensors ``B^T * B``: the
-    polarization matrices, ``bcirc``, ``gram_consistency``, the dense exact
-    PSD oracle (the tests' reference), the dense check of a ``ted`` result
-    (``oracle_ted_check``, its ``ted`` computed outside the timed call),
-    and ``verify`` and ``psd --exact`` end to end, the latter also at
-    ``n*p = 128``.
+    polarization matrices, ``bcirc``, ``gram_consistency`` (timed with
+    the ``tsvd`` it checks, ``gram_consistency(G, tsvd(G))``: one TSVD and
+    two Gram ``ted`` calls), the dense exact PSD oracle (the tests'
+    reference), the dense check of a ``ted`` result (``oracle_ted_check``,
+    its ``ted`` computed outside the timed call), and ``verify`` and
+    ``psd --exact`` end to end, the latter also at ``n*p = 128``.
 ``decompose`` (seed 2403)
     ``ted`` on T-symmetric tensors ``(G + G^T) / 2`` and ``tsvd`` on
     Gaussian tensors, and both end to end on the shapes of the
@@ -97,7 +98,7 @@ def measure_certify(seed, workdir):
     from tubal_spectra.spectral import ted
     from tubal_spectra.tensor3 import bcirc, transpose, write_tensor3
     from tubal_spectra.tproduct import tprod
-    from tubal_spectra.tsvd import gram_consistency
+    from tubal_spectra.tsvd import gram_consistency, tsvd
 
     def gram(n, p):
         B = _draw([seed, n, p], (n, n, p))
@@ -115,7 +116,8 @@ def measure_certify(seed, workdir):
         ("oracle_quadform_matrices", "8x8x8",
          lambda: oracle_quadform_matrices(G[8, 8])),
         ("bcirc", "6x6x8", lambda: bcirc(G[6, 8])),
-        ("gram_consistency", "6x6x8", lambda: gram_consistency(G[6, 8])),
+        ("gram_consistency", "6x6x8",
+         lambda: gram_consistency(G[6, 8], tsvd(G[6, 8]))),
         ("oracle_ted_check", "6x6x8",
          lambda T=ted(G[6, 8]): oracle_ted_check(G[6, 8], T)),
         ("cli verify", "6x6x8", _cli("verify", path, "-o", out)),

@@ -24,10 +24,13 @@ both singular matrices by ``k`` shifts the residual by ``k`` and keeps its
 norm.  No dense check recomputes the per-shift values for ``tsvd``; the
 test suite compares them with a per-shift loop.
 
-``gram_consistency`` cross-checks a TSVD against the eigendecompositions of
-both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples must match
-the squared singular tuples (zero-padded to the Gram size), and each Gram's
-frequency spectrum must be nonnegative.  The spatial entries of Gram
+``gram_consistency(A, result)`` cross-checks the TSVD ``result`` of ``A``
+against the eigendecompositions of both Gram tensors ``A^T * A`` and
+``A * A^T`` and returns its checks as a list of
+:class:`~tubal_spectra.oracle.CheckResult`, the shape of
+:func:`~tubal_spectra.oracle.oracle_ted_check`: the Gram eigentuples must
+match the squared singular tuples (zero-padded to the Gram size), and each
+Gram's frequency spectrum must be nonnegative.  The spatial entries of Gram
 eigentuples, by contrast, are routinely negative even though the tuples are
 squares; that floor is recorded as an informational finding, not asserted.
 """
@@ -82,25 +85,6 @@ class TsvdResult:
     singular_tuples: np.ndarray
     frequency_singular_values: np.ndarray
     residuals: TsvdDiagnostics
-
-
-@dataclass
-class GramConsistencyReport:
-    """Outcome of :func:`gram_consistency`.
-
-    ``passed`` is the conjunction of the checks that carry a threshold;
-    informational entries (``threshold is None``) are reported but never
-    gate the verdict.  ``tsvd`` is the decomposition that was checked.
-    """
-
-    checks: list
-    singular_tuple_squares: np.ndarray
-    right_eigentuples: np.ndarray
-    left_eigentuples: np.ndarray
-    right_match_residual: float
-    left_match_residual: float
-    passed: bool
-    tsvd: TsvdResult
 
 
 def tsvd(A):
@@ -175,60 +159,38 @@ def _match_tubes(targets, candidates):
     return worst / scale if scale > 0.0 else worst
 
 
-def gram_consistency(A, tol=1e-8):
-    """Cross-check a TSVD against both Gram eigendecompositions.
+def gram_consistency(A, result):
+    """Cross-check the TSVD ``result`` of ``A`` against both Gram
+    eigendecompositions.
 
-    The eigentuples of ``A^T * A`` (and ``A * A^T``) must match the squared
-    singular tuples, zero-padded to ``n`` (respectively ``m``) tubes, within
-    ``tol`` relative; each Gram's frequency spectrum must be nonnegative to
-    1e-10.  The spatial eigentuple entry floor of each Gram is recorded as
-    an informational check with no threshold.  Each Gram is decomposed
-    once; both floors are read from that decomposition.
+    Returns three checks per Gram, ``right`` (``A^T * A``) then ``left``
+    (``A * A^T``): its eigentuples match the squared singular tuples,
+    zero-padded to ``n`` (respectively ``m``) tubes, within 1e-8 relative;
+    its frequency spectrum is nonnegative to 1e-10; and its spatial
+    eigentuple entry floor, an informational check with no threshold.  Each
+    Gram is decomposed once; both floors are read from that decomposition.
     """
     A = as_tensor3(A)
     m, n, p = A.shape
-    result = tsvd(A)
-    squares = np.vstack([
-        tube_mul(t, t) for t in result.singular_tuples
-    ]) if min(m, n) else np.zeros((0, p))
-
-    def padded(count):
-        out = np.zeros((count, p))
-        out[:squares.shape[0], :] = squares
-        return out
+    squares = np.zeros((max(m, n), p))
+    for j, t in enumerate(result.singular_tuples):
+        squares[j] = tube_mul(t, t)
 
     checks = []
-    residuals = {}
-    sides = (("right", tprod(transpose(A), A), n),
-             ("left", tprod(A, transpose(A)), m))
-    eigentuples = {}
-    for name, G, size in sides:
+    for name, G, size in (("right", tprod(transpose(A), A), n),
+                          ("left", tprod(A, transpose(A)), m)):
         T = ted(G)
-        eigentuples[name] = T.eigentuples
-        res = _match_tubes(list(padded(size)), list(T.eigentuples))
-        residuals[name] = res
-        checks.append(CheckResult(
-            check=f"{name}_gram_eigentuple_match", residual=res,
-            threshold=tol, passed=bool(res <= tol)))
         verdict = classify_ted(T)
-        floor = max(0.0, -verdict.min_frequency_eigenvalue)
-        checks.append(CheckResult(
-            check=f"{name}_gram_frequency_psd_floor", residual=floor,
-            threshold=1e-10, passed=bool(floor <= 1e-10)))
-        checks.append(CheckResult(
-            check=f"{name}_gram_eigentuple_entry_floor",
-            residual=max(0.0, -verdict.min_entry), threshold=None,
-            passed=None,
-            note=f"spectral class {verdict.spectral_class}; negative "
-                 f"spatial entries occur for generic inputs and are "
-                 f"reported, not asserted"))
-
-    return GramConsistencyReport(
-        checks=checks,
-        singular_tuple_squares=squares,
-        right_eigentuples=eigentuples["right"],
-        left_eigentuples=eigentuples["left"],
-        right_match_residual=residuals["right"],
-        left_match_residual=residuals["left"],
-        passed=all(c.passed for c in checks if c.passed is not None),
-        tsvd=result)
+        checks += [
+            CheckResult(f"{name}_gram_eigentuple_match",
+                        _match_tubes(list(squares[:size]),
+                                     list(T.eigentuples)), 1e-8),
+            CheckResult(f"{name}_gram_frequency_psd_floor",
+                        max(0.0, -verdict.min_frequency_eigenvalue), 1e-10),
+            CheckResult(
+                f"{name}_gram_eigentuple_entry_floor",
+                max(0.0, -verdict.min_entry), None,
+                note=f"spectral class {verdict.spectral_class}; negative "
+                     f"spatial entries occur for generic inputs and are "
+                     f"reported, not asserted")]
+    return checks

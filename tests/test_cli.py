@@ -96,15 +96,15 @@ def test_unknown_command_is_usage_error(capsys):
 # One representative argv per command, every option of the command given.
 ARGV = {
     "info": ["info", "a.t3", "--format", "json"],
-    "tprod": ["tprod", "a.t3", "b.t3", "-o", "c.t3"],
+    "tprod": ["tprod", "a.t3", "b.t3", "-o", "c.t3", "--format", "text"],
     "transpose": ["transpose", "a.t3", "--format", "json", "--output", "o"],
-    "ted": ["ted", "a.t3", "--tol", "1e-9", "-o", "o"],
+    "ted": ["ted", "a.t3", "--tol", "1e-9", "-o", "o", "--format", "json"],
     "tsvd": ["tsvd", "a.t3", "--format", "text", "-o", "o"],
     "psd": ["psd", "a.t3", "--exact", "--auto-symmetrize", "--tol", "1e-8",
             "--format", "json", "-o", "o"],
     "quadform": ["quadform", "a.t3", "x.mat", "--format", "json", "-o", "o"],
-    "verify": ["verify", "a.t3", "--seed", "7", "--max-size", "16", "-o",
-               "o", "--format", "json"],
+    "verify": ["verify", "a.t3", "--seed", "7", "-o", "o", "--format",
+               "json"],
     "random": ["random", "psd", "3", "3", "4", "--seed", "5", "-o", "o",
                "--format", "json"],
 }
@@ -112,6 +112,16 @@ ARGV = {
 
 def test_argv_table_covers_every_command():
     assert list(ARGV) == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(ARGV))
+def test_argv_row_gives_every_option(command):
+    # A knob that no test gives fails here.
+    options = [("--format",)] + [
+        names for names, _ in cli.COMMANDS[command][2:]
+        if names[0].startswith("-")]
+    for names in options:
+        assert any(name in ARGV[command] for name in names), names
 
 
 def _usage_error(parser, argv):
@@ -743,6 +753,27 @@ def test_verify_skips_ted_checks_when_ted_refuses(capsys, tmp_path):
     assert not [name for name in names if name.startswith("ted_")]
     assert "quadform_polarization" not in names
     assert "exact_psd_cross_path" not in names
+
+
+@pytest.mark.parametrize("n, p, dense", [(4, 16, True), (5, 13, False)])
+def test_verify_polarization_guard_at_its_boundary(capsys, tmp_path, n, p,
+                                                   dense):
+    # n*p = 64 is the largest size that gets the dense polarization checks.
+    assert (n * p <= cli.POLARIZATION_MAX_NP) == dense
+    path = tmp_path / "sym.t3"
+    write_tensor3(str(path), random_tsym(RNG, n, p))
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    names = [c["check"] for c in json.loads(out)["checks"]]
+    assert "ted_reconstruction" in names
+    for name in ("quadform_polarization", "exact_psd_cross_path"):
+        assert (name in names) == dense
+
+
+def test_verify_has_no_max_size_option(capsys, tsym_file):
+    code, out, err = run(capsys, "verify", tsym_file, "--max-size", "16")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --max-size" in err
 
 
 def test_verify_reports_failure_with_exit_3(capsys, tsym_file, monkeypatch):

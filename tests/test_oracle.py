@@ -10,14 +10,15 @@ import pytest
 
 from helpers import (CORE_SHAPES, oracle_eigenpair_by_loop,
                      polarization_by_evaluation, random_tensor, random_tsym)
-from tubal_spectra import oracle
+from tubal_spectra import cli, oracle
 from tubal_spectra.errors import ShapeError
 from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
-                                  oracle_psd_exact, oracle_quadform_dense,
+                                  CheckResult, oracle_psd_exact,
+                                  oracle_quadform_dense,
                                   oracle_quadform_matrices, oracle_ted_check,
                                   oracle_tprod)
 from tubal_spectra.spectral import quadform, ted
-from tubal_spectra.tensor3 import identity, unfold_mat
+from tubal_spectra.tensor3 import identity, unfold_mat, write_tensor3
 
 RNG = np.random.default_rng(20260814)
 
@@ -246,6 +247,34 @@ def test_ted_check_flags_swapped_eigentuples():
     assert by_name["reconstruction"].passed
     assert not by_name["eigenpair_residuals"].passed
     assert by_name["eigenpair_residuals"].residual > 1e-3
+
+
+def test_check_result_derives_its_verdict():
+    assert CheckResult("c", 1e-10, 1e-10).passed is True
+    assert CheckResult("c", 0.0, 0.0).passed is True
+    assert CheckResult("c", np.nextafter(1e-10, 1.0), 1e-10).passed is False
+    assert CheckResult("c", float("nan"), 1e-10).passed is False
+    info = CheckResult("c", float("nan"), None, note="reported")
+    assert info.passed is None and info.as_dict()["pass"] is None
+    with pytest.raises(TypeError):
+        CheckResult("c", 0.0, 1.0, passed=False)
+
+
+def test_informational_check_never_fails_verify(capsys, monkeypatch,
+                                                tmp_path):
+    # A residual far above every bound, with no threshold: reported only.
+    real = cli.gram_consistency
+
+    def with_info(A, result):
+        return real(A, result) + [CheckResult("extra", 1e6, None)]
+
+    monkeypatch.setattr(cli, "gram_consistency", with_info)
+    path = str(tmp_path / "sym.t3")
+    write_tensor3(path, random_tsym(RNG, 3, 2))
+    assert cli.main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "INFO extra: residual=1000000 threshold=n/a" in out
+    assert out.endswith("verify: PASS\n")
 
 
 def test_check_result_dict_shape():

@@ -1,5 +1,7 @@
 """TSVD invariants, singular pairs, and Gram consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,42 +144,61 @@ def test_singular_pairs_selector():
         singular_pairs(R, 4)
 
 
+def _by_name(checks):
+    return {c.check: c for c in checks}
+
+
 def test_gram_consistency_square():
     A = random_tensor(RNG, 4, 4, 3)
-    rep = gram_consistency(A)
-    assert rep.passed
-    assert rep.right_match_residual <= 1e-8
-    assert rep.left_match_residual <= 1e-8
-    assert rep.singular_tuple_squares.shape == (4, 3)
+    checks = _by_name(gram_consistency(A, tsvd(A)))
+    assert all(c.passed is not False for c in checks.values())
+    # The Gram eigentuples are the squared singular tuples.
+    assert checks["right_gram_eigentuple_match"].residual <= 1e-8
+    assert checks["left_gram_eigentuple_match"].residual <= 1e-8
     s0 = tsvd(A).singular_tuples[0]
-    assert np.allclose(rep.singular_tuple_squares[0], tube_mul(s0, s0),
-                       atol=1e-12)
+    gram = ted(tprod(transpose(A), A)).eigentuples
+    gap = np.min(np.linalg.norm(gram - tube_mul(s0, s0), axis=1))
+    assert gap <= 1e-8 * np.linalg.norm(tube_mul(s0, s0))
 
 
 def test_gram_consistency_rectangular_pads_with_zero_tuples():
     # Tall case: A^T A is 2 x 2 but A A^T is 6 x 6, so four eigentuples of
-    # the left Gram must match the zero tube.
-    A = random_tensor(RNG, 6, 2, 3)
-    rep = gram_consistency(A)
-    assert rep.passed
-    assert rep.left_eigentuples.shape == (6, 3)
-    tail = np.sort(np.linalg.norm(rep.left_eigentuples, axis=1))[:4]
-    assert np.max(tail) <= 1e-8 * max(
-        1.0, float(np.linalg.norm(rep.singular_tuple_squares)))
-    wide = gram_consistency(random_tensor(RNG, 2, 5, 4))
-    assert wide.passed
+    # the left Gram must match the zero tube; the wide case pads the right.
+    for m, n in ((6, 2), (2, 5)):
+        A = random_tensor(RNG, m, n, 3)
+        checks = _by_name(gram_consistency(A, tsvd(A)))
+        assert all(c.passed is not False for c in checks.values())
+        assert checks["left_gram_eigentuple_match"].residual <= 1e-8
+        assert checks["right_gram_eigentuple_match"].residual <= 1e-8
 
 
 def test_gram_consistency_reports_entry_floor_as_info():
-    rep = gram_consistency(random_tensor(RNG, 3, 3, 4))
-    info = [c for c in rep.checks if c.threshold is None]
+    A = random_tensor(RNG, 3, 3, 4)
+    checks = gram_consistency(A, tsvd(A))
+    assert [c.check for c in checks] == [
+        "right_gram_eigentuple_match", "right_gram_frequency_psd_floor",
+        "right_gram_eigentuple_entry_floor", "left_gram_eigentuple_match",
+        "left_gram_frequency_psd_floor", "left_gram_eigentuple_entry_floor"]
+    info = [c for c in checks if c.threshold is None]
     assert len(info) == 2
     assert all(c.passed is None for c in info)
     assert all("gram_eigentuple_entry_floor" in c.check for c in info)
-    hard = [c for c in rep.checks if c.threshold is not None]
-    assert {c.check for c in hard} == {
-        "right_gram_eigentuple_match", "right_gram_frequency_psd_floor",
-        "left_gram_eigentuple_match", "left_gram_frequency_psd_floor"}
+    assert [c.threshold for c in checks if c.threshold is not None] == [
+        1e-8, 1e-10, 1e-8, 1e-10]
+
+
+def test_gram_consistency_checks_the_tsvd_it_is_given():
+    # A corrupted singular tuple no longer squares to a Gram eigentuple;
+    # the spectra of the Grams themselves stay nonnegative.
+    A = random_tensor(RNG, 4, 3, 5)
+    R = tsvd(A)
+    tuples = R.singular_tuples.copy()
+    tuples[0] *= 1.01
+    checks = _by_name(gram_consistency(A, replace(R, singular_tuples=tuples)))
+    assert not checks["right_gram_eigentuple_match"].passed
+    assert not checks["left_gram_eigentuple_match"].passed
+    assert checks["right_gram_frequency_psd_floor"].passed
+    assert checks["left_gram_frequency_psd_floor"].passed
 
 
 def test_gram_consistency_decomposes_each_tensor_once(monkeypatch):
@@ -189,15 +210,13 @@ def test_gram_consistency_decomposes_each_tensor_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    A = random_tensor(np.random.default_rng(3), 4, 3, 5)
+    R = tsvd(A)
     monkeypatch.setattr(tsvd_module, "ted", counted("ted", ted))
     monkeypatch.setattr(tsvd_module, "tsvd", counted("tsvd", tsvd))
-    A = random_tensor(np.random.default_rng(3), 4, 3, 5)
-    rep = gram_consistency(A)
-    assert calls == {"ted": 2, "tsvd": 1}
-    # the report carries the decomposition it checked
-    fresh = tsvd(A)
-    assert np.array_equal(rep.tsvd.singular_tuples, fresh.singular_tuples)
-    assert rep.tsvd.residuals.pair_max == fresh.residuals.pair_max
+    gram_consistency(A, R)
+    # One ted per Gram; the TSVD is the caller's.
+    assert calls == {"ted": 2, "tsvd": 0}
 
 
 def test_shape_errors():
