@@ -1,0 +1,322 @@
+"""Run the CLI over a fixed file set and compare what two checkouts write.
+
+Record a manifest for one source tree, then compare two manifests::
+
+    python3 scripts/corpus.py OUT --src OLD/src
+    python3 scripts/corpus.py OUT2 --src src
+    python3 scripts/corpus.py --diff OUT/manifest.json OUT2/manifest.json
+
+A run writes the file set into ``OUT/work`` and runs every argv of the
+table there, each in a fresh ``python -m tubal_spectra`` process with
+relative paths and one BLAS/FFT thread, so nothing in the output depends
+on where ``OUT`` lives.  ``OUT/manifest.json`` records, per run, the argv,
+the exit code and the sha256 of stdout, stderr and each ``-o`` file (null
+when the file was not written).  ``--diff`` lists the runs whose record
+differs, grouped by command, and exits 1 when any does.
+
+The file set is drawn from a fixed seed and written by this script's own
+``%.17g`` writer, so it is the same bytes for every checkout: T-symmetric
+tensors with ``p`` from 1 to 8, Gram tensors (one rank-deficient),
+general, tall, wide, all-zero and f-diagonal tensors, two identities,
+near-symmetric ones at asymmetry ratios from 5e-11 to 1e-8 and
+``identity(2, 8)`` plus 0.9e-10 on one tube, both sides of
+``verify``'s polarization guard (``n*p`` 64 and 65), a T-symmetric and a
+general tensor scaled by 1e6, 1e-6, 1e200, 1e-200 and 1e-300, a tensor
+near overflow, matrix slices for ``quadform``, and malformed files.
+
+The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  Every
+command runs on each of its positional assignments in text and in
+``--format json`` to stdout, and in text to ``-o`` if it takes that
+option.  Each option then runs alone on the well-formed inputs, once per
+value of :data:`OPTION_VALUES` (JSON), and once with every option given
+together (``--format text`` and ``--output``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+SCHEMA = "tubal-spectra-corpus/1"
+SEED = 20261019
+JOBS = 2           # concurrent CLI processes, one per CPU of a small host
+
+#: Values given to each valued option, one run per value.
+OPTION_VALUES = {"--tol": ["1e-6", "0", "nan"], "--seed": ["7"]}
+
+
+# --- the file set -----------------------------------------------------------
+
+def _text(X):
+    """The codec's text form of a T3 (3-d) or MAT (2-d) array."""
+    fmt = "%.17g"
+    head = f"{'T3' if X.ndim == 3 else 'MAT'} 1\n" + " ".join(map(str,
+                                                                X.shape))
+    rows = (lambda M: "\n".join(" ".join(fmt % v for v in row)
+                                for row in M.tolist()))
+    if X.ndim == 3:
+        return head + "".join("\n\n" + rows(X[:, :, k])
+                              for k in range(X.shape[2])) + "\n"
+    return head + "\n" + rows(X) + "\n"
+
+
+def _transpose(A):
+    p = A.shape[2]
+    return A.transpose(1, 0, 2)[:, :, -np.arange(p) % p]
+
+
+def _tprod(A, B):
+    C = np.einsum("ijk,jlk->ilk", np.fft.fft(A, axis=2),
+                  np.fft.fft(B, axis=2))
+    return np.fft.ifft(C, axis=2).real
+
+
+def _files():
+    """``{name: text}`` of the whole file set."""
+    rng = np.random.default_rng(SEED)
+
+    def tsym(n, p):
+        G = rng.standard_normal((n, n, p))
+        return 0.5 * (G + _transpose(G))
+
+    def gram(m, n, p):
+        B = rng.standard_normal((m, n, p))
+        return _tprod(_transpose(B), B)
+
+    T = {f"tsym_p{p}.t3": tsym(3, p) for p in range(1, 9)}
+    T["gram.t3"] = gram(3, 3, 4)
+    T["gram_deficient.t3"] = gram(2, 3, 4)
+    T["general.t3"] = rng.standard_normal((3, 3, 3))
+    T["tall.t3"] = rng.standard_normal((4, 2, 3))
+    T["wide.t3"] = rng.standard_normal((2, 5, 3))
+    for n, p in ((3, 4), (2, 1)):
+        T[f"identity_{n}x{n}x{p}.t3"] = np.zeros((n, n, p))
+        T[f"identity_{n}x{n}x{p}.t3"][:, :, 0] = np.eye(n)
+    T["zero.t3"] = np.zeros((2, 2, 3))
+    near = np.zeros((2, 2, 8))
+    near[:, :, 0] = np.eye(2)
+    near[0, 1] += 0.9e-10
+    T["near_identity.t3"] = near
+    # ||A - A^T||_F / ||A||_F equal to the ratio in the name.
+    G = rng.standard_normal((3, 3, 4))
+    E = G - _transpose(G)
+    S = T["tsym_p4.t3"]
+    for ratio in ("5e-11", "9.9e-11", "2e-10", "1e-09", "1e-08"):
+        c = float(ratio) * np.linalg.norm(S) / np.linalg.norm(2 * E)
+        T[f"near_r{ratio}.t3"] = S + c * E
+    T["fdiag.t3"] = np.zeros((3, 4, 3))
+    T["fdiag.t3"][np.arange(3), np.arange(3)] = rng.standard_normal((3, 3))
+    T["polar_np64.t3"], T["polar_np65.t3"] = tsym(4, 16), tsym(5, 13)
+    general = rng.standard_normal((3, 5, 2))
+    for scale in ("1e6", "1e-6", "1e200", "1e-200", "1e-300"):
+        T[f"tsym_x{scale}.t3"] = T["tsym_p4.t3"] * float(scale)
+        T[f"general_x{scale}.t3"] = general * float(scale)
+    T["huge.t3"] = np.full((2, 2, 2), 1.7e308)
+    files = {name: _text(A) for name, A in T.items()}
+    files.update({"x3_4.mat": _text(rng.standard_normal((3, 4))),
+                  "x2_8.mat": _text(rng.standard_normal((2, 8))),
+                  "x1_2.mat": _text(np.array([[1.0, -1.0]]))})
+
+    # Malformed files, after tests/test_tensor3.py.
+    good = files["tsym_p2.t3"]
+    files.update({
+        "bad_rows.t3": "T3 1\n2 2 1\n1.0 2.0\n",
+        "bad_header.t3": "T3 2\n1 1 1\n1.0\n",
+        "bad_width.t3": "T3 1\n1 2 1\n1.0 2.0 3.0\n",
+        "bad_kind.t3": files["x3_4.mat"],
+        "bad_tab.mat": "MAT 1\n2 3\n1  2\n3 4\t5 6\n",
+        "bad_token.mat": "MAT 1\n1 2\n1 x\n",
+        "bad_nanpayload.mat": "MAT 1\n1 2\nnan(123) 1\n"})
+    for token in ("nan", "inf", "-inf", "1e400"):
+        files[f"bad_{token}.t3"] = good[:good.rindex(" ")] + f" {token}\n"
+    return files
+
+
+FILES = _files()
+WELL_FORMED = sorted(name for name in FILES
+                     if name.endswith(".t3") and not name.startswith("bad_"))
+MALFORMED = sorted(name for name in FILES
+                   if name.endswith(".t3") and name.startswith("bad_"))
+
+#: Positional assignments per positional-argument signature, as
+#: ``(well-formed, malformed)``; option runs use only the well-formed ones.
+POSITIONALS = {
+    ("input",): ([[f] for f in WELL_FORMED],
+                 [[f] for f in MALFORMED + ["missing.t3"]]),
+    ("a", "b"): ([["general.t3", "general.t3"], ["tall.t3", "wide.t3"],
+                  ["wide.t3", "tall.t3"], ["tsym_p4.t3", "gram.t3"],
+                  ["general_x1e200.t3", "wide.t3"], ["huge.t3", "huge.t3"],
+                  ["tsym_x1e-300.t3", "tsym_x1e-300.t3"]],
+                 [["tall.t3", "tall.t3"], ["tsym_p4.t3", "tsym_p3.t3"],
+                  ["general.t3", "bad_nan.t3"], ["missing.t3", "tall.t3"]]),
+    ("a", "x"): ([["tsym_p4.t3", "x3_4.mat"], ["gram.t3", "x3_4.mat"],
+                  ["identity_3x3x4.t3", "x3_4.mat"], ["general.t3", "x3_4.mat"],
+                  ["tsym_x1e200.t3", "x3_4.mat"],
+                  ["near_identity.t3", "x2_8.mat"]],
+                 [["tsym_p4.t3", "x2_8.mat"], ["tall.t3", "x1_2.mat"],
+                  ["tsym_p4.t3", "bad_tab.mat"],
+                  ["tsym_p4.t3", "bad_token.mat"],
+                  ["tsym_p4.t3", "bad_nanpayload.mat"],
+                  ["tsym_p4.t3", "tsym_p4.t3"]]),
+    ("kind", "m", "n", "p"): ([["general", "2", "3", "4"],
+                               ["tsym", "3", "3", "4"],
+                               ["fdiag", "3", "2", "5"],
+                               ["psd", "3", "3", "2"]],
+                              [["tsym", "2", "3", "4"],
+                               ["general", "0", "3", "4"]]),
+}
+
+
+def _output_name(argv):
+    """A ``-o`` file name fixed by the rest of the argv."""
+    return "o-" + hashlib.sha256("\0".join(argv).encode()).hexdigest()[:12]
+
+
+def argv_table(commands):
+    """Every argv of the corpus, from a ``cli.COMMANDS``-shaped table."""
+    table = []
+    for command, (_, _, *args) in commands.items():
+        positional = tuple(names[0] for names, _ in args
+                           if not names[0].startswith("-"))
+        well, bad = POSITIONALS[positional]
+        output = any("--output" in names for names, _ in args)
+        options = []     # (names, values); values None for a flag
+        for names, kwargs in args:
+            if names[0].startswith("-") and "--output" not in names:
+                flag = kwargs.get("action") == "store_true"
+                options.append((names, None if flag
+                                else OPTION_VALUES[names[-1]]))
+        for pos in well + bad:
+            base = [command, *pos]
+            table += [base, base + ["--format", "json"]]
+            if output:
+                table.append(base + ["-o", _output_name(base)])
+        for pos in well:
+            for names, values in options:
+                for value in values or [None]:
+                    opt = [names[0]] + ([] if value is None else [value])
+                    table.append([command, *pos, *opt, "--format", "json"])
+            every = [command, *pos, "--format", "text"]
+            for names, values in options:
+                every += [names[-1]] + ([] if values is None
+                                        else [values[0]])
+            table.append(every + (["--output", _output_name(every)]
+                                  if output else []))
+    return table
+
+
+# --- running ----------------------------------------------------------------
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_one(argv, work, env):
+    proc = subprocess.run([sys.executable, "-m", "tubal_spectra", *argv],
+                          cwd=work, env=env, capture_output=True,
+                          check=False)
+    outputs = {}
+    for flag in ("-o", "--output"):
+        if flag in argv:
+            name = argv[argv.index(flag) + 1]
+            path = os.path.join(work, name)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    outputs[name] = _sha(fh.read())
+                os.remove(path)
+            else:
+                outputs[name] = None
+    return {"argv": argv, "exit": proc.returncode,
+            "stdout": _sha(proc.stdout), "stderr": _sha(proc.stderr),
+            "outputs": outputs}
+
+
+def record(out, src):
+    """Write the file set under ``out/work``, run the table, write the
+    manifest ``out/manifest.json``; returns the manifest."""
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    from tubal_spectra import cli
+
+    work = os.path.join(out, "work")
+    os.makedirs(work, exist_ok=True)
+    for name, text in FILES.items():
+        with open(os.path.join(work, name), "w", encoding="ascii") as fh:
+            fh.write(text)
+    env = dict(os.environ, PYTHONPATH=src, TUBAL_SPECTRA_THREADS="1")
+    table = argv_table(cli.COMMANDS)
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        runs = list(pool.map(lambda argv: _run_one(argv, work, env), table))
+    manifest = {"schema": SCHEMA, "seed": SEED,
+                "files": {name: _sha(text.encode())
+                          for name, text in sorted(FILES.items())},
+                "runs": runs}
+    with open(os.path.join(out, "manifest.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=1) + "\n")
+    return manifest
+
+
+def diff(old, new):
+    """The runs whose record differs between two manifests, as
+    ``{command: [(argv, [differing fields])]}``."""
+    if old["files"] != new["files"]:
+        raise SystemExit("the two manifests ran on different file sets")
+    before = {tuple(r["argv"]): r for r in old["runs"]}
+    after = {tuple(r["argv"]): r for r in new["runs"]}
+    grouped = {}
+    for argv in list(before) + [a for a in after if a not in before]:
+        if argv not in before or argv not in after:
+            fields = ["missing in " + ("old" if argv not in before
+                                       else "new")]
+        else:
+            fields = [key for key in ("exit", "stdout", "stderr", "outputs")
+                      if before[argv][key] != after[argv][key]]
+        if fields:
+            grouped.setdefault(argv[0], []).append((list(argv), fields))
+    return grouped
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", nargs="?",
+                        help="directory for the file set and manifest")
+    parser.add_argument("--src", help="source directory of tubal_spectra")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two manifest files")
+    args = parser.parse_args(argv)
+    if args.diff:
+        old, new = map(_load, args.diff)
+        grouped = diff(old, new)
+        total = len({tuple(r["argv"]) for r in old["runs"] + new["runs"]})
+        for command, rows in grouped.items():
+            print(f"{command}: {len(rows)} differing runs")
+            for row, fields in rows:
+                print(f"  {' '.join(row)}: {', '.join(fields)}")
+        count = sum(len(rows) for rows in grouped.values())
+        print(f"{count} of {total} runs differ")
+        return 1 if count else 0
+    if not (args.out and args.src):
+        parser.error("a run needs OUT and --src")
+    manifest = record(args.out, args.src)
+    codes = Counter(run["exit"] for run in manifest["runs"])
+    print(f"{len(manifest['runs'])} runs, exit codes "
+          + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

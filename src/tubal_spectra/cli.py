@@ -1,18 +1,18 @@
 """Command-line interface.
 
-Subcommands: ``info``, ``tprod``, ``transpose``, ``ted``, ``tsvd``,
-``psd``, ``quadform``, ``verify``, ``random``.  Tensors, matrix slices and
-tubes travel in the one text codec of :mod:`tubal_spectra.tensor3`, which
-rejects malformed and non-finite input (exit 1).  Each command builds one
-result document tagged with the schema ``tubal-spectra/1``: ``--format
-json`` writes it as deterministic JSON, and the default text format is its
-line rendering (:func:`render`).  Both formats write every number through
-one scalar formatter, with 17 significant digits, so identical inputs (and
-seed) produce byte-identical output; a non-finite number anywhere in the
-document is an error in both formats (exit 1).
+Subcommands: ``info``, ``tprod``, ``transpose``, ``ted``, ``tsvd``, ``psd``,
+``quadform``, ``verify``, ``random``.  Each builds one result document
+tagged with the schema ``tubal-spectra/1`` (``verify`` lists
+:func:`tubal_spectra.tsvd.verify_checks`): ``--format json`` writes it as
+deterministic JSON, the text format is its line rendering (:func:`render`).
+Both write every number with 17 significant digits through one scalar
+formatter, so identical inputs (and seed) give byte-identical output.
+Malformed or non-finite input (in the one text codec of
+:mod:`tubal_spectra.tensor3`) and a non-finite number anywhere in a
+document are errors in both formats (exit 1).
 
 Exit codes: 0 success, 1 usage or input-format error, 2 numerical error
-(for example a non-T-symmetric input to ``ted``), 3 verification failure.
+(non-T-symmetric input to ``ted``, LAPACK failure), 3 verification failure.
 
 Every command is one entry of :data:`COMMANDS`.  A call builds only its own
 command's parser, or the full table when no known command leads the
@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 _threads = os.environ.get("TUBAL_SPECTRA_THREADS")
 if _threads:
@@ -42,16 +41,12 @@ if _threads:
 
 import numpy as np
 
-from .errors import NotTSymmetric, ShapeError, TubalError
-from .oracle import (CheckResult, oracle_quadform_matrices, oracle_ted_check,
-                     oracle_tprod)
-from .spectral import exact_psd, psd_spectral, quadform, ted
-from .tensor3 import (_fmt, bcirc, bcirc_inv, fold, is_f_diagonal,
-                      is_standard_form, is_t_symmetric, read_tensor3,
-                      tensor3_text, transpose, unfold, unfold_mat,
-                      unit_scaled)
+from .errors import ShapeError, TubalError
+from .spectral import psd_spectral, quadform, ted
+from .tensor3 import (_fmt, is_f_diagonal, is_standard_form, is_t_symmetric,
+                      read_tensor3, tensor3_text, transpose, unit_scaled)
 from .tproduct import tprod
-from .tsvd import gram_consistency, tsvd
+from .tsvd import tsvd, verify_checks
 
 SCHEMA = "tubal-spectra/1"
 
@@ -341,54 +336,8 @@ def _cmd_quadform(args):
             "input_x": args.x, "values": _values(values)}
 
 
-#: ``verify`` runs its dense polarization checks only up to this ``n * p``.
-POLARIZATION_MAX_NP = 64
-
-
 def _cmd_verify(args):
-    A = read_tensor3(args.input)
-    m, n, p = A.shape
-    rng = np.random.default_rng(args.seed)
-    B = rng.standard_normal((n, m, p))
-    fast, dense = tprod(A, B), oracle_tprod(A, B)
-    result = tsvd(A)
-    res = result.residuals
-    checks = [CheckResult(name, float(r), bound) for name, r, bound in (
-        ("bcirc_roundtrip", np.max(np.abs(bcirc_inv(bcirc(A), p) - A)), 0.0),
-        ("fold_roundtrip", np.max(np.abs(fold(unfold(A), p) - A)), 0.0),
-        ("transpose_involution", np.max(np.abs(transpose(transpose(A)) - A)),
-         0.0),
-        ("tprod_cross_path", np.linalg.norm(fast - dense)
-         / max(1.0, float(np.linalg.norm(dense))), 1e-12),
-        ("tsvd_reconstruction", res.reconstruction, 1e-10),
-        ("tsvd_orthogonality_u", res.orthogonality_u, 1e-10),
-        ("tsvd_orthogonality_v", res.orthogonality_v, 1e-10),
-        ("tsvd_pair_residuals", res.pair_max, 1e-9))]
-    checks += gram_consistency(A, result)
-
-    # Symmetry is decided by ted's gate, as in psd_spectral.
-    try:
-        T = ted(A) if m == n else None
-    except NotTSymmetric:
-        T = None
-    if T is not None:
-        checks.extend(replace(c, check=f"ted_{c.check}")
-                      for c in oracle_ted_check(A, T))
-        if n * p <= POLARIZATION_MAX_NP:
-            M = oracle_quadform_matrices(A)
-            X = rng.standard_normal((n, p))
-            x = unfold_mat(X)
-            direct = quadform(A, X)
-            poly = np.array([float(x @ M[k] @ x) for k in range(p)])
-            r = float(np.max(np.abs(direct - poly)))
-            checks.append(CheckResult("quadform_polarization", r, 1e-10))
-            # The closed form describes (A + A^T) / 2, the tensor ted factors.
-            lam = np.linalg.eigvalsh(
-                oracle_quadform_matrices(0.5 * (A + transpose(A))))
-            r = abs(exact_psd(A, T).min_eigenvalue - float(lam.min())) / max(
-                1.0, float(np.max(np.abs(T.frequency_eigenvalues))))
-            checks.append(CheckResult("exact_psd_cross_path", r, 1e-12))
-
+    checks = verify_checks(read_tensor3(args.input), args.seed)
     return {"schema": SCHEMA, "kind": "verify", "input": args.input,
             "seed": args.seed, "checks": [c.as_dict() for c in checks],
             "passed": all(c.passed is not False for c in checks)}
@@ -496,6 +445,9 @@ def main(argv=None):
             doc = COMMANDS[args.command][0](args)
             _deliver(args, doc)
         return 0 if doc.get("passed", True) else 3
+    except np.linalg.LinAlgError as exc:  # a ValueError, but numerical
+        print(f"error: LinAlgError: {exc}", file=sys.stderr)
+        return 2
     except (_CliError, ShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

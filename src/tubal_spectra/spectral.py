@@ -19,17 +19,18 @@ factored as one real stack and the other half-spectrum bins as one complex
 stack, so each decomposition makes at most two stacked ``eigh`` calls.  One
 vectorized canonical phase rotates every vector of every bin.
 
-Each certificate is its t-product identity, taken bin by bin from the
-half spectrum of ``A`` that the factorization used and one transform of
-each returned factor (``U``, ``D``; ``U^T`` is the per-bin conjugate
-transpose), then brought back by one inverse transform for its norm:
-``A - U * D * U^T``, ``U^T * U - I``, and ``A * U - U * D``, whose lateral
-slice ``j`` is ``A * U_j - d_j act U_j``.  Each eigentuple gets one
-residual, and the residuals of its ``p`` shifts are inferred from it: a
-shift ``U_j^[k]`` is the action of the unit tube ``e_k`` on ``U_j``, which
-commutes with the t-product and with every tube action and only permutes
-entries, so ``A * U_j^[k] - d_j act U_j^[k]`` is the ``k``-shift of the
-unshifted residual and has the same norm (Kilmer & Martin 2011).
+Each certificate is its t-product identity, taken by ``_certificate``
+(shared with ``tsvd``) bin by bin from the half spectrum of ``A`` that the
+factorization used and one transform of each returned factor (``U^T`` is
+the per-bin conjugate transpose), then brought back by one inverse
+transform for its norm: ``A - U * D * U^T``, ``U^T * U - I``, and
+``A * U - U * D``, whose lateral slice ``j`` is ``A * U_j - d_j act U_j``.
+Each eigentuple gets one residual, and the residuals of its ``p`` shifts
+are inferred from it: a shift ``U_j^[k]`` is the action of the unit tube
+``e_k`` on ``U_j``, which commutes with the t-product and with every tube
+action and only permutes entries, so ``A * U_j^[k] - d_j act U_j^[k]`` is
+the ``k``-shift of the unshifted residual and has the same norm (Kilmer &
+Martin 2011).
 The dense :func:`tubal_spectra.oracle.oracle_ted_check`, which ``verify``
 runs, computes every shift's residual independently.
 
@@ -176,6 +177,20 @@ def _norm(Xh, p, axis=None):
     return np.linalg.norm(from_freq(FreqSlices(Xh, p)), axis=axis)
 
 
+def _certificate(A, Af, Lf, Df, Rf):
+    """The certificates of ``A = L * D * R^T`` that ``ted`` and ``tsvd``
+    share, from half spectra: ``||A - L * D * R^T||_F / ||A||_F`` (absolute
+    when ``A`` vanishes), ``||L^T * L - I||_F`` and the norms of the first
+    ``min(m, n)`` lateral slices of ``A * R - L * D``, one per tuple."""
+    m, n, p = A.shape
+    LD = Lf @ Df
+    normA = float(np.linalg.norm(A)) or 1.0
+    recon = float(_norm(Af - LD @ _ct(Rf), p)) / normA
+    orth = float(_norm(_ct(Lf) @ Lf - np.eye(m), p))
+    r = min(m, n)
+    return recon, orth, _norm(Af @ Rf[:, :, :r] - LD[:, :, :r], p, (0, 2))
+
+
 def _f_diagonal(values, m, n, p):
     """The real f-diagonal ``(m, n, p)`` tensor whose diagonal tube ``j``
     has the values ``values[:, j]`` on bins ``0..p//2``, and its diagonal
@@ -211,14 +226,9 @@ def ted(A, tol=1e-10):
 
     # Transform the returned real factors, not the stack V, so that the
     # certificates also catch a fault in their inverse transform.
-    Af, Uf = F.half, to_freq(U).half
-    UD = Uf @ to_freq(D).half
-    recon = float(_norm(Af - UD @ _ct(Uf), p))
-    normA = float(np.linalg.norm(A))
-    if normA > 0.0:
-        recon /= normA
-    orth = float(_norm(_ct(Uf) @ Uf - np.eye(n), p))
-    pair = _norm(Af @ Uf - UD, p, (0, 2)) / np.linalg.norm(U, axis=(0, 2))
+    Uf = to_freq(U).half
+    recon, orth, right = _certificate(A, F.half, Uf, to_freq(D).half, Uf)
+    pair = right / np.linalg.norm(U, axis=(0, 2))
 
     slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))
     firsts = eigentuples[:, 0]

@@ -1,4 +1,4 @@
-"""Tensor singular value decomposition and Gram consistency checks.
+"""Tensor singular value decomposition and the checks of ``verify``.
 
 ``tsvd`` factors any ``(m, n, p)`` tensor as ``A = u * s * v^T`` with
 orthogonal ``u``, ``v`` and f-diagonal ``s``, via a full SVD of each
@@ -15,36 +15,42 @@ singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
 ``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`
 over the half-spectrum stack of :mod:`tubal_spectra.transform`: one stacked
 SVD of the real self-conjugate bins and one of the other half-spectrum
-bins, and the shared vectorized canonical phase.  The certificates are
-taken as in ``ted``, from one transform of each returned factor:
-``A - U * S * V^T``, ``U^T * U - I``, ``V^T * V - I`` and the first
-``r = min(m, n)`` lateral slices of ``A * V - U * S`` and
-``A^T * U - V * S^T``, one residual per singular tuple and side.  Shifting
-both singular matrices by ``k`` shifts the residual by ``k`` and keeps its
-norm.  No dense check recomputes the per-shift values for ``tsvd``; the
-test suite compares them with a per-shift loop.
+bins, and the shared vectorized canonical phase.  Its certificates are
+``ted``'s, from ``spectral._certificate`` with ``L, D, R = U, S, V``
+(reconstruction, ``U^T * U - I`` and the right pairs ``A * V - U * S``),
+plus ``V^T * V - I`` and the left pairs ``A^T * U - V * S^T``: one
+residual per singular tuple and side, shared by every shift.  No dense
+check recomputes the per-shift values for ``tsvd``; the test suite
+compares them with a per-shift loop.
 
 ``gram_consistency(A, result)`` cross-checks the TSVD ``result`` of ``A``
-against the eigendecompositions of both Gram tensors ``A^T * A`` and
-``A * A^T`` and returns its checks as a list of
-:class:`~tubal_spectra.oracle.CheckResult`, the shape of
-:func:`~tubal_spectra.oracle.oracle_ted_check`: the Gram eigentuples must
-match the squared singular tuples (zero-padded to the Gram size), and each
-Gram's frequency spectrum must be nonnegative.  The spatial entries of Gram
-eigentuples, by contrast, are routinely negative even though the tuples are
-squares; that floor is recorded as an informational finding, not asserted.
+against both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples
+must match the squared singular tuples, and their frequency spectra must be
+nonnegative.  Their spatial eigentuple entries are routinely negative even
+though the tuples are squares; that floor is reported, not asserted.
+
+``verify_checks(A, seed)`` is the ``verify`` command's report, a list of
+:class:`~tubal_spectra.oracle.CheckResult`: round trips, the fast t-product
+against the dense ``bcirc`` route, the TSVD certificates, ``gram_consistency``
+and, when ``ted`` accepts ``A``, ``oracle.oracle_ted_check`` and two dense
+polarization checks.  Every bound ``verify`` applies is set here or in
+``oracle``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oracle import CheckResult
-from .spectral import (_canonical_phase, _f_diagonal, _full_spectrum,
-                       _half_spectrum_groups, _norm, classify_ted, ted)
-from .tensor3 import as_tensor3, shift_columns, transpose
+from .errors import NotTSymmetric
+from .oracle import (CheckResult, oracle_quadform_matrices, oracle_ted_check,
+                     oracle_tprod)
+from .spectral import (_canonical_phase, _certificate, _f_diagonal,
+                       _full_spectrum, _half_spectrum_groups, _norm,
+                       classify_ted, exact_psd, quadform, ted)
+from .tensor3 import (as_tensor3, bcirc, bcirc_inv, fold, shift_columns,
+                      transpose, unfold, unfold_mat)
 from .transform import _ct, freq_from_half, from_freq, to_freq
 from .tproduct import tprod
 from .tubal import tube_mul
@@ -57,8 +63,7 @@ class TsvdDiagnostics:
     ``pair_right[j]`` is ``||A * X_j - Y_j * S_jj||_F`` and
     ``pair_left[j]`` is ``||A^T * Y_j - X_j * (S^T)_jj||_F``, with shape
     ``(min(m, n),)`` (the singular matrices have unit norm, so the values
-    are absolute).  Every value is computed from one transform of each
-    returned factor.  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the
+    are absolute).  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the
     same residuals (see the module docstring).
     """
 
@@ -110,14 +115,8 @@ def tsvd(A):
 
     Af = F.half
     Uf, Sf, Vf = (to_freq(X).half for X in (U, S, V))
-    US = Uf @ Sf
-    recon = float(_norm(Af - US @ _ct(Vf), p))
-    normA = float(np.linalg.norm(A))
-    if normA > 0.0:
-        recon /= normA
-    orth_u = float(_norm(_ct(Uf) @ Uf - np.eye(m), p))
+    recon, orth_u, right = _certificate(A, Af, Uf, Sf, Vf)
     orth_v = float(_norm(_ct(Vf) @ Vf - np.eye(n), p))
-    right = _norm(Af @ Vf[:, :, :r] - US[:, :, :r], p, (0, 2))
     left = _norm(_ct(Af) @ Uf[:, :, :r] - (Vf @ _ct(Sf))[:, :, :r], p, (0, 2))
     pair_max = float(max(right.max(), left.max())) if r else 0.0
 
@@ -193,4 +192,54 @@ def gram_consistency(A, result):
                 note=f"spectral class {verdict.spectral_class}; negative "
                      f"spatial entries occur for generic inputs and are "
                      f"reported, not asserted")]
+    return checks
+
+
+#: The largest ``n * p`` that gets ``verify``'s dense polarization checks.
+POLARIZATION_MAX_NP = 64
+
+
+def verify_checks(A, seed):
+    """The checks of ``verify`` on ``A``, in report order; ``seed`` draws
+    the t-product operand and the polarization slice."""
+    A = as_tensor3(A)
+    m, n, p = A.shape
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, m, p))
+    fast, dense = tprod(A, B), oracle_tprod(A, B)
+    result = tsvd(A)
+    res = result.residuals
+    checks = [CheckResult(name, float(r), bound) for name, r, bound in (
+        ("bcirc_roundtrip", np.max(np.abs(bcirc_inv(bcirc(A), p) - A)), 0.0),
+        ("fold_roundtrip", np.max(np.abs(fold(unfold(A), p) - A)), 0.0),
+        ("transpose_involution", np.max(np.abs(transpose(transpose(A)) - A)),
+         0.0),
+        ("tprod_cross_path", np.linalg.norm(fast - dense)
+         / max(1.0, float(np.linalg.norm(dense))), 1e-12),
+        ("tsvd_reconstruction", res.reconstruction, 1e-10),
+        ("tsvd_orthogonality_u", res.orthogonality_u, 1e-10),
+        ("tsvd_orthogonality_v", res.orthogonality_v, 1e-10),
+        ("tsvd_pair_residuals", res.pair_max, 1e-9))]
+    checks += gram_consistency(A, result)
+
+    # Symmetry is decided by ted's gate, as in psd_spectral.
+    try:
+        T = ted(A) if m == n else None
+    except NotTSymmetric:
+        T = None
+    if T is not None:
+        checks.extend(replace(c, check=f"ted_{c.check}")
+                      for c in oracle_ted_check(A, T))
+        if n * p <= POLARIZATION_MAX_NP:
+            X = rng.standard_normal((n, p))
+            x, M = unfold_mat(X), oracle_quadform_matrices(A)
+            poly = np.array([float(x @ M[k] @ x) for k in range(p)])
+            r = float(np.max(np.abs(quadform(A, X) - poly)))
+            checks.append(CheckResult("quadform_polarization", r, 1e-10))
+            # The closed form describes (A + A^T) / 2, the tensor ted factors.
+            lam = np.linalg.eigvalsh(
+                oracle_quadform_matrices(0.5 * (A + transpose(A))))
+            r = abs(exact_psd(A, T).min_eigenvalue - float(lam.min())) / max(
+                1.0, float(np.max(np.abs(T.frequency_eigenvalues))))
+            checks.append(CheckResult("exact_psd_cross_path", r, 1e-12))
     return checks

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, formats, determinism, file I/O."""
 
 import argparse
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 import subprocess
 import sys
 
@@ -122,6 +124,29 @@ def test_argv_row_gives_every_option(command):
         if names[0].startswith("-")]
     for names in options:
         assert any(name in ARGV[command] for name in names), names
+
+
+def _corpus():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_corpus_gives_every_option_and_format(command):
+    # scripts/corpus.py compares CLI output across checkouts; a knob it
+    # never gives would go unchecked there.
+    table = [argv for argv in _corpus().argv_table(cli.COMMANDS)
+             if argv[0] == command]
+    pairs = {tuple(argv[i:i + 2]) for argv in table
+             for i in range(len(argv) - 1)}
+    assert {("--format", "text"), ("--format", "json")} <= pairs
+    given = {token for argv in table for token in argv}
+    for names, _ in cli.COMMANDS[command][2:]:
+        if names[0].startswith("-"):
+            assert set(names) <= given, names
 
 
 def _usage_error(parser, argv):
@@ -249,6 +274,20 @@ def test_overflowing_spectrum_is_not_called_unsymmetric(capsys, tmp_path,
     assert (code, out) == (1, "")
     assert "frequency spectrum overflows" in err
     assert "NotTSymmetric" not in err
+
+
+@pytest.mark.parametrize("command", ["ted", "tsvd", "psd", "verify"])
+def test_lapack_failure_is_numerical_error(capsys, monkeypatch, tsym_file,
+                                           command):
+    # LinAlgError subclasses ValueError, the input-format branch (exit 1).
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code, out, err = run(capsys, command, tsym_file)
+    assert (code, out) == (2, "")
+    assert err == "error: LinAlgError: Eigenvalues did not converge\n"
 
 
 def test_verify_has_no_tol_flag(capsys, tsym_file):
@@ -658,7 +697,6 @@ def test_verify_decomposes_the_input_once(capsys, tsym_file, monkeypatch):
         return real(A)
 
     monkeypatch.setattr(tsvd_module, "tsvd", counted)
-    monkeypatch.setattr(cli, "tsvd", counted)
     code, _, _ = run(capsys, "verify", tsym_file)
     assert code == 0
     assert len(calls) == 1
@@ -683,6 +721,19 @@ def test_text_factors_are_serialized_once(capsys, tsym_file, monkeypatch):
         for name in factors:
             block = doc["factors"][f"{name}_t3"]
             assert f"factor {name}:\n{block}" in text
+
+
+@pytest.mark.parametrize("A", [random_tsym(RNG, 3, 4),
+                               random_tensor(RNG, 3, 5, 2)],
+                         ids=["tsym", "rect"])
+def test_verify_checks_are_the_cli_document(capsys, tmp_path, A):
+    path = str(tmp_path / "a.t3")
+    write_tensor3(path, A)
+    code, out, _ = run(capsys, "verify", path, "--seed", "5", "--format",
+                       "json")
+    assert code == 0
+    checks = [c.as_dict() for c in tsvd_module.verify_checks(A, 5)]
+    assert json.loads(out)["checks"] == checks
 
 
 def test_verify_passes_on_rectangular_input(capsys, tmp_path):
@@ -723,13 +774,13 @@ def test_exact_psd_cross_path_passes_just_inside_the_gate(capsys,
 
 def test_exact_psd_cross_path_catches_a_moved_minimum(capsys, monkeypatch,
                                                       tsym_file):
-    real = cli.exact_psd
+    real = tsvd_module.exact_psd
 
     def moved(A, result, tol=1e-10):
         ex = real(A, result, tol)
         return replace(ex, min_eigenvalue=ex.min_eigenvalue + 1e-9)
 
-    monkeypatch.setattr(cli, "exact_psd", moved)
+    monkeypatch.setattr(tsvd_module, "exact_psd", moved)
     code, out, _ = run(capsys, "verify", tsym_file)
     assert code == 3
     assert "FAIL exact_psd_cross_path" in out
@@ -759,7 +810,7 @@ def test_verify_skips_ted_checks_when_ted_refuses(capsys, tmp_path):
 def test_verify_polarization_guard_at_its_boundary(capsys, tmp_path, n, p,
                                                    dense):
     # n*p = 64 is the largest size that gets the dense polarization checks.
-    assert (n * p <= cli.POLARIZATION_MAX_NP) == dense
+    assert (n * p <= tsvd_module.POLARIZATION_MAX_NP) == dense
     path = tmp_path / "sym.t3"
     write_tensor3(str(path), random_tsym(RNG, n, p))
     code, out, _ = run(capsys, "verify", str(path), "--format", "json")
@@ -778,7 +829,8 @@ def test_verify_has_no_max_size_option(capsys, tsym_file):
 
 def test_verify_reports_failure_with_exit_3(capsys, tsym_file, monkeypatch):
     # Simulate a broken fast path: the cross-route check must catch it.
-    monkeypatch.setattr(cli, "tprod", lambda A, B: tprod(A, B) + 1e-3)
+    monkeypatch.setattr(tsvd_module, "tprod",
+                        lambda A, B: tprod(A, B) + 1e-3)
     code, out, _ = run(capsys, "verify", tsym_file)
     assert code == 3
     assert "FAIL tprod_cross_path" in out
@@ -852,7 +904,8 @@ def test_disagreeing_psd_verdicts_render_the_note(capsys, monkeypatch,
 
 def test_failing_verify_renders_the_json_document(capsys, monkeypatch,
                                                   doc_files):
-    monkeypatch.setattr(cli, "tprod", lambda A, B: tprod(A, B) + 1e-3)
+    monkeypatch.setattr(tsvd_module, "tprod",
+                        lambda A, B: tprod(A, B) + 1e-3)
     for argv in (("verify", "@sym"), ("verify", "@rect")):
         code, doc, text = _text_and_json(capsys, monkeypatch, doc_files, argv)
         assert (code, doc["passed"]) == (3, False)
