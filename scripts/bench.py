@@ -1,15 +1,18 @@
-"""Time one topic and record it in ``BENCH_<topic>.json``.
+"""Time topics on two source trees in one run and record the comparison.
 
-Run once against the source tree before a change and once after it::
+Give the topics, both trees and the output file::
 
-    python3 scripts/bench.py TOPIC --src OLD/src --side before
-    python3 scripts/bench.py TOPIC --src src --side after
+    python3 scripts/bench.py decompose certify --before OLD/src --after src \
+        --out BENCH_scale.json
 
-Each run fills its side of every entry in the output file (default
-``BENCH_<topic>.json``) and keeps the other side, so the two runs may use
-different checkouts.  BLAS and FFT are pinned to one thread before numpy
-is imported.  Inputs are Gaussian draws from a fixed seed per topic and
-shape.  The topics are:
+Each of :data:`ROUNDS` rounds runs both trees, each in a fresh
+subprocess, and alternates which one goes first, so drift of a shared
+host falls on both sides alike instead of reading as a speed-up.  In a
+round, every entry gets one warm-up call and then is timed for about
+:data:`ROUND_S` seconds; the median of those calls is the round's sample.
+BLAS and FFT are pinned to one thread before numpy is imported.  Inputs
+are Gaussian draws from a fixed seed per topic and shape.  The topics
+are:
 
 ``certify`` (seed 2011)
     The dense certification path on Gram tensors ``B^T * B``: the
@@ -30,9 +33,10 @@ shape.  The topics are:
     workload's two commands end to end: ``info --format json`` and
     ``tprod`` with its result written to a file.
 
-Each entry records the median wall time of one call in ``seconds``, the
-distance between the quartiles of the timed calls in ``iqr_seconds`` and
-the number of timed calls in ``reps`` (at least 3).
+Each entry records, per side, the median of its round samples in
+``seconds``, the distance between their quartiles in ``iqr_seconds`` and
+the number of rounds in ``rounds``; ``after_wins`` counts the rounds in
+which ``after`` was faster, and ``speedup`` is the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -54,24 +59,24 @@ for _var in ("TUBAL_SPECTRA_THREADS", "OMP_NUM_THREADS",
     os.environ[_var] = "1"
 
 SCHEMA = "tubal-spectra/1"
-TARGET_S = 1.0     # time budget per entry after the warm-up call
-MIN_REPS = 3       # even a slow entry gets a median with a spread
+ROUNDS = 10        # rounds of both sides, alternating which goes first
+ROUND_S = 0.2      # time budget per entry and round after the warm-up call
+MIN_REPS = 3       # even a slow entry gets a median in every round
 MAX_REPS = 200
 
 
 def _time(fn):
+    """The median wall time of one call of ``fn``, after a warm-up call."""
     start = time.perf_counter()
     fn()
     first = time.perf_counter() - start
-    reps = int(max(MIN_REPS, min(MAX_REPS, TARGET_S // max(first, 1e-9))))
+    reps = int(max(MIN_REPS, min(MAX_REPS, ROUND_S // max(first, 1e-9))))
     times = []
     for _ in range(reps):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    q1, _, q3 = statistics.quantiles(times, n=4)
-    return {"seconds": statistics.median(times), "iqr_seconds": q3 - q1,
-            "reps": reps}
+    return statistics.median(times)
 
 
 def _draw(key, shape):
@@ -187,50 +192,77 @@ TOPICS = {"certify": (2011, measure_certify),
           "codec": (2404, measure_codec)}
 
 
-def record(argv=None):
-    """Time one topic on one side and merge it into the output file.
+def _side(src, topics):
+    """One round of one tree: ``{"topic|name|shape": seconds}``, timed in
+    this process with ``tubal_spectra`` imported from ``src``."""
+    sys.path.insert(0, os.path.abspath(src))
+    samples = {}
+    for topic in topics:
+        seed, measure = TOPICS[topic]
+        with tempfile.TemporaryDirectory() as workdir:
+            for name, shape, fn in measure(seed, workdir):
+                samples[f"{topic}|{name}|{shape}"] = _time(fn)
+    return samples
 
-    Parses the topic, ``--src``, ``--side`` and ``--out`` from ``argv``,
-    imports ``tubal_spectra`` from ``--src`` and fills that side of every
-    entry in the output file, keeping the other side.
-    """
+
+def _run_side(src, topics):
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", src, *topics],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _summary(samples):
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {"seconds": statistics.median(samples), "iqr_seconds": q3 - q1,
+            "rounds": len(samples)}
+
+
+def record(argv=None):
+    """Time the topics on both trees, alternating per round, and write the
+    comparison; returns the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--child"]:  # one side of one round, in a fresh process
+        print(json.dumps(_side(argv[1], argv[2:])))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("topic", choices=TOPICS)
-    parser.add_argument("--src", required=True,
-                        help="source directory that holds tubal_spectra")
-    parser.add_argument("--side", required=True, choices=("before", "after"))
-    parser.add_argument("--out", default=None,
-                        help="output file (default BENCH_<topic>.json)")
+    parser.add_argument("topics", nargs="+", choices=TOPICS)
+    parser.add_argument("--before", required=True,
+                        help="source directory of the tree before the change")
+    parser.add_argument("--after", required=True,
+                        help="source directory of the tree after the change")
+    parser.add_argument("--out", required=True,
+                        help="output file, for example BENCH_<topic>.json")
     args = parser.parse_args(argv)
-    out = args.out or f"BENCH_{args.topic}.json"
-    seed, measure = TOPICS[args.topic]
-    sys.path.insert(0, os.path.abspath(args.src))
+    sides = {"before": args.before, "after": args.after}
+    samples = {"before": [], "after": []}
+    for r in range(ROUNDS):
+        for side in ("before", "after") if r % 2 == 0 else ("after", "before"):
+            samples[side].append(_run_side(sides[side], args.topics))
+        print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
     import numpy as np
 
-    if os.path.exists(out):
-        with open(out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = {"schema": SCHEMA, "kind": f"bench_{args.topic}", "seed": seed,
-               "env": {}, "results": []}
-    doc["env"][args.side] = {
-        "python": platform.python_version(), "numpy": np.__version__,
-        "machine": platform.machine(), "cpus": os.cpu_count(),
-        "threads": os.environ["TUBAL_SPECTRA_THREADS"]}
-    rows = {(r["name"], r["shape"]): r for r in doc["results"]}
-    with tempfile.TemporaryDirectory() as workdir:
-        for name, shape, fn in measure(seed, workdir):
-            timing = _time(fn)
-            row = rows.setdefault((name, shape),
-                                  {"name": name, "shape": shape})
-            row[args.side] = timing
-            print(f"{args.side} {name} {shape}: {timing['seconds']:.3e} s "
-                  f"x {timing['reps']}")
-    for row in rows.values():
-        if "before" in row and "after" in row:
-            row["speedup"] = row["before"]["seconds"] / row["after"]["seconds"]
-    doc["results"] = list(rows.values())
-    with open(out, "w", encoding="utf-8") as fh:
+    results = []
+    for key in samples["before"][0]:
+        topic, name, shape = key.split("|")
+        before = [s[key] for s in samples["before"]]
+        after = [s[key] for s in samples["after"]]
+        row = {"topic": topic, "name": name, "shape": shape,
+               "before": _summary(before), "after": _summary(after),
+               "after_wins": sum(a < b for a, b in zip(after, before))}
+        row["speedup"] = row["before"]["seconds"] / row["after"]["seconds"]
+        results.append(row)
+        print(f"{topic} {name} {shape}: {row['before']['seconds']:.3e} -> "
+              f"{row['after']['seconds']:.3e} s, after faster in "
+              f"{row['after_wins']}/{ROUNDS}")
+    doc = {"schema": SCHEMA, "kind": "bench",
+           "seeds": {t: TOPICS[t][0] for t in args.topics},
+           "env": {"python": platform.python_version(),
+                   "numpy": np.__version__, "machine": platform.machine(),
+                   "cpus": os.cpu_count(),
+                   "threads": os.environ["TUBAL_SPECTRA_THREADS"]},
+           "rounds": ROUNDS, "results": results}
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
     return 0
 

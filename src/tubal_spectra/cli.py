@@ -389,8 +389,9 @@ COMMANDS = {
     "tsvd": (_cmd_tsvd, "tensor singular value decomposition", _INPUT,
              _OUTPUT),
     "psd": (_cmd_psd, "classify the T-quadratic form", _INPUT, _OUTPUT,
-            _opt("--tol", type=float, default=1e-10,
-                 help="classification tolerance"),
+            _opt("--tol", type=float, default=1e-10, help=(
+                "classification tolerance, relative to max|A| rounded up to "
+                "a power of two (default 1e-10)")),
             _opt("--exact", action="store_true",
                  help="also report the exact elementwise answer"),
             _opt("--auto-symmetrize", action="store_true",

@@ -133,7 +133,7 @@ def oracle_quadform_matrices(A):
     return _quadform_matrices(bcirc(A), n, p)
 
 
-def oracle_psd_exact(A, tol=1e-10):
+def oracle_psd_exact(A):
     """Exact elementwise PSD classification of the T-quadratic form.
 
     Eigendecomposes every polarization matrix; the form is elementwise PSD
@@ -141,7 +141,7 @@ def oracle_psd_exact(A, tol=1e-10):
     whose matrix attains the minimum eigenvalue (for T-symmetric ``A``,
     components ``r`` and ``p - r`` tie, bit for bit when ``A`` is exactly
     T-symmetric).  When that eigenvalue falls
-    below ``-tol`` its eigenvector, signed so that its largest-magnitude
+    below ``-1e-10`` its eigenvector, signed so that its largest-magnitude
     entry (first on ties) is positive, is folded into a witness matrix
     slice and re-verified through the dense form before being returned.
     It costs ``O(p (n p)^3)``: no command runs it, and it is the tests'
@@ -153,7 +153,7 @@ def oracle_psd_exact(A, tol=1e-10):
     w, V = np.linalg.eigh(_quadform_matrices(bcA, n, p))
     r = int(np.argmin(w[:, 0]))
     min_eig = float(w[r, 0])
-    if min_eig >= -tol:
+    if min_eig >= -1e-10:
         return ExactPsdResult(label=ELEMENTWISE_PSD, min_eigenvalue=min_eig,
                               component=r + 1)
     vec = V[r, :, 0]
@@ -161,7 +161,7 @@ def oracle_psd_exact(A, tol=1e-10):
         vec = -vec
     witness = fold_mat(vec, p)
     value = float(_quadform_dense(bcA, witness, p)[r])
-    if value >= -tol:
+    if value >= -1e-10:
         raise TubalError(
             "internal inconsistency: PSD witness failed re-evaluation")
     return ExactPsdResult(label=NOT_ELEMENTWISE_PSD, min_eigenvalue=min_eig,

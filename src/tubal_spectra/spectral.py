@@ -9,7 +9,11 @@ conjugate bins mirrored exactly.  Eigentuple ``j`` is the index reversal of
 the ``j``-th diagonal tube of ``D``, so that
 ``A * U_j^[k] = d_j act U_j^[k]`` for every cyclic column shift ``k``.
 Symmetry is decided by one scale-free gate, ``tensor3.is_t_symmetric``;
-by Parseval its Frobenius ratio is the same in either domain.
+by Parseval its Frobenius ratio is the same in either domain.  ``ted`` and
+``tsvd`` factor and certify ``S, e = tensor3.unit_scaled(A)`` and scale
+the spectra and the diagonal factor back by ``2^e`` (exact), so every
+residual and tolerance is relative to ``max|A|`` rounded up to a power of
+two; a scaled-back spectrum that overflows raises ``ValueError``.
 
 The frequency core is batched and shared with :mod:`tubal_spectra.tsvd`.
 It works on the bin-major half-spectrum stack of
@@ -59,7 +63,7 @@ import numpy as np
 from .errors import NotTSymmetric, ShapeError, TubalError, ZeroMatrix
 from .oracle import ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD, ExactPsdResult
 from .tensor3 import (as_matslice, is_t_symmetric, require_square,
-                      shift_columns, transpose)
+                      shift_columns, transpose, unit_scaled)
 from .transform import (FreqSlices, _ct, _mirrored_bins, _real_bins,
                         freq_from_half, from_freq, to_freq)
 from .tproduct import tprod, tprod_mat
@@ -72,9 +76,9 @@ SPECTRAL_NOT_PSD = "NOT_PSD_BY_CRITERION"
 
 @dataclass
 class TedDiagnostics:
-    """Residuals certifying one decomposition.
+    """Residuals certifying one decomposition, of ``S = A * 2^-e``.
 
-    ``eigenpair[j]`` is ``||A * U_j - d_j act U_j||_F / ||U_j||_F`` for
+    ``eigenpair[j]`` is ``||S * U_j - d_j act U_j||_F / ||U_j||_F`` for
     the ``j``-th eigentuple, with shape ``(n,)``.  Every column shift
     ``U_j^[k]`` has the same residual (see the module docstring), so one
     value per eigentuple certifies all ``p`` eigenmatrices.
@@ -96,7 +100,8 @@ class TedResult:
     ``first_components_sorted`` is computed with roundoff slack;
     ``elementwise_chain`` is ``True``/``False``/``"incomparable"``.
     ``u_half`` is the half spectrum of ``u`` (``to_freq(u).half``), kept
-    from the certificates for :func:`exact_psd`'s witness.
+    from the certificates for :func:`exact_psd`'s witness.  ``d`` and the
+    spectra are those of ``A * 2^-e`` times ``2^e``, ``e = scale_exponent``.
     """
 
     u: np.ndarray
@@ -107,6 +112,7 @@ class TedResult:
     residuals: TedDiagnostics
     first_components_sorted: bool
     elementwise_chain: object
+    scale_exponent: int
 
 
 @dataclass
@@ -114,7 +120,7 @@ class PsdVerdict:
     """Outcome of the spectral PSD criterion, plus optional exact data.
 
     ``spectral_class`` is ``PD``, ``PSD`` or ``NOT_PSD_BY_CRITERION`` from
-    the spatial eigentuple entries at tolerance ``tol``.
+    the spatial eigentuple entries at tolerance ``tol`` times ``2^e``.
     ``min_frequency_eigenvalue`` certifies the classical (first form
     component) side.  ``symmetrized`` is true when the verdict is for
     ``(A + A^T) / 2`` rather than ``A`` itself (see :func:`psd_spectral`).
@@ -191,6 +197,14 @@ def _certificate(A, Af, Lf, Df, Rf):
     return recon, orth, _norm(Af @ Rf[:, :, :r] - LD[:, :, :r], p, (0, 2))
 
 
+def _scaled_back(e, *arrays):
+    """Each array times ``2^e`` (exact); ``ValueError`` when one overflows."""
+    out = [np.ldexp(X, e) for X in arrays]
+    if not all(np.isfinite(X).all() for X in out):
+        raise ValueError("frequency spectrum overflows: out of float64 range")
+    return out
+
+
 def _f_diagonal(values, m, n, p):
     """The real f-diagonal ``(m, n, p)`` tensor whose diagonal tube ``j``
     has the values ``values[:, j]`` on bins ``0..p//2``, and its diagonal
@@ -209,7 +223,7 @@ def ted(A, tol=1e-10):
     factors are those of ``(A + A^T) / 2``, so the reconstruction residual
     is at most ``tol / 2`` plus roundoff.
     """
-    A = require_square(A)
+    A, e = unit_scaled(require_square(A))
     n, _, p = A.shape
     F = to_freq(A)
     if not is_t_symmetric(A, tol):
@@ -234,12 +248,12 @@ def ted(A, tol=1e-10):
     firsts = eigentuples[:, 0]
     sorted_ok = bool(np.all(firsts[1:] <= firsts[:-1] + slack))
 
+    D, tuples, w = _scaled_back(e, D, eigentuples, _full_spectrum(w, p))
     return TedResult(
-        u=U, d=D, u_half=Uf, eigentuples=eigentuples,
-        frequency_eigenvalues=_full_spectrum(w, p),
+        u=U, d=D, u_half=Uf, eigentuples=tuples, frequency_eigenvalues=w,
         residuals=TedDiagnostics(recon, orth, pair, float(pair.max())),
         first_components_sorted=sorted_ok,
-        elementwise_chain=descending_chain(eigentuples))
+        elementwise_chain=descending_chain(eigentuples), scale_exponent=e)
 
 
 def eigenmatrices(result, j):
@@ -314,7 +328,8 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
     """Classify the T-quadratic form of ``A`` by the spectral criterion.
 
     ``PD`` when every entry of every eigentuple exceeds ``tol``, ``PSD``
-    when every entry is at least ``-tol``, else ``NOT_PSD_BY_CRITERION``.
+    when every entry is at least ``-tol``, else ``NOT_PSD_BY_CRITERION``;
+    ``tol`` is relative to ``max|A|`` rounded up to a power of two.
     Symmetry is decided once, by the gate of :func:`ted`.  Non-T-symmetric
     input raises :class:`NotTSymmetric` unless ``auto_symmetrize`` is set,
     in which case ``(A + A^T) / 2`` is classified instead; that tensor
@@ -341,21 +356,18 @@ def classify_ted(result, tol=1e-10):
     """The spectral PSD verdict of an existing :class:`TedResult`.
 
     This is the classification step of :func:`psd_spectral`, for callers
-    that already hold the decomposition.
+    that already hold the decomposition, at ``tol`` times ``2^e``.
     """
     min_entry = float(result.eigentuples.min())
-    if min_entry > tol:
+    bound = np.ldexp(tol, result.scale_exponent)
+    if min_entry > bound:
         cls = SPECTRAL_PD
-    elif min_entry >= -tol:
+    elif min_entry >= -bound:
         cls = SPECTRAL_PSD
     else:
         cls = SPECTRAL_NOT_PSD
-    return PsdVerdict(
-        spectral_class=cls,
-        smallest_eigentuple=result.eigentuples[-1].copy(),
-        min_entry=min_entry,
-        min_frequency_eigenvalue=float(result.frequency_eigenvalues.min()),
-        tol=tol)
+    return PsdVerdict(cls, result.eigentuples[-1].copy(), min_entry,
+                      float(result.frequency_eigenvalues.min()), tol)
 
 
 def exact_psd(A, result, tol=1e-10):
@@ -364,10 +376,12 @@ def exact_psd(A, result, tol=1e-10):
     Each ``M_r`` of :mod:`tubal_spectra.oracle` is block-circulant, with the
     eigenvalues ``cos(2 pi m / p) lambda_j(F_k)``, ``m = (r k) mod p`` folded
     to ``min(m, p - m)`` so that components ``r`` and ``p - r`` tie exactly.
-    The first minimum in ``(r, j, k)`` order is reported; below ``-tol``, with
-    the unit-norm witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` column
-    ``j`` of the canonically phased bin ``k`` of ``result.u_half``.
+    The first minimum in ``(r, j, k)`` order is reported; below ``-tol``
+    times ``2^e`` (``e = result.scale_exponent``), with the unit-norm
+    witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` column ``j`` of the
+    canonically phased bin ``k`` of ``result.u_half``.
     """
+    tol = np.ldexp(tol, result.scale_exponent)
     lam = result.frequency_eigenvalues
     p = lam.shape[1]
     m = np.outer(np.arange(p), np.arange(p)) % p

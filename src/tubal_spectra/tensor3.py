@@ -71,12 +71,12 @@ def bcirc(A):
     return A[:, :, idx].transpose(2, 0, 3, 1).reshape(m * p, n * p)
 
 
-def bcirc_inv(M, p, tol=1e-10):
+def bcirc_inv(M, p):
     """Recover a tensor from its block-circulant embedding.
 
     ``p`` fixes the block grid.  Raises :class:`NotBlockCirculant` when the
     matrix deviates from the block circulant rebuilt from its first block
-    column by more than ``tol`` (max-abs).
+    column by more than ``1e-10`` (max-abs).
     """
     M = np.asarray(M, dtype=np.float64)
     if p <= 0 or M.ndim != 2 or M.shape[0] % p or M.shape[1] % p:
@@ -88,10 +88,10 @@ def bcirc_inv(M, p, tol=1e-10):
     for k in range(p):
         A[:, :, k] = M[k * m:(k + 1) * m, :n]
     residual = float(np.max(np.abs(M - bcirc(A))))
-    if residual > tol:
+    if residual > 1e-10:
         raise NotBlockCirculant(
             f"matrix deviates from block-circulant structure by "
-            f"{residual:.3e} (tol {tol:.3e})")
+            f"{residual:.3e} (tol 1.000e-10)")
     return A
 
 
@@ -183,7 +183,7 @@ def is_f_diagonal(S, tol=1e-10):
                 <= tol * np.max(np.abs(S)))
 
 
-def is_standard_form(S, tol=1e-10):
+def is_standard_form(S):
     """Three-valued check that an f-diagonal tensor has ordered diagonal tubes.
 
     Returns the verdict of :func:`~tubal_spectra.tubal.descending_chain` on
@@ -191,7 +191,7 @@ def is_standard_form(S, tol=1e-10):
     :class:`ShapeError` if ``S`` is not f-diagonal.
     """
     S = as_tensor3(S)
-    if not is_f_diagonal(S, tol):
+    if not is_f_diagonal(S):
         raise ShapeError("standard form is defined for f-diagonal tensors")
     j = np.arange(min(S.shape[0], S.shape[1]))
     return descending_chain(S[j, j])

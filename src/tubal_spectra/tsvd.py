@@ -15,13 +15,13 @@ singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
 ``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`
 over the half-spectrum stack of :mod:`tubal_spectra.transform`: one stacked
 SVD of the real self-conjugate bins and one of the other half-spectrum
-bins, and the shared vectorized canonical phase.  Its certificates are
-``ted``'s, from ``spectral._certificate`` with ``L, D, R = U, S, V``
-(reconstruction, ``U^T * U - I`` and the right pairs ``A * V - U * S``),
-plus ``V^T * V - I`` and the left pairs ``A^T * U - V * S^T``: one
-residual per singular tuple and side, shared by every shift.  No dense
-check recomputes the per-shift values for ``tsvd``; the test suite
-compares them with a per-shift loop.
+bins, the shared vectorized canonical phase and ``ted``'s power-of-two
+scaling.  Its certificates are ``ted``'s, from ``spectral._certificate``
+with ``L, D, R = U, S, V`` (reconstruction, ``U^T * U - I`` and the right
+pairs ``A * V - U * S``), plus ``V^T * V - I`` and the left pairs
+``A^T * U - V * S^T``: one residual per singular tuple and side, shared by
+every shift.  No dense check recomputes the per-shift values for ``tsvd``;
+the test suite compares them with a per-shift loop.
 
 ``gram_consistency(A, result)`` cross-checks the TSVD ``result`` of ``A``
 against both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples
@@ -30,11 +30,11 @@ nonnegative.  Their spatial eigentuple entries are routinely negative even
 though the tuples are squares; that floor is reported, not asserted.
 
 ``verify_checks(A, seed)`` is the ``verify`` command's report, a list of
-:class:`~tubal_spectra.oracle.CheckResult`: round trips, the fast t-product
-against the dense ``bcirc`` route, the TSVD certificates, ``gram_consistency``
-and, when ``ted`` accepts ``A``, ``oracle.oracle_ted_check`` and two dense
-polarization checks.  Every bound ``verify`` applies is set here or in
-``oracle``.
+:class:`~tubal_spectra.oracle.CheckResult` on ``unit_scaled(A)``: round
+trips, the fast t-product against the dense ``bcirc`` route, the TSVD
+certificates, ``gram_consistency`` and, when ``ted`` accepts ``A``,
+``oracle.oracle_ted_check`` and two dense polarization checks.  Every
+bound ``verify`` applies is set here or in ``oracle``, relative to ``2^e``.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .oracle import (CheckResult, oracle_quadform_matrices, oracle_ted_check,
                      oracle_tprod)
 from .spectral import (_canonical_phase, _certificate, _f_diagonal,
                        _full_spectrum, _half_spectrum_groups, _norm,
-                       classify_ted, exact_psd, quadform, ted)
+                       _scaled_back, classify_ted, exact_psd, quadform, ted)
 from .tensor3 import (as_tensor3, bcirc, bcirc_inv, fold, shift_columns,
-                      transpose, unfold, unfold_mat)
+                      transpose, unfold, unfold_mat, unit_scaled)
 from .transform import _ct, freq_from_half, from_freq, to_freq
 from .tproduct import tprod
 from .tubal import tube_mul
@@ -58,13 +58,13 @@ from .tubal import tube_mul
 
 @dataclass
 class TsvdDiagnostics:
-    """Residuals certifying one decomposition.
+    """Residuals certifying one decomposition, of ``A * 2^-e``.
 
     ``pair_right[j]`` is ``||A * X_j - Y_j * S_jj||_F`` and
     ``pair_left[j]`` is ``||A^T * Y_j - X_j * (S^T)_jj||_F``, with shape
     ``(min(m, n),)`` (the singular matrices have unit norm, so the values
-    are absolute).  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the
-    same residuals (see the module docstring).
+    are relative to ``2^e``).  Every column shift ``X_j^[k]``, ``Y_j^[k]``
+    has the same residuals (see the module docstring).
     """
 
     reconstruction: float
@@ -81,7 +81,8 @@ class TsvdResult:
 
     ``singular_tuples`` holds the ``min(m, n)`` singular tuples as rows;
     ``frequency_singular_values[:, k]`` are the singular values of
-    frequency slice ``k`` (descending).
+    frequency slice ``k`` (descending).  ``s`` and the spectra are those of
+    ``A * 2^-e`` times ``2^e``, ``e = scale_exponent``.
     """
 
     u: np.ndarray
@@ -90,11 +91,12 @@ class TsvdResult:
     singular_tuples: np.ndarray
     frequency_singular_values: np.ndarray
     residuals: TsvdDiagnostics
+    scale_exponent: int
 
 
 def tsvd(A):
     """Canonical TSVD of an arbitrary real third-order tensor."""
-    A = as_tensor3(A)
+    A, e = unit_scaled(as_tensor3(A))
     m, n, p = A.shape
     r = min(m, n)
     F = to_freq(A)
@@ -120,11 +122,11 @@ def tsvd(A):
     left = _norm(_ct(Af) @ Uf[:, :, :r] - (Vf @ _ct(Sf))[:, :, :r], p, (0, 2))
     pair_max = float(max(right.max(), left.max())) if r else 0.0
 
+    S, tuples, sig = _scaled_back(e, S, tuples, _full_spectrum(sig, p))
     return TsvdResult(
-        u=U, s=S, v=V, singular_tuples=tuples,
-        frequency_singular_values=_full_spectrum(sig, p),
+        u=U, s=S, v=V, singular_tuples=tuples, frequency_singular_values=sig,
         residuals=TsvdDiagnostics(recon, orth_u, orth_v, right, left,
-                                  pair_max))
+                                  pair_max), scale_exponent=e)
 
 
 def singular_pairs(result, j):
@@ -200,9 +202,9 @@ POLARIZATION_MAX_NP = 64
 
 
 def verify_checks(A, seed):
-    """The checks of ``verify`` on ``A``, in report order; ``seed`` draws
-    the t-product operand and the polarization slice."""
-    A = as_tensor3(A)
+    """The checks of ``verify`` on ``unit_scaled(A)``, in report order;
+    ``seed`` draws the t-product operand and the polarization slice."""
+    A, _ = unit_scaled(as_tensor3(A))
     m, n, p = A.shape
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, m, p))

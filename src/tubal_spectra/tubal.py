@@ -101,20 +101,18 @@ def tube_transpose(a):
     return np.concatenate([a[:1], a[1:][::-1]])
 
 
-def tube_le(a, b, tol=0.0):
+def tube_le(a, b):
     """Three-valued elementwise comparison.
 
-    Returns ``True`` if ``a <= b`` elementwise (within ``tol``), ``False``
-    if ``b <= a`` elementwise, and :data:`INCOMPARABLE` otherwise.  Equal
-    tubes compare ``True``.
+    Returns ``True`` if ``a <= b`` elementwise, ``False`` if ``b <= a``
+    elementwise, and :data:`INCOMPARABLE` otherwise.  Equal tubes compare
+    ``True``.
     """
     a, b = as_tube(a), as_tube(b)
     _check_same_length(a, b)
-    le = bool(np.all(a <= b + tol))
-    ge = bool(np.all(b <= a + tol))
-    if le:
+    if np.all(a <= b):
         return True
-    if ge:
+    if np.all(b <= a):
         return False
     return INCOMPARABLE
 
@@ -141,16 +139,16 @@ class SqrtRoot(NamedTuple):
     nonnegative: bool
 
 
-def tubal_sqrt_all(b, tol=1e-10):
+def tubal_sqrt_all(b):
     """Enumerate all real tubal square roots of a real tube ``b``.
 
     Every root is a conjugate-symmetric choice of branch for the DFT values
     ``sqrt(fft(b))`` (principal square root or its negation, per bin), so
     at most ``2 ** (p // 2 + 1)`` sign patterns are tried.  Candidates whose
-    inverse transform is not real, or whose defining residual
-    ``max|a (*) a - b|`` exceeds ``tol``, are discarded; exact duplicates
-    (which arise from zero bins) are removed.  The ``nonnegative`` flag is
-    ``True`` when every entry is ``>= -tol``.
+    inverse transform has an imaginary part above ``1e-10`` (max-abs), or
+    whose defining residual ``max|a (*) a - b|`` exceeds ``1e-10``, are
+    discarded; exact duplicates (which arise from zero bins) are removed.
+    The ``nonnegative`` flag is ``True`` when every entry is ``>= -1e-10``.
     """
     b = as_tube(b)
     if np.iscomplexobj(b):
@@ -166,13 +164,13 @@ def tubal_sqrt_all(b, tol=1e-10):
         for k in range(1, (p - 1) // 2 + 1):
             full[p - k] = np.conj(full[k])
         a = np.fft.ifft(full)
-        if np.max(np.abs(a.imag)) > max(tol, 1e-12):
+        if np.max(np.abs(a.imag)) > 1e-10:
             continue
         a = a.real
-        if np.max(np.abs(tube_mul(a, a) - b)) > tol:
+        if np.max(np.abs(tube_mul(a, a) - b)) > 1e-10:
             continue
         if any(np.array_equal(a, r.tube) for r in roots):
             continue
-        roots.append(SqrtRoot(a, bool(np.all(a >= -tol))))
+        roots.append(SqrtRoot(a, bool(np.all(a >= -1e-10))))
     return roots
 

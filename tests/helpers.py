@@ -68,6 +68,14 @@ def near_tsym(rng, n, p, ratio):
     return S + K
 
 
+def exactly_scaled(A, e):
+    """``ldexp(A, e)``, or None when that is not exact: some entry
+    overflows or loses bits by going subnormal."""
+    with np.errstate(over="ignore"):
+        Ae = np.ldexp(A, e)
+    return Ae if np.array_equal(np.ldexp(Ae, -e), A) else None
+
+
 def rel_err(found, expected):
     scale = max(float(np.linalg.norm(found)),
                 float(np.linalg.norm(expected)), 1.0)

@@ -225,13 +225,13 @@ def test_non_finite_file_is_input_error(capsys, tmp_path, command, token):
 @pytest.mark.parametrize("command", ["info", "ted", "tsvd"])
 def test_non_finite_result_exits_1_in_both_formats(capsys, tmp_path, command,
                                                    fmt):
-    # A finite file whose norm, residuals or factors overflow: neither
-    # format prints inf or nan, and no output file is written.  info's
-    # norm is taken scaled, so only a norm above the largest double
-    # overflows (6 * 1.7e308 here).
+    # A finite file whose norm or spectrum overflows: neither format
+    # prints inf or nan, and no output file is written.  info's norm and
+    # the decompositions are taken scaled, so only a value above the
+    # largest double overflows (6 * 1.7e308 for the norm here, and
+    # 12 * 1.7e308 for the bin-0 spectrum).
     path = tmp_path / "huge.t3"
-    value = 1.7e308 if command == "info" else 1e300
-    write_tensor3(str(path), np.full((3, 3, 4), value))
+    write_tensor3(str(path), np.full((3, 3, 4), 1.7e308))
     out_file = tmp_path / "out.txt"
     argv = [command, str(path), "--format", fmt]
     if command != "info":
@@ -239,7 +239,8 @@ def test_non_finite_result_exits_1_in_both_formats(capsys, tmp_path, command,
     with np.errstate(all="ignore"):
         code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert "non-finite value in output" in err
+    assert ("non-finite value in output" if command == "info"
+            else "frequency spectrum overflows") in err
     assert not out_file.exists()
 
 
@@ -263,7 +264,7 @@ def test_non_finite_tol_is_usage_error(capsys, monkeypatch, tsym_file,
     assert "--tol must be finite" in err
 
 
-@pytest.mark.parametrize("command", ["ted", "psd"])
+@pytest.mark.parametrize("command", ["ted", "tsvd", "psd"])
 def test_overflowing_spectrum_is_not_called_unsymmetric(capsys, tmp_path,
                                                         command):
     # Exactly T-symmetric, but the transform overflows to inf on bin 0.
@@ -837,6 +838,50 @@ def test_verify_reports_failure_with_exit_3(capsys, tsym_file, monkeypatch):
     assert out.rstrip().endswith("verify: FAIL")
 
 
+# --- one power-of-two scale ---------------------------------------------------
+
+@pytest.mark.parametrize("kind, shape", [("tsym", (4, 4, 4)),
+                                         ("general", (3, 5, 2))])
+def test_verdicts_do_not_depend_on_the_scale(capsys, tmp_path, kind, shape):
+    # With absolute bounds, verify failed these correct decompositions at
+    # 1e6, the Gram tensors of verify and the residuals of ted and tsvd
+    # overflowed at 1e200, and at 1e-300 psd said PSD and ted's residuals
+    # underflowed to 0.
+    base = str(tmp_path / "base.t3")
+    assert run(capsys, "random", kind, *map(str, shape), "--seed", "3",
+               "-o", base)[0] == 0
+    A = read_tensor3(base)
+    classes = set()
+    for scale in (1e-300, 1e-6, 1.0, 1e6, 1e200):
+        path = str(tmp_path / f"x{scale}.t3")
+        write_tensor3(path, scale * A)
+        code, out, _ = run(capsys, "verify", path)
+        assert (code, out.splitlines()[-1]) == (0, "verify: PASS"), scale
+        for command in ["tsvd"] + (["ted"] if kind == "tsym" else []):
+            code, out, _ = run(capsys, command, path, "--format", "json")
+            assert code == 0, (command, scale)
+            residuals = json.loads(out)["residuals"].values()
+            assert all(0.0 < r < 1e-14 for r in residuals), (command, scale)
+        if kind == "tsym":
+            code, out, _ = run(capsys, "psd", path, "--exact", "--format",
+                               "json")
+            doc = json.loads(out)
+            classes.add((doc["spectral"]["class"], doc["exact"]["class"]))
+    assert len(classes) == (1 if kind == "tsym" else 0)
+
+
+def test_psd_exact_of_huge_constant_tubes_is_psd(capsys, tmp_path):
+    # Every polarization matrix is c J: the roundoff minimum, about -1e285,
+    # is within the tolerance relative to 1e300, so no witness is sought
+    # (an absolute tolerance made it an internal inconsistency, exit 2).
+    path = str(tmp_path / "big.t3")
+    write_tensor3(path, np.full((3, 3, 4), 1e300))
+    code, out, _ = run(capsys, "psd", path, "--exact")
+    assert code == 0
+    assert "spectral_class: PSD\n" in out
+    assert "exact_class: ELEMENTWISE_PSD\n" in out
+
+
 # --- text is a rendering of the JSON document -------------------------------
 
 @pytest.fixture
@@ -973,7 +1018,9 @@ def test_overflow_reports_one_error_line_without_warnings(tmp_path):
     # numpy's RuntimeWarnings stay silent; the finite gates report overflow.
     path = str(tmp_path / "big.t3")
     write_tensor3(path, np.full((2, 2, 2), 1e200))
-    for argv in (("tprod", path, path), ("verify", path)):
+    huge = str(tmp_path / "huge.t3")
+    write_tensor3(huge, np.full((2, 2, 2), 1.7e308))
+    for argv in (("tprod", path, path), ("psd", huge)):
         proc = subprocess.run(
             [sys.executable, "-m", "tubal_spectra", *argv],
             capture_output=True, text=True, timeout=120)

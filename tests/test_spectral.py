@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import (CORE_SHAPES, near_tsym, random_tensor, random_tsym,
-                     record_finding, rel_err, ted_by_loop, tsvd_by_loop)
+from helpers import (CORE_SHAPES, exactly_scaled, near_tsym, random_tensor,
+                     random_tsym, record_finding, rel_err, ted_by_loop,
+                     tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
@@ -23,7 +26,7 @@ from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
                                     verify_eigenpair)
 from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal,
                                    is_t_symmetric, shift_columns, transpose,
-                                   unfold_mat)
+                                   unfold_mat, unit_scaled)
 from tubal_spectra.tproduct import tprod, tprod_mat
 from tubal_spectra.transform import _ct, freq_from_half, from_freq, to_freq
 from tubal_spectra.tsvd import tsvd
@@ -137,7 +140,9 @@ def test_perturbed_tuple_raises_only_its_own_residual():
     T = ted(A)
     base = _eigen_residuals(A, T.u, T.d)
     assert np.max(base) <= 1e-13
-    assert np.array_equal(base / np.linalg.norm(T.u, axis=(0, 2)),
+    # ted certifies A * 2^-e, and scaling by a power of two is exact.
+    assert np.array_equal(np.ldexp(base, -T.scale_exponent)
+                          / np.linalg.norm(T.u, axis=(0, 2)),
                           T.residuals.eigenpair)
     for j in range(5):
         U = T.u.copy()
@@ -171,10 +176,11 @@ def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
 ], ids=["ted", "tsvd"])
 def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A,
                                                  calls):
-    # One rfft of A (reused from to_freq, see test_transform's
-    # test_half_spectrum_is_rfft_bit_for_bit) and one of each returned
-    # factor: U, D for ted and U, S, V for tsvd.  The spectrum of a
-    # transpose is the per-bin conjugate transpose, never a new rfft.
+    # One rfft of unit_scaled(A), the tensor factored (reused from
+    # to_freq, see test_transform's test_half_spectrum_is_rfft_bit_for_bit),
+    # and one of each returned factor: U, D for ted and U, S, V for tsvd.
+    # The spectrum of a transpose is the per-bin conjugate transpose,
+    # never a new rfft.
     real = np.fft.rfft
     inputs = []
 
@@ -184,10 +190,11 @@ def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A,
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     decompose(A)
+    S = unit_scaled(A)[0]
     assert len(inputs) == calls
-    assert sum(np.array_equal(a, A) for a in inputs) == 1
+    assert sum(np.array_equal(a, S) for a in inputs) == 1
     if decompose is tsvd:
-        assert not any(np.array_equal(a, transpose(A)) for a in inputs)
+        assert not any(np.array_equal(a, transpose(S)) for a in inputs)
     assert not any(np.array_equal(a, b)
                    for i, a in enumerate(inputs) for b in inputs[i + 1:])
 
@@ -199,7 +206,8 @@ def test_certificates_read_the_returned_factors(monkeypatch):
     # perturbation, and each must equal its t-product identity evaluated
     # on the returned factors: A = U * D * U^T and U^T * U = I, A * U - U * D
     # for ted; A = U * S * V^T, U^T * U = I, V^T * V = I, A * V_r - U * S_r
-    # and A^T * U_r - V * S_r^T for tsvd.
+    # and A^T * U_r - V * S_r^T for tsvd.  The pair residuals are those
+    # of A * 2^-e, the tensor factored.
     rng = np.random.default_rng(38)
     real = spectral_module.freq_from_half
 
@@ -224,8 +232,8 @@ def test_certificates_read_the_returned_factors(monkeypatch):
         A - tprod(tprod(U, D), transpose(U))) / np.linalg.norm(A))
     assert close(res.orthogonality, np.linalg.norm(
         tprod(transpose(U), U) - identity(4, 6)))
-    assert close(res.eigenpair, lateral(tprod(A, U) - tprod(U, D))
-                 / lateral(U))
+    assert close(res.eigenpair, np.ldexp(lateral(tprod(A, U) - tprod(U, D)),
+                                         -T.scale_exponent) / lateral(U))
 
     for m, n in ((5, 3), (3, 5)):
         A = random_tensor(rng, m, n, 7)
@@ -240,10 +248,11 @@ def test_certificates_read_the_returned_factors(monkeypatch):
         assert close(res.orthogonality_v, np.linalg.norm(
             tprod(transpose(V), V) - identity(n, 7)))
         r = min(m, n)
+        e = R.scale_exponent
         assert close(res.pair_right,
-                     lateral(tprod(A, V) - tprod(U, S))[:r])
-        assert close(res.pair_left, lateral(
-            tprod(transpose(A), U) - tprod(V, transpose(S)))[:r])
+                     np.ldexp(lateral(tprod(A, V) - tprod(U, S))[:r], -e))
+        assert close(res.pair_left, np.ldexp(lateral(
+            tprod(transpose(A), U) - tprod(V, transpose(S)))[:r], -e))
 
 
 def test_ted_rejects_non_symmetric():
@@ -722,3 +731,81 @@ def test_exact_psd_inconsistent_witness_is_an_internal_error(monkeypatch):
                         lambda A, X: np.zeros(A.shape[2]))
     with pytest.raises(TubalError, match="internal inconsistency"):
         exact_psd(identity(1, 2), ted(identity(1, 2)))
+
+
+# --- one power-of-two scale ---------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1000, 1000),
+       st.sampled_from([(1, 1, 1), (3, 3, 4), (4, 4, 5), (2, 5, 3),
+                        (5, 2, 6)]))
+def test_decompositions_commute_with_power_of_two_scaling(seed, e, shape):
+    # ted and tsvd factor unit_scaled(A), which is the same array for A and
+    # ldexp(A, e): the factors and residuals agree bit for bit, and the
+    # spectra and tuples are the scaled-back ones.
+    rng = np.random.default_rng(seed)
+    m, n, p = shape
+    A = random_tsym(rng, n, p) if m == n else random_tensor(rng, m, n, p)
+    Ae = exactly_scaled(A, e)
+    assume(Ae is not None)
+    results = [(tsvd(A), tsvd(Ae))]
+    if m == n:
+        results.append((ted(A), ted(Ae)))
+    for R, Re in results:
+        assert Re.scale_exponent == R.scale_exponent + e
+        for name, value in vars(R).items():
+            got = getattr(Re, name)
+            if name in ("d", "s", "eigentuples", "singular_tuples",
+                        "frequency_eigenvalues", "frequency_singular_values"):
+                assert np.array_equal(got, np.ldexp(value, e)), name
+            elif name == "residuals":
+                for key, r in vars(value).items():
+                    assert np.array_equal(getattr(got, key), r), key
+            elif name != "scale_exponent":
+                assert np.array_equal(got, value), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1000, 1000),
+       st.sampled_from([(2, 1), (3, 4), (4, 3)]), st.booleans())
+def test_psd_classes_do_not_depend_on_the_scale(seed, e, shape, gram):
+    rng = np.random.default_rng(seed)
+    n, p = shape
+    B = random_tensor(rng, n, n, p)
+    A = tprod(transpose(B), B) if gram else random_tsym(rng, n, p)
+    Ae = exactly_scaled(A, e)
+    assume(Ae is not None)
+    v, ve = psd_spectral(A), psd_spectral(Ae)
+    assert ve.spectral_class == v.spectral_class
+    assert ve.exact.label == v.exact.label
+    assert ve.exact.component == v.exact.component
+
+
+def test_psd_tol_is_relative_to_the_scale():
+    # The smallest eigentuple entry of diag(1, -1e-8) sits between -1e-7
+    # and -1e-9 at every scale, so the class follows tol alone.
+    A = np.zeros((2, 2, 1))
+    A[:, :, 0] = np.diag([1.0, -1e-8])
+    for scale in (1e-300, 1e-6, 1.0, 1e6, 1e300):
+        assert psd_spectral(scale * A, tol=1e-7).spectral_class == \
+            SPECTRAL_PSD
+        assert psd_spectral(scale * A, tol=1e-9).spectral_class == \
+            SPECTRAL_NOT_PSD
+
+
+def test_exact_psd_of_huge_constant_tubes_is_elementwise_psd():
+    # Every polarization matrix of a constant-tube tensor is c J, so the
+    # form is elementwise PSD; at 1e300 the roundoff minimum is about
+    # -1e285, which an absolute tolerance called an inconsistent witness.
+    v = psd_spectral(np.full((3, 3, 4), 1e300))
+    assert (v.spectral_class, v.exact.label) == (SPECTRAL_PSD,
+                                                 ELEMENTWISE_PSD)
+    assert v.exact.witness is None
+
+
+def test_spectrum_that_overflows_once_scaled_back_raises():
+    A = np.full((2, 2, 2), 1.7e308)
+    for decompose in (ted, tsvd):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="frequency spectrum overflows"):
+            decompose(A)

@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_tensor, record_finding, tsvd_by_loop
+from helpers import (exactly_scaled, random_tensor, record_finding,
+                     tsvd_by_loop)
 from tubal_spectra.errors import ShapeError
 from tubal_spectra.spectral import ted
 from tubal_spectra.tensor3 import bcirc, identity, is_f_diagonal, transpose
@@ -222,3 +225,21 @@ def test_gram_consistency_decomposes_each_tensor_once(monkeypatch):
 def test_shape_errors():
     with pytest.raises(ShapeError):
         tsvd(np.zeros((2, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-1000, 1000),
+       st.sampled_from([(3, 3, 4), (2, 4, 3), (4, 4, 4)]))
+def test_verify_checks_do_not_depend_on_the_scale(seed, e, shape):
+    # Every check runs on unit_scaled(A), the same array for A and
+    # ldexp(A, e), so even the residuals agree bit for bit.
+    rng = np.random.default_rng(seed)
+    m, n, p = shape
+    A = random_tensor(rng, m, n, p)
+    if m == n:
+        A = 0.5 * (A + transpose(A))
+    Ae = exactly_scaled(A, e)
+    assume(Ae is not None)
+    checks = tsvd_module.verify_checks(A, 3)
+    assert tsvd_module.verify_checks(Ae, 3) == checks
+    assert all(c.passed is not False for c in checks)
