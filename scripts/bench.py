@@ -7,7 +7,9 @@ Give the topics, both trees and the output file::
 
 Each of :data:`ROUNDS` rounds runs both trees, each in a fresh
 subprocess, and alternates which one goes first, so drift of a shared
-host falls on both sides alike instead of reading as a speed-up.  In a
+host falls on both sides alike instead of reading as a speed-up.  Every
+subprocess is pinned to the same CPU, the last one this process may use,
+so the scheduler does not move a side between CPUs mid-round.  In a
 round, every entry gets one warm-up call and then is timed for about
 :data:`ROUND_S` seconds; the median of those calls is the round's sample.
 BLAS and FFT are pinned to one thread before numpy is imported.  Inputs
@@ -223,6 +225,7 @@ def record(argv=None):
     comparison; returns the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["--child"]:  # one side of one round, in a fresh process
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         print(json.dumps(_side(argv[1], argv[2:])))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])

@@ -16,12 +16,11 @@ residual and tolerance is relative to ``max|A|`` rounded up to a power of
 two; a scaled-back spectrum that overflows raises ``ValueError``.
 
 The frequency core is batched and shared with :mod:`tubal_spectra.tsvd`.
-It works on the bin-major half-spectrum stack of
-:mod:`tubal_spectra.transform` and reaches the FFT only through it.
-The self-conjugate bins (``k = 0`` and, for even ``p``, ``k = p/2``) are
-factored as one real stack and the other half-spectrum bins as one complex
-stack, so each decomposition makes at most two stacked ``eigh`` calls.  One
-vectorized canonical phase rotates every vector of every bin.
+It works on the half-spectrum stack that :mod:`tubal_spectra.transform`
+returns and reaches the FFT and the bin layout only through that module,
+whose ``_factor_half`` makes one stacked ``eigh`` call on the real
+self-conjugate bins and one on the others.  One vectorized canonical phase
+rotates every vector of every bin.
 
 Each certificate is its t-product identity, taken by ``_certificate``
 (shared with ``tsvd``) bin by bin from the half spectrum of ``A`` that the
@@ -64,8 +63,8 @@ from .errors import NotTSymmetric, ShapeError, TubalError, ZeroMatrix
 from .oracle import ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD, ExactPsdResult
 from .tensor3 import (as_matslice, is_t_symmetric, require_square,
                       shift_columns, transpose, unit_scaled)
-from .transform import (FreqSlices, _ct, _mirrored_bins, _real_bins,
-                        freq_from_half, from_freq, to_freq)
+from .transform import (_ct, _factor_half, _full_spectrum, _norm, from_freq,
+                        to_freq)
 from .tproduct import tprod, tprod_mat
 from .tubal import descending_chain, tube_action
 
@@ -99,8 +98,8 @@ class TedResult:
     descending eigenvalues of frequency slice ``k``.
     ``first_components_sorted`` is computed with roundoff slack;
     ``elementwise_chain`` is ``True``/``False``/``"incomparable"``.
-    ``u_half`` is the half spectrum of ``u`` (``to_freq(u).half``), kept
-    from the certificates for :func:`exact_psd`'s witness.  ``d`` and the
+    ``u_half`` is the half spectrum of ``u`` (``to_freq(u)``), kept from
+    the certificates for :func:`exact_psd`'s witness.  ``d`` and the
     spectra are those of ``A * 2^-e`` times ``2^e``, ``e = scale_exponent``.
     """
 
@@ -137,29 +136,6 @@ class PsdVerdict:
     exact: ExactPsdResult | None = None
 
 
-def _half_spectrum_groups(F):
-    """Bins ``0..p//2`` of ``F`` as ``(bins, stack)`` pairs for stacked
-    factorization.
-
-    The self-conjugate bins (``0`` and, for even ``p``, ``p/2``) form one
-    real ``(b, m, n)`` stack; the remaining half-spectrum bins, if any, form
-    one complex stack.
-    """
-    real = _real_bins(F.p)
-    groups = [(real, F.half[real].real)]
-    mirrored = _mirrored_bins(F.p)
-    if mirrored.size:
-        groups.append((mirrored, F.half[mirrored]))
-    return groups
-
-
-def _full_spectrum(values, p):
-    """Per-bin values ``(p // 2 + 1, c)`` as a ``(c, p)`` array over all
-    ``p`` bins: bin ``k`` reads stored bin ``min(k, p - k)``."""
-    k = np.arange(p)
-    return values[np.minimum(k, p - k)].T
-
-
 def _canonical_phase(V):
     """Rotate every column of a ``(b, n, c)`` stack so that its
     largest-magnitude entry (the first on ties) is real positive.
@@ -174,13 +150,6 @@ def _canonical_phase(V):
     with np.errstate(divide="ignore", invalid="ignore"):
         phase = np.where(mag > 0.0, np.conj(z) / mag, 1.0)
     return V * phase[:, None, :], phase
-
-
-def _norm(Xh, p, axis=None):
-    """``np.linalg.norm`` of the real tensor with half spectrum ``Xh``,
-    after one inverse transform; ``axis=(0, 2)`` gives the norms of its
-    lateral slices."""
-    return np.linalg.norm(from_freq(FreqSlices(Xh, p)), axis=axis)
 
 
 def _certificate(A, Af, Lf, Df, Rf):
@@ -209,10 +178,10 @@ def _f_diagonal(values, m, n, p):
     """The real f-diagonal ``(m, n, p)`` tensor whose diagonal tube ``j``
     has the values ``values[:, j]`` on bins ``0..p//2``, and its diagonal
     tubes index-reversed as rows (the eigen- or singular tuples)."""
-    half = np.zeros((p // 2 + 1, m, n), dtype=np.complex128)
+    half = np.zeros((len(values), m, n), dtype=np.complex128)
     j = np.arange(values.shape[1])
     half[:, j, j] = values
-    D = from_freq(freq_from_half(half, p))
+    D = from_freq(half, p)
     return D, D[j, j][:, -np.arange(p) % p]
 
 
@@ -225,23 +194,20 @@ def ted(A, tol=1e-10):
     """
     A, e = unit_scaled(require_square(A))
     n, _, p = A.shape
-    F = to_freq(A)
+    Af = to_freq(A)
     if not is_t_symmetric(A, tol):
         raise NotTSymmetric("tensor is not T-symmetric within tolerance")
 
-    w = np.empty(F.half.shape[:2])
-    V = np.empty_like(F.half)
-    for bins, M in _half_spectrum_groups(F):
-        w[bins], V[bins] = np.linalg.eigh(0.5 * (M + _ct(M)))
+    w, V = _factor_half(lambda M: np.linalg.eigh(0.5 * (M + _ct(M))), Af, p)
     w = w[:, ::-1]
     V, _ = _canonical_phase(V[:, :, ::-1])
-    U = from_freq(freq_from_half(V, p))
+    U = from_freq(V, p)
     D, eigentuples = _f_diagonal(w, n, n, p)
 
     # Transform the returned real factors, not the stack V, so that the
     # certificates also catch a fault in their inverse transform.
-    Uf = to_freq(U).half
-    recon, orth, right = _certificate(A, F.half, Uf, to_freq(D).half, Uf)
+    Uf = to_freq(U)
+    recon, orth, right = _certificate(A, Af, Uf, to_freq(D), Uf)
     pair = right / np.linalg.norm(U, axis=(0, 2))
 
     slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))

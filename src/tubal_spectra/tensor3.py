@@ -273,7 +273,7 @@ def tensor3_from_text(text, ndim=3, name="<string>"):
                              f"values, expected {width}")
         tokens += values
     try:
-        data = np.array(list(map(float, tokens)))
+        data = np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
     if not np.isfinite(data).all():

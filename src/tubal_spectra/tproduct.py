@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor3 import as_matslice, as_tensor3
-from .transform import FreqSlices, from_freq, to_freq
+from .transform import from_freq, to_freq
 
 
 def tprod(A, B):
@@ -27,8 +27,7 @@ def tprod(A, B):
         raise ShapeError(
             f"tube lengths differ: {A.shape} * {B.shape}")
     # A product of half spectra is the half spectrum of the product.
-    Ch = np.matmul(to_freq(A).half, to_freq(B).half)
-    return from_freq(FreqSlices(Ch, A.shape[2]))
+    return from_freq(np.matmul(to_freq(A), to_freq(B)), A.shape[2])
 
 
 def tprod_mat(A, X):

@@ -13,15 +13,15 @@ singular-pair relations ``A * X_j^[k] = s_j act Y_j^[k]`` and
 ``A^T * Y_j^[k] = s_j act X_j^[k]``.
 
 ``tsvd`` runs on the batched frequency core of :mod:`tubal_spectra.spectral`
-over the half-spectrum stack of :mod:`tubal_spectra.transform`: one stacked
-SVD of the real self-conjugate bins and one of the other half-spectrum
-bins, the shared vectorized canonical phase and ``ted``'s power-of-two
-scaling.  Its certificates are ``ted``'s, from ``spectral._certificate``
-with ``L, D, R = U, S, V`` (reconstruction, ``U^T * U - I`` and the right
-pairs ``A * V - U * S``), plus ``V^T * V - I`` and the left pairs
-``A^T * U - V * S^T``: one residual per singular tuple and side, shared by
-every shift.  No dense check recomputes the per-shift values for ``tsvd``;
-the test suite compares them with a per-shift loop.
+over the half-spectrum stack of :mod:`tubal_spectra.transform`: the stacked
+SVDs of ``transform._factor_half``, the shared vectorized canonical phase
+and ``ted``'s power-of-two scaling.  Its certificates are ``ted``'s, from
+``spectral._certificate`` with ``L, D, R = U, S, V`` (reconstruction,
+``U^T * U - I`` and the right pairs ``A * V - U * S``), plus
+``V^T * V - I`` and the left pairs ``A^T * U - V * S^T``: one residual per
+singular tuple and side, shared by every shift.  No dense check recomputes
+the per-shift values for ``tsvd``; the test suite compares them with a
+per-shift loop.
 
 ``gram_consistency(A, result)`` cross-checks the TSVD ``result`` of ``A``
 against both Gram tensors ``A^T * A`` and ``A * A^T``: their eigentuples
@@ -47,11 +47,11 @@ from .errors import NotTSymmetric
 from .oracle import (CheckResult, oracle_quadform_matrices, oracle_ted_check,
                      oracle_tprod)
 from .spectral import (_canonical_phase, _certificate, _f_diagonal,
-                       _full_spectrum, _half_spectrum_groups, _norm,
                        _scaled_back, classify_ted, exact_psd, quadform, ted)
 from .tensor3 import (as_tensor3, bcirc, bcirc_inv, fold, shift_columns,
                       transpose, unfold, unfold_mat, unit_scaled)
-from .transform import _ct, freq_from_half, from_freq, to_freq
+from .transform import (_ct, _factor_half, _full_spectrum, _norm, from_freq,
+                        to_freq)
 from .tproduct import tprod
 from .tubal import tube_mul
 
@@ -99,24 +99,18 @@ def tsvd(A):
     A, e = unit_scaled(as_tensor3(A))
     m, n, p = A.shape
     r = min(m, n)
-    F = to_freq(A)
-    h = p // 2 + 1
-    Us = np.empty((h, m, m), dtype=np.complex128)
-    sig = np.empty((h, r))
-    Vh = np.empty((h, n, n), dtype=np.complex128)
-    for bins, M in _half_spectrum_groups(F):
-        Us[bins], sig[bins], Vh[bins] = np.linalg.svd(M, full_matrices=True)
+    Af = to_freq(A)
+    Us, sig, Vh = _factor_half(np.linalg.svd, Af, p)
     Us, phase = _canonical_phase(Us)
     Vs = _ct(Vh)
     # Keep u_j s_j v_j^H invariant: rotate v_j by the same phase.
     Vs[:, :, :r] *= phase[:, None, :r]
     Vs[:, :, r:], _ = _canonical_phase(Vs[:, :, r:])
-    U = from_freq(freq_from_half(Us, p))
+    U = from_freq(Us, p)
     S, tuples = _f_diagonal(sig, m, n, p)
-    V = from_freq(freq_from_half(Vs, p))
+    V = from_freq(Vs, p)
 
-    Af = F.half
-    Uf, Sf, Vf = (to_freq(X).half for X in (U, S, V))
+    Uf, Sf, Vf = (to_freq(X) for X in (U, S, V))
     recon, orth_u, right = _certificate(A, Af, Uf, Sf, Vf)
     orth_v = float(_norm(_ct(Vf) @ Vf - np.eye(n), p))
     left = _norm(_ct(Af) @ Uf[:, :, :r] - (Vf @ _ct(Sf))[:, :, :r], p, (0, 2))
@@ -203,13 +197,16 @@ POLARIZATION_MAX_NP = 64
 
 def verify_checks(A, seed):
     """The checks of ``verify`` on ``unit_scaled(A)``, in report order;
-    ``seed`` draws the t-product operand and the polarization slice."""
-    A, _ = unit_scaled(as_tensor3(A))
+    ``seed`` draws the t-product operand and the polarization slice.
+    ``ValueError`` when the TSVD of ``A`` overflows, as :func:`tsvd` of
+    ``A`` does."""
+    A, e = unit_scaled(as_tensor3(A))
     m, n, p = A.shape
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, m, p))
     fast, dense = tprod(A, B), oracle_tprod(A, B)
     result = tsvd(A)
+    _scaled_back(e, result.s, result.frequency_singular_values)
     res = result.residuals
     checks = [CheckResult(name, float(r), bound) for name, r, bound in (
         ("bcirc_roundtrip", np.max(np.abs(bcirc_inv(bcirc(A), p) - A)), 0.0),

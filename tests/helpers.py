@@ -12,7 +12,7 @@ from tubal_spectra.spectral import verify_eigenpair
 from tubal_spectra.tensor3 import (bcirc, fold_mat, shift_columns, transpose,
                                    unfold_mat)
 from tubal_spectra.tproduct import tprod_mat
-from tubal_spectra.transform import freq_from_half, from_freq, to_freq
+from tubal_spectra.transform import from_freq, to_freq
 from tubal_spectra.tubal import tube_action, tube_transpose
 
 #: Messages printed at the end of the run (populated by tests).
@@ -123,7 +123,7 @@ def ted_by_loop(A):
     dh = np.zeros((h, n, n), dtype=np.complex128)
     freq_eigs = np.empty((n, p))
     for k in range(h):
-        M = F.half[k]
+        M = F[k]
         if k == 0 or (p % 2 == 0 and k == p // 2):
             H = 0.5 * (M.real + M.real.T)
         else:
@@ -136,8 +136,8 @@ def ted_by_loop(A):
         freq_eigs[:, k] = w
         if 0 < k < p - k:
             freq_eigs[:, p - k] = w
-    U = from_freq(freq_from_half(uh, p))
-    D = from_freq(freq_from_half(dh, p))
+    U = from_freq(uh, p)
+    D = from_freq(dh, p)
     tuples = np.vstack([tube_transpose(D[j, j, :]) for j in range(n)])
     pair = np.empty((n, p))
     for j in range(n):
@@ -164,7 +164,7 @@ def tsvd_by_loop(A):
     vh = np.empty((h, n, n), dtype=np.complex128)
     freq_sv = np.empty((r, p))
     for k in range(h):
-        M = F.half[k]
+        M = F[k]
         if k == 0 or (p % 2 == 0 and k == p // 2):
             M = M.real
         U_, sig, Vh_ = np.linalg.svd(M, full_matrices=True)
@@ -191,9 +191,9 @@ def tsvd_by_loop(A):
         freq_sv[:, k] = sig
         if 0 < k < p - k:
             freq_sv[:, p - k] = sig
-    U = from_freq(freq_from_half(uh, p))
-    S = from_freq(freq_from_half(sh, p))
-    V = from_freq(freq_from_half(vh, p))
+    U = from_freq(uh, p)
+    S = from_freq(sh, p)
+    V = from_freq(vh, p)
     tuples = np.vstack([tube_transpose(S[j, j, :]) for j in range(r)])
     At = transpose(A)
     right = np.empty((r, p))

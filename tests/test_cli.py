@@ -264,10 +264,12 @@ def test_non_finite_tol_is_usage_error(capsys, monkeypatch, tsym_file,
     assert "--tol must be finite" in err
 
 
-@pytest.mark.parametrize("command", ["ted", "tsvd", "psd"])
+@pytest.mark.parametrize("command", ["ted", "tsvd", "psd", "verify"])
 def test_overflowing_spectrum_is_not_called_unsymmetric(capsys, tmp_path,
                                                         command):
     # Exactly T-symmetric, but the transform overflows to inf on bin 0.
+    # verify certifies the tensor scaled to max|A| in [0.5, 1), and fails
+    # as tsvd does when the spectrum cannot be scaled back.
     path = tmp_path / "huge.t3"
     write_tensor3(str(path), np.full((2, 2, 2), 1.7e308))
     with np.errstate(all="ignore"):

@@ -2,7 +2,8 @@
 
 The traced benchmark binds every name in ``perfbench/tracer.py``'s
 ``LAYERS`` with ``getattr`` at run time, so each must exist in its module.
-The 17-digit number format is spelled once, in ``tensor3``.
+The 17-digit number format is spelled once, in ``tensor3``, and the
+half-spectrum bin layout once, in ``transform``.
 """
 
 import ast
@@ -43,4 +44,22 @@ def test_number_format_is_spelled_only_in_tensor3():
         and any(isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and "17g" in node.value
                 for node in ast.walk(ast.parse(path.read_text("utf-8")))))
+    assert spelled == []
+
+
+def test_bin_layout_is_spelled_only_in_transform():
+    # tubal has the ring's own scalar DFT and sits below transform in the
+    # import order; every other module reads bins through transform.
+    layout = {"_real_bins", "_mirrored_bins"}
+    spelled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("transform.py", "tubal.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if (names & layout or isinstance(node, ast.BinOp)
+                    and ast.unparse(node) == "p // 2 + 1"):
+                spelled.append((path.name, ast.unparse(node)))
     assert spelled == []

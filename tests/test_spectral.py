@@ -18,8 +18,8 @@ from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
                                   oracle_quadform_matrices, oracle_ted_check,
                                   oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
-                                    SPECTRAL_PSD, _f_diagonal, _norm,
-                                    classify_ted, eigenmatrices,
+                                    SPECTRAL_PSD, _f_diagonal, classify_ted,
+                                    eigenmatrices,
                                     exact_psd, expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
@@ -28,7 +28,7 @@ from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal,
                                    is_t_symmetric, shift_columns, transpose,
                                    unfold_mat, unit_scaled)
 from tubal_spectra.tproduct import tprod, tprod_mat
-from tubal_spectra.transform import _ct, freq_from_half, from_freq, to_freq
+from tubal_spectra.transform import _ct, _norm, from_freq, to_freq
 from tubal_spectra.tsvd import tsvd
 from tubal_spectra.tubal import (INCOMPARABLE, tube_action, tube_le,
                                  tube_transpose, unit_tube)
@@ -91,7 +91,7 @@ def test_pair_residuals_match_one_call_per_candidate():
         D, tuples = _f_diagonal(np.fft.rfft(d, axis=1).conj().T, c, c, p)
         assert is_f_diagonal(D, tol=0.0)
         assert np.allclose(tuples, d, rtol=0.0, atol=1e-14)
-        Af, Xf, Yf, Df = (to_freq(T).half for T in (A, X, Y, D))
+        Af, Xf, Yf, Df = (to_freq(T) for T in (A, X, Y, D))
         got = _norm(Af @ Xf - Yf @ Df, p, (0, 2))
         expected = [float(np.linalg.norm(
             tprod_mat(A, X[:, j, :]) - tube_action(d[j], Y[:, j, :])))
@@ -130,7 +130,7 @@ def test_shifted_residuals_are_constant_across_shifts():
 def _eigen_residuals(A, U, D):
     """Lateral-slice norms of ``A * U - U * D``, formed as ``ted`` forms
     its eigenpair certificate."""
-    Af, Uf, Df = (to_freq(T).half for T in (A, U, D))
+    Af, Uf, Df = (to_freq(T) for T in (A, U, D))
     return _norm(Af @ Uf - Uf @ Df, A.shape[2], (0, 2))
 
 
@@ -201,22 +201,22 @@ def test_decomposition_transforms_its_input_once(monkeypatch, decompose, A,
 
 def test_certificates_read_the_returned_factors(monkeypatch):
     # Perturb the half spectrum of every factor on its way to the inverse
-    # transform (freq_from_half as bound in spectral and tsvd; the residual
-    # spectra reach from_freq without it).  The certificates must see the
-    # perturbation, and each must equal its t-product identity evaluated
+    # transform (from_freq as bound in spectral and tsvd; the residual
+    # spectra reach it through transform._norm).  The certificates must see
+    # the perturbation, and each must equal its t-product identity evaluated
     # on the returned factors: A = U * D * U^T and U^T * U = I, A * U - U * D
     # for ted; A = U * S * V^T, U^T * U = I, V^T * V = I, A * V_r - U * S_r
     # and A^T * U_r - V * S_r^T for tsvd.  The pair residuals are those
     # of A * 2^-e, the tensor factored.
     rng = np.random.default_rng(38)
-    real = spectral_module.freq_from_half
+    real = spectral_module.from_freq
 
     def perturbed(half, p):
         half = np.asarray(half)
         return real(half + 1e-6 * rng.standard_normal(half.shape), p)
 
     for module in (spectral_module, tsvd_module):
-        monkeypatch.setattr(module, "freq_from_half", perturbed)
+        monkeypatch.setattr(module, "from_freq", perturbed)
 
     def close(got, expected):
         return np.allclose(got, expected, rtol=1e-7, atol=1e-14)
@@ -392,13 +392,13 @@ def test_canonical_form_invariant_under_eigen_order_permutation():
         p, n = 5, 4
         dhalf = np.zeros((3, n, n), dtype=np.complex128)
         for k in range(3):
-            M = F.half[k]
+            M = F[k]
             H = 0.5 * (M + M.conj().T) if k else 0.5 * (M.real + M.real.T)
             w = np.linalg.eigvalsh(H)
             w = w[rng.permutation(n)]
             w = w[np.argsort(-w, kind="stable")]  # re-canonicalize
             dhalf[k] = np.diag(w)
-        D2 = from_freq(freq_from_half(dhalf, p))
+        D2 = from_freq(dhalf, p)
         d_top = tube_transpose(D2[0, 0, :])
         d_bot = tube_transpose(D2[n - 1, n - 1, :])
         assert np.max(np.abs(d_top - T.eigentuples[0])) <= 1e-10

@@ -353,6 +353,16 @@ def test_reader_names_the_file_in_float_errors(tmp_path):
                               f"'nan(123)'")
 
 
+@pytest.mark.parametrize("token", ["0x10", "0x1p3", "1d5", "1,5"])
+def test_reader_rejects_what_float_rejects(token):
+    # Each token is parsed as Python's float parses it, with its message.
+    with pytest.raises(ValueError) as expected:
+        float(token)
+    with pytest.raises(ValueError) as err:
+        tensor3_from_text(f"TUBE 1\n2\n1 {token}\n", 1)
+    assert str(err.value) == f"<string>: {expected.value}"
+
+
 def test_shape_validation():
     with pytest.raises(ShapeError):
         unfold(np.zeros((2, 2)))

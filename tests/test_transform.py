@@ -13,8 +13,8 @@ from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import ShapeError
 from tubal_spectra.tensor3 import bcirc, identity, transpose
-from tubal_spectra.transform import (freq_from_half, from_freq,
-                                     hermitize_check, to_freq)
+from tubal_spectra.transform import (_factor_half, freq_from_half,
+                                     from_freq, hermitize_check, to_freq)
 from tubal_spectra.spectral import ted
 from tubal_spectra.tproduct import tprod
 from tubal_spectra.tsvd import tsvd
@@ -24,16 +24,15 @@ RNG = np.random.default_rng(20260814)
 
 def test_roundtrip():
     A = random_tensor(RNG, 3, 4, 5)
-    B = from_freq(to_freq(A))
+    B = from_freq(to_freq(A), A.shape[2])
     assert np.allclose(B, A, atol=1e-13)
     assert B.dtype == np.float64
 
 
-def full_spectrum(F):
-    """All ``p`` slices of ``F`` as an ``(m, n, p)`` array: slice ``k`` is
-    ``half[k]``, and slice ``p - k`` its conjugate."""
-    p = F.p
-    return np.stack([F.half[k] if k <= p // 2 else np.conj(F.half[p - k])
+def full_spectrum(half, p):
+    """All ``p`` slices of the half spectrum ``half`` as an ``(m, n, p)``
+    array: slice ``k`` is ``half[k]``, and slice ``p - k`` its conjugate."""
+    return np.stack([half[k] if k <= p // 2 else np.conj(half[p - k])
                      for k in range(p)], axis=2)
 
 
@@ -41,10 +40,10 @@ def test_symmetry_is_exact_by_construction():
     for p in (1, 2, 3, 4, 5, 8):
         A = random_tensor(RNG, 2, 3, p)
         F = to_freq(A)
-        assert not F.half[0].imag.any()
+        assert not F[0].imag.any()
         if p % 2 == 0:
-            assert not F.half[p // 2].imag.any()
-        assert np.allclose(full_spectrum(F), np.fft.fft(A, axis=2),
+            assert not F[p // 2].imag.any()
+        assert np.allclose(full_spectrum(F, p), np.fft.fft(A, axis=2),
                            atol=1e-12)
 
 
@@ -55,17 +54,17 @@ def test_freq_slices_store_the_half_spectrum():
                     (3, 3, 8)):
         A = random_tensor(RNG, m, n, p)
         F = to_freq(A)
-        assert F.p == p
-        assert F.half.shape == (p // 2 + 1, m, n)
-        assert F.half.flags.c_contiguous
-        X = np.fft.irfft(F.half, n=p, axis=0)
-        assert from_freq(F).tobytes() == X.transpose(1, 2, 0).tobytes()
-        # to_freq and tsvd pass transposed half spectra; they are stored in
-        # C order, and the inverse is the transform's own output, with no
+        assert F.dtype == np.complex128
+        assert F.shape == (p // 2 + 1, m, n)
+        assert F.flags.c_contiguous
+        X = np.fft.irfft(F, n=p, axis=0)
+        assert from_freq(F, p).tobytes() == X.transpose(1, 2, 0).tobytes()
+        # to_freq passes a transposed half spectrum; it is stored in C
+        # order, and the inverse is the transform's own output, with no
         # copy: its frontal slices are contiguous.
-        G = freq_from_half(F.half.transpose(0, 2, 1), p)
-        assert G.half.flags.c_contiguous
-        assert from_freq(G).transpose(2, 0, 1).flags.c_contiguous
+        G = freq_from_half(F.transpose(0, 2, 1), p)
+        assert G.flags.c_contiguous
+        assert from_freq(G, p).transpose(2, 0, 1).flags.c_contiguous
 
 
 def test_half_spectrum_is_rfft_bit_for_bit():
@@ -74,7 +73,7 @@ def test_half_spectrum_is_rfft_bit_for_bit():
     rng = np.random.default_rng(36)
     for m, n, p in ((3, 3, 1), (3, 2, 2), (4, 4, 5), (2, 5, 8), (6, 6, 32)):
         A = random_tensor(rng, m, n, p)
-        half = to_freq(A).half
+        half = to_freq(A)
         assert (half.tobytes()
                 == np.fft.rfft(A, axis=2).transpose(2, 0, 1).tobytes())
 
@@ -89,7 +88,7 @@ def test_matches_explicit_dft_block_diagonalization():
     Fm = np.kron(W / np.sqrt(p), np.eye(m))
     Fn = np.kron(W / np.sqrt(p), np.eye(n))
     blockdiag = Fm @ bcirc(A) @ Fn.conj().T
-    S = full_spectrum(to_freq(A))
+    S = full_spectrum(to_freq(A), p)
     for i in range(p):
         for j in range(p):
             block = blockdiag[i * m:(i + 1) * m, j * n:(j + 1) * n]
@@ -105,15 +104,15 @@ def test_linearity_and_product_theorem():
     FA, FB = to_freq(A), to_freq(B)
     FS = to_freq(2.0 * A + transpose(transpose(A)))
     FP = to_freq(tprod(A, B))
-    assert np.allclose(FS.half, 3.0 * FA.half, atol=1e-12)
-    assert np.allclose(FP.half, FA.half @ FB.half, atol=1e-12)
+    assert np.allclose(FS, 3.0 * FA, atol=1e-12)
+    assert np.allclose(FP, FA @ FB, atol=1e-12)
 
 
 def test_identity_frequency_slices_are_exact():
     for p in range(1, 9):
         F = to_freq(identity(3, p))
         for k in range(p // 2 + 1):
-            assert np.array_equal(F.half[k], np.eye(3).astype(complex))
+            assert np.array_equal(F[k], np.eye(3).astype(complex))
 
 
 def _with_entry(value):
@@ -148,13 +147,27 @@ def test_freq_from_half_mirrors_and_realifies():
     given = half.copy()
     F = freq_from_half(half, 4)
     assert np.array_equal(half, given)  # the caller's array is not changed
-    assert np.array_equal(F.half[1], half[1])
-    assert np.array_equal(F.half[0], half[0].real)
-    assert np.array_equal(F.half[2], half[2].real)
+    assert np.array_equal(F[1], half[1])
+    assert np.array_equal(F[0], half[0].real)
+    assert np.array_equal(F[2], half[2].real)
     with pytest.raises(ShapeError):
         freq_from_half(half, 7)
     with pytest.raises(ShapeError):
         freq_from_half(half.transpose(1, 2, 0), 4)
+
+
+def test_factor_half_keeps_bin_order_and_complex_vectors():
+    # The real and the complex stack come back in bin order, and vector
+    # stacks stay complex128 when every bin is self-conjugate (p <= 2).
+    from helpers import random_tsym
+    for p in range(1, 9):
+        F = to_freq(random_tsym(RNG, 3, p))
+        w, V = _factor_half(np.linalg.eigh, F, p)
+        assert (w.dtype, V.dtype) == (np.float64, np.complex128)
+        assert w.shape == (p // 2 + 1, 3)
+        for k in range(p // 2 + 1):
+            wk, Vk = np.linalg.eigh(F[k].real if k in (0, p / 2) else F[k])
+            assert np.array_equal(w[k], wk) and np.array_equal(V[k], Vk)
 
 
 def test_hermitize_check():
@@ -182,7 +195,7 @@ def test_vectorized_checks_match_slice_loops():
             full[:, :, p // 2] = full[:, :, p // 2].real
         for k in range(1, (p - 1) // 2 + 1):
             full[:, :, p - k] = np.conj(full[:, :, k])
-        assert np.array_equal(full_spectrum(F), full)
+        assert np.array_equal(full_spectrum(F, p), full)
 
         herm = 0.0
         for k in range(p):
