@@ -442,6 +442,8 @@ def main(argv=None):
             raise _CliError("--tol must be finite")
         if tol is not None and tol <= 0:
             raise _CliError("--tol must be positive")
+        if getattr(args, "seed", 0) < 0:
+            raise _CliError("--seed must be non-negative")
         with np.errstate(all="ignore"):  # finite gates report overflow
             doc = COMMANDS[args.command][0](args)
             _deliver(args, doc)

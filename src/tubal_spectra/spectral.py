@@ -86,7 +86,10 @@ class TedDiagnostics:
     reconstruction: float
     orthogonality: float
     eigenpair: np.ndarray
-    eigenpair_max: float
+
+    @property
+    def eigenpair_max(self):
+        return float(self.eigenpair.max())
 
 
 @dataclass
@@ -217,7 +220,7 @@ def ted(A, tol=1e-10):
     D, tuples, w = _scaled_back(e, D, eigentuples, _full_spectrum(w, p))
     return TedResult(
         u=U, d=D, u_half=Uf, eigentuples=tuples, frequency_eigenvalues=w,
-        residuals=TedDiagnostics(recon, orth, pair, float(pair.max())),
+        residuals=TedDiagnostics(recon, orth, pair),
         first_components_sorted=sorted_ok,
         elementwise_chain=descending_chain(eigentuples), scale_exponent=e)
 

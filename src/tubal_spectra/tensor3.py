@@ -173,14 +173,14 @@ def is_t_symmetric(A, tol=1e-10):
     return bool(np.linalg.norm(A - transpose(A)) <= tol * np.linalg.norm(A))
 
 
-def is_f_diagonal(S, tol=1e-10):
-    """Whether every frontal slice is diagonal within ``tol`` relative to
+def is_f_diagonal(S):
+    """Whether every frontal slice is diagonal within 1e-10 relative to
     ``max|S|`` (max-abs), so the verdict does not depend on the scale."""
     S = as_tensor3(S)
     m, n, _ = S.shape
     off = ~np.eye(m, n, dtype=bool)
     return bool(np.max(np.abs(S[off, :]), initial=0.0)
-                <= tol * np.max(np.abs(S)))
+                <= 1e-10 * np.max(np.abs(S)))
 
 
 def is_standard_form(S):

@@ -264,6 +264,21 @@ def test_non_finite_tol_is_usage_error(capsys, monkeypatch, tsym_file,
     assert "--tol must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "IN"],
+                                  ["random", "general", "2", "2", "2"]],
+                         ids=["verify", "random"])
+def test_negative_seed_is_usage_error(capsys, monkeypatch, tsym_file, argv):
+    # Refused before the file is read or a generator is seeded.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before --seed was checked")
+
+    monkeypatch.setattr(cli, "read_tensor3", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    argv = [tsym_file if a == "IN" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: --seed must be non-negative\n")
+
+
 @pytest.mark.parametrize("command", ["ted", "tsvd", "psd", "verify"])
 def test_overflowing_spectrum_is_not_called_unsymmetric(capsys, tmp_path,
                                                         command):

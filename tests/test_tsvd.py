@@ -159,9 +159,9 @@ def test_gram_consistency_square():
     assert checks["right_gram_eigentuple_match"].residual <= 1e-8
     assert checks["left_gram_eigentuple_match"].residual <= 1e-8
     s0 = tsvd(A).singular_tuples[0]
-    gram = ted(tprod(transpose(A), A)).eigentuples
-    gap = np.min(np.linalg.norm(gram - tube_mul(s0, s0), axis=1))
-    assert gap <= 1e-8 * np.linalg.norm(tube_mul(s0, s0))
+    e0 = ted(tprod(transpose(A), A)).eigentuples[0]
+    square = tube_mul(s0, s0)
+    assert np.linalg.norm(e0 - square) <= 1e-8 * np.linalg.norm(square)
 
 
 def test_gram_consistency_rectangular_pads_with_zero_tuples():
@@ -202,6 +202,18 @@ def test_gram_consistency_checks_the_tsvd_it_is_given():
     assert not checks["left_gram_eigentuple_match"].passed
     assert checks["right_gram_frequency_psd_floor"].passed
     assert checks["left_gram_frequency_psd_floor"].passed
+
+
+def test_gram_consistency_requires_canonical_order():
+    # Eigentuple j pairs with singular tuple j: correct tuples out of the
+    # descending order that ted and tsvd share are a wrong TSVD.
+    A = random_tensor(np.random.default_rng(3), 4, 3, 5)
+    R = tsvd(A)
+    tuples = R.singular_tuples[[1, 0, 2]]
+    checks = _by_name(gram_consistency(A, replace(R, singular_tuples=tuples)))
+    assert not checks["right_gram_eigentuple_match"].passed
+    assert not checks["left_gram_eigentuple_match"].passed
+    assert checks["right_gram_eigentuple_match"].residual > 1e-3
 
 
 def test_gram_consistency_decomposes_each_tensor_once(monkeypatch):
