@@ -12,9 +12,8 @@ subprocess is pinned to the same CPU, the last one this process may use,
 so the scheduler does not move a side between CPUs mid-round.  In a
 round, every entry gets one warm-up call and then is timed for about
 :data:`ROUND_S` seconds; the median of those calls is the round's sample.
-BLAS and FFT are pinned to one thread before numpy is imported.  Inputs
-are Gaussian draws from a fixed seed per topic and shape.  The topics
-are:
+BLAS is pinned to one thread before numpy is imported.  Inputs are
+Gaussian draws from a fixed seed per topic and shape.  The topics are:
 
 ``certify`` (seed 2011)
     The dense certification path on Gram tensors ``B^T * B``: the
@@ -58,8 +57,7 @@ import sys
 import tempfile
 import time
 
-for _var in ("TUBAL_SPECTRA_THREADS", "OMP_NUM_THREADS",
-             "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -266,7 +264,7 @@ def record(argv=None):
            "env": {"python": platform.python_version(),
                    "numpy": np.__version__, "machine": platform.machine(),
                    "cpus": os.cpu_count(),
-                   "threads": os.environ["TUBAL_SPECTRA_THREADS"]},
+                   "threads": os.environ["OPENBLAS_NUM_THREADS"]},
            "rounds": ROUNDS, "results": results}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")

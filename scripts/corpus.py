@@ -8,7 +8,7 @@ Record a manifest for one source tree, then compare two manifests::
 
 A run writes the file set into ``OUT/work`` and runs every argv of the
 table there, each in a fresh ``python -m tubal_spectra`` process with
-relative paths and one BLAS/FFT thread, so nothing in the output depends
+relative paths and one BLAS thread, so nothing in the output depends
 on where ``OUT`` lives.  ``OUT/manifest.json`` records, per run, the argv,
 the exit code and the sha256 of stdout, stderr and each ``-o`` file (null
 when the file was not written).  ``--diff`` lists the runs whose record
@@ -251,7 +251,8 @@ def record(out, src):
     for name, text in FILES.items():
         with open(os.path.join(work, name), "w", encoding="ascii") as fh:
             fh.write(text)
-    env = dict(os.environ, PYTHONPATH=src, TUBAL_SPECTRA_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
     table = argv_table(cli.COMMANDS)
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         runs = list(pool.map(lambda argv: _run_one(argv, work, env), table))

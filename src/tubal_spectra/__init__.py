@@ -1,9 +1,10 @@
 """Tubal tensor algebra: the tubal-scalar ring, T-product calculus,
 T-eigendecomposition, PSD certification, TSVD, and brute-force oracles.
 
-The package root stays import-light on purpose: the command-line entry
-point must pin BLAS/FFT threading (``TUBAL_SPECTRA_THREADS``) before numpy
-is first imported.  Import the submodules directly::
+The package root stays import-light on purpose: importing it loads neither
+numpy nor a submodule, so a caller can still set the standard BLAS thread
+variables (``OPENBLAS_NUM_THREADS`` and the like) before numpy loads.
+Import the submodules directly::
 
     from tubal_spectra import tubal, tensor3, transform, tproduct
     from tubal_spectra import spectral, tsvd, oracle

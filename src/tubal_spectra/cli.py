@@ -11,17 +11,13 @@ Malformed or non-finite input (in the one text codec of
 :mod:`tubal_spectra.tensor3`) and a non-finite number anywhere in a
 document are errors in both formats (exit 1).
 
-Exit codes: 0 success, 1 usage or input-format error, 2 numerical error
-(non-T-symmetric input to ``ted``, LAPACK failure), 3 verification failure.
+Exit codes: 0 success, 1 usage or input-format error (or an array too
+large for memory), 2 numerical error (non-T-symmetric input to ``ted``,
+LAPACK failure), 3 verification failure.
 
 Every command is one entry of :data:`COMMANDS`.  A call builds only its own
 command's parser, or the full table when no known command leads the
 arguments (no command, ``--help``, an unknown name); the output is the same.
-
-The ``TUBAL_SPECTRA_THREADS`` environment variable caps BLAS/FFT
-parallelism.  It must take effect before numpy is first imported, which is
-why this module sets the standard threading variables at import time and
-why the package root imports nothing heavy.
 """
 
 from __future__ import annotations
@@ -29,15 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-
-_threads = os.environ.get("TUBAL_SPECTRA_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import numpy as np
 
@@ -206,13 +194,9 @@ def render(doc):
 
 # --- plumbing ---------------------------------------------------------------
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _values(X):
@@ -346,10 +330,10 @@ def _cmd_verify(args):
 def _cmd_random(args):
     kind, m, n, p = args.kind, args.m, args.n, args.p
     if min(m, n, p) <= 0:
-        raise _CliError("sizes must be positive")
+        raise ValueError("sizes must be positive")
     rng = np.random.default_rng(args.seed)
     if kind in ("tsym", "psd") and m != n:
-        raise _CliError(f"kind {kind!r} requires m == n")
+        raise ValueError(f"kind {kind!r} requires m == n")
     if kind == "general":
         A = rng.standard_normal((m, n, p))
     elif kind == "tsym":
@@ -428,7 +412,7 @@ def main(argv=None):
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-    except _CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
@@ -439,11 +423,11 @@ def main(argv=None):
     try:
         tol = getattr(args, "tol", None)
         if tol is not None and not np.isfinite(tol):
-            raise _CliError("--tol must be finite")
+            raise ValueError("--tol must be finite")
         if tol is not None and tol <= 0:
-            raise _CliError("--tol must be positive")
+            raise ValueError("--tol must be positive")
         if getattr(args, "seed", 0) < 0:
-            raise _CliError("--seed must be non-negative")
+            raise ValueError("--seed must be non-negative")
         with np.errstate(all="ignore"):  # finite gates report overflow
             doc = COMMANDS[args.command][0](args)
             _deliver(args, doc)
@@ -451,7 +435,10 @@ def main(argv=None):
     except np.linalg.LinAlgError as exc:  # a ValueError, but numerical
         print(f"error: LinAlgError: {exc}", file=sys.stderr)
         return 2
-    except (_CliError, ShapeError, ValueError, OSError) as exc:
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
+    except (ShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TubalError as exc:

@@ -83,10 +83,7 @@ def bcirc_inv(M, p):
         raise ShapeError(
             f"matrix of shape {M.shape} does not split into a {p} x {p} "
             f"block grid")
-    m, n = M.shape[0] // p, M.shape[1] // p
-    A = np.empty((m, n, p))
-    for k in range(p):
-        A[:, :, k] = M[k * m:(k + 1) * m, :n]
+    A = fold(M[:, :M.shape[1] // p], p).copy()
     residual = float(np.max(np.abs(M - bcirc(A))))
     if residual > 1e-10:
         raise NotBlockCirculant(

@@ -302,7 +302,8 @@ def test_criterion_8_determinism(tmp_path):
     for name, argv in commands:
         outputs = []
         for threads in ("1", "4", "1"):
-            env = dict(os.environ, TUBAL_SPECTRA_THREADS=threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "tubal_spectra", *argv],
                 capture_output=True, env=env, timeout=120)

@@ -150,7 +150,7 @@ def test_corpus_gives_every_option_and_format(command):
 
 
 def _usage_error(parser, argv):
-    with pytest.raises(cli._CliError) as exc:
+    with pytest.raises(ValueError) as exc:
         parser.parse_args(argv)
     return str(exc.value)
 
@@ -306,6 +306,15 @@ def test_lapack_failure_is_numerical_error(capsys, monkeypatch, tsym_file,
     code, out, err = run(capsys, command, tsym_file)
     assert (code, out) == (2, "")
     assert err == "error: LinAlgError: Eigenvalues did not converge\n"
+
+
+def test_array_too_large_for_memory_is_one_error_line(capsys):
+    # numpy refuses the 7.11 PiB request before it allocates anything.
+    code, out, err = run(capsys, "random", "general", "1000000", "1000000",
+                         "1000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MemoryError: Unable to allocate ")
+    assert err.count("\n") == 1
 
 
 def test_verify_has_no_tol_flag(capsys, tsym_file):

@@ -3,7 +3,8 @@
 The batched frequency core hands whole stacks of slices to LAPACK and
 BLAS, whose threaded paths could reorder floating-point work.  ``ted`` on a
 24x24x16 T-symmetric tensor and ``tsvd`` on a tall 32x16x15 tensor must
-print byte-identical JSON with 1, 4 and again 1 threads.  So must the
+print byte-identical JSON with 1, 4 and again 1 threads, set through the
+standard ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``.  So must the
 canonical witness of ``psd --exact`` on a 6x6x8 Gram tensor.
 """
 
@@ -28,7 +29,8 @@ def test_json_is_identical_across_thread_counts(tmp_path, command, make):
     write_tensor3(str(path), make(np.random.default_rng(2403)))
     outputs = []
     for threads in ("1", "4", "1"):
-        env = dict(os.environ, TUBAL_SPECTRA_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "tubal_spectra", command, str(path),
              "--format", "json"],
@@ -44,7 +46,8 @@ def test_psd_witness_is_identical_across_thread_counts(tmp_path):
     write_tensor3(str(path), tprod(transpose(B), B))
     outputs = []
     for threads in ("1", "4"):
-        env = dict(os.environ, TUBAL_SPECTRA_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "tubal_spectra", "psd", str(path),
              "--exact", "--format", "json"],

@@ -3,7 +3,8 @@
 The traced benchmark binds every name in ``perfbench/tracer.py``'s
 ``LAYERS`` with ``getattr`` at run time, so each must exist in its module.
 The 17-digit number format is spelled once, in ``tensor3``, and the
-half-spectrum bin layout once, in ``transform``.
+half-spectrum bin layout once, in ``transform``.  No module reads or writes
+the process environment: the BLAS library reads its own thread variables.
 """
 
 import ast
@@ -24,6 +25,14 @@ def _layers():
                 == ["LAYERS"]):
             return ast.literal_eval(node.value)
     raise AssertionError(f"no LAYERS assignment in {TRACER}")
+
+
+def _names(node):
+    """The names and attributes an AST node spells, imports included."""
+    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+    if isinstance(node, ast.ImportFrom):
+        names |= {alias.name for alias in node.names}
+    return names
 
 
 def test_every_traced_name_is_a_package_function():
@@ -56,10 +65,17 @@ def test_bin_layout_is_spelled_only_in_transform():
         if path.name in ("transform.py", "tubal.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            if isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
-            if (names & layout or isinstance(node, ast.BinOp)
+            if (_names(node) & layout or isinstance(node, ast.BinOp)
                     and ast.unparse(node) == "p // 2 + 1"):
                 spelled.append((path.name, ast.unparse(node)))
     assert spelled == []
+
+
+def test_package_reads_no_environment():
+    banned = {"environ", "getenv", "putenv"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if _names(node) & banned:
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
