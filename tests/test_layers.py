@@ -5,6 +5,8 @@ The traced benchmark binds every name in ``perfbench/tracer.py``'s
 The 17-digit number format is spelled once, in ``tensor3``, and the
 half-spectrum bin layout once, in ``transform``.  No module reads or writes
 the process environment: the BLAS library reads its own thread variables.
+Every import inside the package is relative, so ``scripts/bench.py`` can
+load two trees into one process under different package names.
 """
 
 import ast
@@ -77,5 +79,22 @@ def test_package_reads_no_environment():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if _names(node) & banned:
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
+
+
+def test_package_imports_itself_only_relatively():
+    # An absolute import would load a third tree into the bench's process,
+    # or mix its two trees, without an error.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "tubal_spectra" for m in modules):
                 found.append((path.name, node.lineno, ast.unparse(node)))
     assert found == []
