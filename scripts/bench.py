@@ -42,7 +42,14 @@ their quartile distance, and ``after_wins`` counts the pairs in which
 ``after`` was faster.  Every record carries :data:`AA_BAND`: with the same
 tree as both sides, on a shared 2-CPU x86_64 host, every entry's ratio
 read within 0.84% of 1 over three runs of all topics (the last is
-``BENCH_aa.json``), so a ratio inside that band shows nothing.  Older
+``BENCH_aa.json``), so a ratio inside that band shows nothing.  Short
+entries resolve less: single-call times of ``ted`` at 16x16x16 and
+24x24x16 (1-4 ms) switch between two modes within a run on this host
+(for example 1.9 and 2.9 ms), and over eight runs a 0.1 ms busy-wait at
+the top of ``ted`` read from 0.6 points below to 2.2 points above its
+share of the ``before`` median there, against within 1.2 points at
+32x32x32 and 64x64x32 (5-45 ms).  So below about 2 ms a ratio shows a
+change only beyond about 2.2% from 1.  Older
 ``BENCH_*.json`` files, timed in a fresh process per side and round, keep
 their schema (``rounds``, ``speedup``) and are not rewritten.  This tool
 times layers; ``perfbench/run.py`` stays the end-to-end judge.

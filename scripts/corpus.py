@@ -22,7 +22,10 @@ near-symmetric ones at asymmetry ratios from 5e-11 to 1e-8 and
 ``identity(2, 8)`` plus 0.9e-10 on one tube, both sides of
 ``verify``'s polarization guard (``n*p`` 64 and 65), a T-symmetric and a
 general tensor scaled by 1e6, 1e-6, 1e200, 1e-200 and 1e-300, a tensor
-near overflow, matrix slices for ``quadform``, and malformed files.
+near overflow, a 2x2x1 tensor whose ``A + A^T`` overflows though
+``(A + A^T) / 2`` does not, a near-symmetric tensor (ratio 9.9e-11) whose
+closed-form PSD minimum lies just past ``-1e-10 * 2^e``, matrix slices for
+``quadform``, and malformed files.
 
 The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  Every
 command runs on each of its positional assignments in text and in
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,6 +81,29 @@ def _tprod(A, B):
     C = np.einsum("ijk,jlk->ilk", np.fft.fft(A, axis=2),
                   np.fft.fft(B, axis=2))
     return np.fft.ifft(C, axis=2).real
+
+
+def _near_threshold(seed, n, p, ratio):
+    """A positive-definite constant-tube tensor, plus a zero-mean
+    T-symmetric part putting the closed-form PSD minimum at
+    ``-1e-10 * 2^e * (1 + 1e-6)``, plus an antisymmetric part at asymmetry
+    ``ratio``: inside the symmetry gate, with a witness just past ``-tol``.
+    """
+    rng = np.random.default_rng([seed, n, p])
+    B = rng.standard_normal((n, n))
+    P = np.repeat((B @ B.T + n * np.eye(n))[:, :, None], p, axis=2)
+    G = rng.standard_normal((n, n, p))
+    Z = 0.5 * (G + _transpose(G))
+    Z -= Z.mean(axis=2, keepdims=True)
+    F = np.fft.fft(Z, axis=2).transpose(2, 0, 1)
+    lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
+    m = np.outer(np.arange(p), np.arange(p)) % p
+    cos = np.cos(2 * np.pi * np.minimum(m, p - m) / p)
+    target = -1e-10 * 2.0 ** math.frexp(np.max(np.abs(P)))[1] * (1 + 1e-6)
+    S = P + target / np.min(cos[:, :, None] * lam[None]) * Z
+    H = rng.standard_normal((n, n, p))
+    K = H - _transpose(H)
+    return S + K * (ratio * np.linalg.norm(S) / (2 * np.linalg.norm(K)))
 
 
 def _files():
@@ -120,6 +147,10 @@ def _files():
         T[f"tsym_x{scale}.t3"] = T["tsym_p4.t3"] * float(scale)
         T[f"general_x{scale}.t3"] = general * float(scale)
     T["huge.t3"] = np.full((2, 2, 2), 1.7e308)
+    # Own seeds, so the draws above keep their bytes.
+    T["near_threshold.t3"] = _near_threshold(1, 3, 3, 9.9e-11)
+    T["near_overflow.t3"] = np.zeros((2, 2, 1))
+    T["near_overflow.t3"][[0, 1], [1, 0], 0] = 1.5e308, 1.35e308
     files = {name: _text(A) for name, A in T.items()}
     files.update({"x3_4.mat": _text(rng.standard_normal((3, 4))),
                   "x2_8.mat": _text(rng.standard_normal((2, 8))),

@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from .errors import ShapeError, TubalError
-from .spectral import psd_spectral, quadform, ted
+from .spectral import (ELEMENTWISE_PSD, SPECTRAL_PD, SPECTRAL_PSD,
+                       _symmetric_part, psd_spectral, quadform, ted)
 from .tensor3 import (_fmt, is_f_diagonal, is_standard_form, is_t_symmetric,
                       read_tensor3, tensor3_text, transpose, unit_scaled)
 from .tproduct import tprod
@@ -309,8 +310,8 @@ def _cmd_psd(args):
             "witness": None if exact.witness is None
             else _values(exact.witness),
             "witness_value": exact.witness_value}
-        doc["verdicts_agree"] = ((verdict.spectral_class in ("PD", "PSD"))
-                                 == (exact.label == "ELEMENTWISE_PSD"))
+        agree = verdict.spectral_class in (SPECTRAL_PD, SPECTRAL_PSD)
+        doc["verdicts_agree"] = agree == (exact.label == ELEMENTWISE_PSD)
     return doc
 
 
@@ -337,8 +338,7 @@ def _cmd_random(args):
     if kind == "general":
         A = rng.standard_normal((m, n, p))
     elif kind == "tsym":
-        G = rng.standard_normal((n, n, p))
-        A = 0.5 * (G + transpose(G))
+        A = _symmetric_part(rng.standard_normal((n, n, p)))
     elif kind == "fdiag":
         A = np.zeros((m, n, p))
         for j in range(min(m, n)):

@@ -71,8 +71,8 @@ class ExactPsdResult:
 
     ``component`` is the smallest 1-based tube component whose matrix
     attains the most negative eigenvalue; ``witness`` (when present) is a
-    unit-norm matrix slice with
-    ``F_A(witness)[component] == witness_value < -tol``.
+    unit-norm slice at which that component of the classified form is
+    ``witness_value < -tol``.
     """
 
     label: str

@@ -42,15 +42,15 @@ eigenvalues, so first components always inherit the per-slice descending
 order; the full elementwise order between consecutive eigentuples may hold,
 fail, or be incomparable, and ``TedResult`` reports which.
 
-``psd_spectral`` classifies the T-quadratic form of ``A`` from the spatial
-entries of its eigentuples (positive / nonnegative within ``tol``).  This
-criterion is one-sided: quadratic forms take values in tubes, where the
-elementwise order is partial, and entrywise-nonnegative eigentuples are not
-necessary for entrywise-nonnegative form values, nor sufficient in the
-strict sense.  The verdict therefore also records the smallest frequency
-eigenvalue, which certifies classical PSD-ness of the first form component,
-and the exact elementwise answer, which :func:`exact_psd` reads off the
-same decomposition in closed form.
+``psd_spectral`` classifies the T-quadratic form of ``(A + A^T) / 2``, the
+tensor ``ted`` factors, from the spatial entries of its eigentuples
+(positive / nonnegative within ``tol``).  This criterion is one-sided:
+tube values are only partially ordered, and entrywise-nonnegative
+eigentuples are neither necessary for entrywise-nonnegative form values nor
+sufficient in the strict sense.  The verdict therefore also records the
+smallest frequency eigenvalue, which certifies classical PSD-ness of the
+first form component, and :func:`exact_psd`'s closed-form elementwise
+answer from the same decomposition.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ class PsdVerdict:
     ``spectral_class`` is ``PD``, ``PSD`` or ``NOT_PSD_BY_CRITERION`` from
     the spatial eigentuple entries at tolerance ``tol`` times ``2^e``.
     ``min_frequency_eigenvalue`` certifies the classical (first form
-    component) side.  ``symmetrized`` is true when the verdict is for
-    ``(A + A^T) / 2`` rather than ``A`` itself (see :func:`psd_spectral`).
-    ``exact`` is the elementwise answer of :func:`exact_psd` for that same
-    tensor; :func:`classify_ted` alone leaves it unset.
+    component) side.  Every field describes ``(A + A^T) / 2``, the tensor
+    :func:`ted` factors; ``symmetrized`` is true when it was formed because
+    ``A`` failed the symmetry gate (see :func:`psd_spectral`).  ``exact`` is
+    :func:`exact_psd`'s answer; :func:`classify_ted` alone leaves it unset.
     """
 
     spectral_class: str
@@ -201,7 +201,7 @@ def ted(A, tol=1e-10):
     if not is_t_symmetric(A, tol):
         raise NotTSymmetric("tensor is not T-symmetric within tolerance")
 
-    w, V = _factor_half(lambda M: np.linalg.eigh(0.5 * (M + _ct(M))), Af, p)
+    w, V = _factor_half(np.linalg.eigh, 0.5 * (Af + _ct(Af)), p)
     w = w[:, ::-1]
     V, _ = _canonical_phase(V[:, :, ::-1])
     U = from_freq(V, p)
@@ -277,6 +277,11 @@ def symmetrize(A):
     return A + transpose(A)
 
 
+def _symmetric_part(A):
+    """``(A + A^T) / 2``, halved first so that it cannot overflow."""
+    return 0.5 * A + 0.5 * transpose(A)
+
+
 def expand_in_eigenbasis(result, X):
     """Coefficients of ``X`` in the orthonormal eigenmatrix basis.
 
@@ -294,17 +299,15 @@ def expand_in_eigenbasis(result, X):
 
 
 def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
-    """Classify the T-quadratic form of ``A`` by the spectral criterion.
-
-    ``PD`` when every entry of every eigentuple exceeds ``tol``, ``PSD``
-    when every entry is at least ``-tol``, else ``NOT_PSD_BY_CRITERION``;
-    ``tol`` is relative to ``max|A|`` rounded up to a power of two.
-    Symmetry is decided once, by the gate of :func:`ted`.  Non-T-symmetric
-    input raises :class:`NotTSymmetric` unless ``auto_symmetrize`` is set,
-    in which case ``(A + A^T) / 2`` is classified instead; that tensor
-    shares the first form component (the classical quadratic form) with
-    ``A``, and the verdict's ``symmetrized`` field is set.  The verdict's
-    ``exact`` field holds :func:`exact_psd` of the classified tensor.
+    """Classify the T-quadratic form of ``(A + A^T) / 2`` by the spectral
+    criterion: ``PD`` when every entry of every eigentuple exceeds ``tol``,
+    ``PSD`` when every entry is at least ``-tol``, else
+    ``NOT_PSD_BY_CRITERION``; ``tol`` is relative to ``max|A|`` rounded up
+    to a power of two.  That tensor is what :func:`ted` factors, and it
+    shares the first form component (the classical form) with ``A``.  Input
+    outside ted's symmetry gate raises :class:`NotTSymmetric` unless
+    ``auto_symmetrize`` is set; then that tensor is formed without overflow
+    and ``symmetrized`` is set.  ``exact`` holds :func:`exact_psd`.
     """
     A, symmetrized = require_square(A), False
     try:
@@ -314,7 +317,7 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
             raise NotTSymmetric(
                 "tensor is not T-symmetric; pass auto_symmetrize=True to "
                 "classify (A + A^T) / 2 instead") from None
-        A, symmetrized = 0.5 * symmetrize(A), True
+        A, symmetrized = _symmetric_part(A), True
         result = ted(A)
     verdict = classify_ted(result, tol)
     verdict.symmetrized, verdict.exact = symmetrized, exact_psd(A, result, tol)
@@ -340,7 +343,7 @@ def classify_ted(result, tol=1e-10):
 
 
 def exact_psd(A, result, tol=1e-10):
-    """Exact elementwise PSD answer for ``A`` from its :func:`ted` result.
+    """Exact elementwise PSD answer for ``(A + A^T) / 2`` from ``ted(A)``.
 
     Each ``M_r`` of :mod:`tubal_spectra.oracle` is block-circulant, with the
     eigenvalues ``cos(2 pi m / p) lambda_j(F_k)``, ``m = (r k) mod p`` folded
@@ -348,7 +351,9 @@ def exact_psd(A, result, tol=1e-10):
     The first minimum in ``(r, j, k)`` order is reported; below ``-tol``
     times ``2^e`` (``e = result.scale_exponent``), with the unit-norm
     witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` column ``j`` of the
-    canonically phased bin ``k`` of ``result.u_half``.
+    canonically phased bin ``k`` of ``result.u_half``.  ``witness_value``
+    is the form of ``(A + A^T) / 2`` at ``X``, without rounding that tensor:
+    the mean of ``F_A(X)`` at ``r`` and ``-r mod p`` (see :func:`symmetrize`).
     """
     tol = np.ldexp(tol, result.scale_exponent)
     lam = result.frequency_eigenvalues
@@ -363,7 +368,7 @@ def exact_psd(A, result, tol=1e-10):
     v = result.u_half[k, :, j]
     witness = (v[:, None] * np.exp(2j * np.pi * k * np.arange(p) / p)).real
     witness /= np.linalg.norm(witness)
-    value = float(quadform(A, witness)[r])
+    value = float((0.5 * quadform(A, witness)[[r, -r % p]]).sum())
     if value >= -tol:
         raise TubalError(
             "internal inconsistency: PSD witness failed re-evaluation")

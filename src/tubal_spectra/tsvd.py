@@ -35,7 +35,8 @@ floor is reported, not asserted.
 :class:`~tubal_spectra.oracle.CheckResult` on ``unit_scaled(A)``: round
 trips, the fast t-product against the dense ``bcirc`` route, the TSVD
 certificates, ``gram_consistency`` and, when ``ted`` accepts ``A``,
-``oracle.oracle_ted_check`` and two dense polarization checks.  Every
+``oracle.oracle_ted_check`` and two dense polarization checks of ``(A +
+A^T) / 2`` (the tensor ``ted`` factors) from one set of matrices.  Every
 bound ``verify`` applies is set here or in ``oracle``, relative to ``2^e``.
 """
 
@@ -49,7 +50,8 @@ from .errors import NotTSymmetric
 from .oracle import (CheckResult, oracle_quadform_matrices, oracle_ted_check,
                      oracle_tprod)
 from .spectral import (_canonical_phase, _certificate, _f_diagonal,
-                       _scaled_back, classify_ted, exact_psd, quadform, ted)
+                       _scaled_back, _symmetric_part, classify_ted, exact_psd,
+                       quadform, ted)
 from .tensor3 import (as_tensor3, bcirc, bcirc_inv, fold, shift_columns,
                       transpose, unfold, unfold_mat, unit_scaled)
 from .transform import (_ct, _factor_half, _full_spectrum, _norm, from_freq,
@@ -188,9 +190,9 @@ POLARIZATION_MAX_NP = 64
 
 def verify_checks(A, seed):
     """The checks of ``verify`` on ``unit_scaled(A)``, in report order;
-    ``seed`` draws the t-product operand and the polarization slice.
-    ``ValueError`` when the TSVD of ``A`` overflows, as :func:`tsvd` of
-    ``A`` does."""
+    ``seed`` draws the t-product operand and the polarization slice, whose
+    checks run on ``(A + A^T) / 2``.  ``ValueError`` when the TSVD of ``A``
+    overflows, as :func:`tsvd` of ``A`` does."""
     A, e = unit_scaled(as_tensor3(A))
     m, n, p = A.shape
     rng = np.random.default_rng(seed)
@@ -221,15 +223,13 @@ def verify_checks(A, seed):
         checks.extend(replace(c, check=f"ted_{c.check}")
                       for c in oracle_ted_check(A, T))
         if n * p <= POLARIZATION_MAX_NP:
-            X = rng.standard_normal((n, p))
-            x, M = unfold_mat(X), oracle_quadform_matrices(A)
+            S, X = _symmetric_part(A), rng.standard_normal((n, p))
+            x, M = unfold_mat(X), oracle_quadform_matrices(S)
             poly = np.array([float(x @ M[k] @ x) for k in range(p)])
-            r = float(np.max(np.abs(quadform(A, X) - poly)))
+            r = float(np.max(np.abs(quadform(S, X) - poly)))
             checks.append(CheckResult("quadform_polarization", r, 1e-10))
-            # The closed form describes (A + A^T) / 2, the tensor ted factors.
-            lam = np.linalg.eigvalsh(
-                oracle_quadform_matrices(0.5 * (A + transpose(A))))
-            r = abs(exact_psd(A, T).min_eigenvalue - float(lam.min())) / max(
+            lam = float(np.linalg.eigvalsh(M).min())
+            r = abs(exact_psd(A, T).min_eigenvalue - lam) / max(
                 1.0, float(np.max(np.abs(T.frequency_eigenvalues))))
             checks.append(CheckResult("exact_psd_cross_path", r, 1e-12))
     return checks

@@ -5,6 +5,8 @@ fractions, probe outcomes) that are reported rather than asserted; the
 conftest terminal hook prints them after the test summary.
 """
 
+import math
+
 import numpy as np
 
 from tubal_spectra.oracle import oracle_quadform_dense
@@ -66,6 +68,30 @@ def near_tsym(rng, n, p, ratio):
     if norm > 0.0:
         K *= ratio * float(np.linalg.norm(S)) / (2.0 * norm)
     return S + K
+
+
+def near_threshold(seed, n, p, ratio):
+    """A tensor inside the symmetry gate whose closed-form PSD minimum lies
+    just below ``-1e-10 * 2^e``: a positive-definite constant-tube tensor,
+    plus a zero-mean T-symmetric part scaled to put that minimum at
+    ``-1e-10 * 2^e * (1 + 1e-6)``, plus an antisymmetric part as in
+    :func:`near_tsym`.  The minimum is computed here with numpy alone.
+    """
+    rng = np.random.default_rng([seed, n, p])
+    B = rng.standard_normal((n, n))
+    P = np.repeat((B @ B.T + n * np.eye(n))[:, :, None], p, axis=2)
+    G = rng.standard_normal((n, n, p))
+    Z = 0.5 * (G + transpose(G))
+    Z -= Z.mean(axis=2, keepdims=True)
+    F = np.fft.fft(Z, axis=2).transpose(2, 0, 1)
+    lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
+    m = np.outer(np.arange(p), np.arange(p)) % p
+    cos = np.cos(2 * np.pi * np.minimum(m, p - m) / p)
+    target = -1e-10 * 2.0 ** math.frexp(np.max(np.abs(P)))[1] * (1 + 1e-6)
+    S = P + target / np.min(cos[:, :, None] * lam[None]) * Z
+    H = rng.standard_normal((n, n, p))
+    K = H - transpose(H)
+    return S + K * (ratio * np.linalg.norm(S) / (2 * np.linalg.norm(K)))
 
 
 def exactly_scaled(A, e):

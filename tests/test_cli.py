@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import near_tsym, random_tensor, random_tsym
+from helpers import near_threshold, near_tsym, random_tensor, random_tsym
 from tubal_spectra import cli, oracle
 from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import NotTSymmetric
@@ -729,6 +729,21 @@ def test_verify_decomposes_the_input_once(capsys, tsym_file, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_the_polarization_matrices_once(capsys, tsym_file,
+                                                      monkeypatch):
+    calls = []
+    real = tsvd_module.oracle_quadform_matrices
+
+    def counted(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(tsvd_module, "oracle_quadform_matrices", counted)
+    code, _, _ = run(capsys, "verify", tsym_file)
+    assert code == 0
+    assert calls == [(3, 3, 4)]
+
+
 def test_text_factors_are_serialized_once(capsys, tsym_file, monkeypatch):
     calls = []
     real = cli.tensor3_text
@@ -906,6 +921,32 @@ def test_psd_exact_of_huge_constant_tubes_is_psd(capsys, tmp_path):
     assert code == 0
     assert "spectral_class: PSD\n" in out
     assert "exact_class: ELEMENTWISE_PSD\n" in out
+
+
+def test_near_threshold_near_symmetric_file_gets_a_label(capsys, tmp_path):
+    # Inside the symmetry gate, with the closed-form minimum just past -tol:
+    # valued on A itself, the witness missed it ("internal inconsistency").
+    path = str(tmp_path / "near.t3")
+    write_tensor3(path, near_threshold(1, 3, 3, 9.9e-11))
+    for command, *extra in (["psd"], ["verify"], ["psd", "--exact"]):
+        code, out, _ = run(capsys, command, path, *extra)
+        assert code == 0, (command, extra)
+    assert "exact_class: NOT_ELEMENTWISE_PSD\n" in out
+
+
+def test_auto_symmetrize_near_overflow(capsys, tmp_path):
+    # A + A^T overflows; (A + A^T) / 2 fits in float64.
+    A = np.zeros((2, 2, 1))
+    A[0, 1, 0], A[1, 0, 0] = 1.5e308, 1.35e308
+    path = str(tmp_path / "edge.t3")
+    write_tensor3(path, A)
+    code, out, _ = run(capsys, "psd", path, "--auto-symmetrize", "--exact",
+                       "--format", "json")
+    assert code == 0
+    exact = json.loads(out)["exact"]
+    assert exact["class"] == "NOT_ELEMENTWISE_PSD"
+    assert exact["min_eigenvalue"] == -1.425e308
+    assert exact["witness_value"] < -1e308
 
 
 # --- text is a rendering of the JSON document -------------------------------

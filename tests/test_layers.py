@@ -2,9 +2,10 @@
 
 The traced benchmark binds every name in ``perfbench/tracer.py``'s
 ``LAYERS`` with ``getattr`` at run time, so each must exist in its module.
-The 17-digit number format is spelled once, in ``tensor3``, and the
-half-spectrum bin layout once, in ``transform``.  No module reads or writes
-the process environment: the BLAS library reads its own thread variables.
+The 17-digit number format is spelled once, in ``tensor3``, the
+half-spectrum bin layout once, in ``transform``, and the T-symmetric part
+``(A + A^T) / 2`` once, in ``spectral``.  No module reads or writes the
+process environment: the BLAS library reads its own thread variables.
 Every import inside the package is relative, so ``scripts/bench.py`` can
 load two trees into one process under different package names.
 """
@@ -96,5 +97,27 @@ def test_package_imports_itself_only_relatively():
             else:
                 continue
             if any(m.split(".")[0] == "tubal_spectra" for m in modules):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
+
+
+def test_symmetric_part_is_spelled_only_in_spectral():
+    # A sum with tensor3.transpose forms (A + A^T) / 2 or A + A^T; only
+    # spectral's _symmetric_part and symmetrize may, so that every verdict
+    # read off ted's factors is of the one tensor it factors.  (oracle's
+    # R.transpose is a matrix transpose, not this one.)
+    owners = {"_symmetric_part", "symmetrize"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name in owners
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and id(node) not in allowed
+                    and any(getattr(sub, "id", None) == "transpose"
+                            for side in (node.left, node.right)
+                            for sub in ast.walk(side))):
                 found.append((path.name, node.lineno, ast.unparse(node)))
     assert found == []

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORE_SHAPES, exactly_scaled, near_tsym, random_tensor,
-                     random_tsym, record_finding, rel_err, ted_by_loop,
-                     tsvd_by_loop)
+from helpers import (CORE_SHAPES, exactly_scaled, near_threshold, near_tsym,
+                     random_tensor, random_tsym, record_finding, rel_err,
+                     ted_by_loop, tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
@@ -29,7 +29,7 @@ from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal,
                                    unfold_mat, unit_scaled)
 from tubal_spectra.tproduct import tprod, tprod_mat
 from tubal_spectra.transform import _ct, _norm, from_freq, to_freq
-from tubal_spectra.tsvd import tsvd
+from tubal_spectra.tsvd import tsvd, verify_checks
 from tubal_spectra.tubal import (INCOMPARABLE, tube_action, tube_le,
                                  tube_transpose, unit_tube)
 
@@ -731,6 +731,28 @@ def test_exact_psd_inconsistent_witness_is_an_internal_error(monkeypatch):
                         lambda A, X: np.zeros(A.shape[2]))
     with pytest.raises(TubalError, match="internal inconsistency"):
         exact_psd(identity(1, 2), ted(identity(1, 2)))
+
+
+# (n, p, seed) of near_threshold tensors at ratio 9.9e-11.  The first two
+# raised "internal inconsistency" when the witness was evaluated on A,
+# whose antisymmetric part moves components r != 0 by about 1e-10 2^e; the
+# third when it was evaluated on the rounded 0.5 * A + 0.5 * A^T, which
+# moves the value by an ulp of max|A|, about the margin.
+NEAR_THRESHOLD = [(3, 3, 1), (4, 5, 20), (3, 4, 71)]
+
+
+@pytest.mark.parametrize("n,p,seed", NEAR_THRESHOLD)
+def test_exact_psd_witness_is_valued_on_the_symmetric_part(n, p, seed):
+    A = near_threshold(seed, n, p, 9.9e-11)
+    assert is_t_symmetric(A)
+    ex = psd_spectral(A).exact
+    assert ex.label == NOT_ELEMENTWISE_PSD
+    tol = np.ldexp(1e-10, unit_scaled(A)[1])
+    S = 0.5 * (A + transpose(A))
+    value = quadform(S, ex.witness)[ex.component - 1]
+    assert abs(ex.witness_value - value) <= 1e-4 * tol
+    assert ex.witness_value < -tol
+    assert all(c.passed is not False for c in verify_checks(A, 0))
 
 
 # --- one power-of-two scale ---------------------------------------------------
