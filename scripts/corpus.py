@@ -7,51 +7,54 @@ Record a manifest for one source tree, then compare two manifests::
     python3 scripts/corpus.py --diff OUT/manifest.json OUT2/manifest.json
 
 A run writes the file set into ``OUT/work`` and runs every argv of the
-table there, each in a fresh ``python -m tubal_spectra`` process with
-relative paths and one BLAS thread, so nothing in the output depends
-on where ``OUT`` lives.  ``OUT/manifest.json`` records, per run, the argv,
-the exit code and the sha256 of stdout, stderr and each ``-o`` file (null
-when the file was not written).  ``--diff`` lists the runs whose record
-differs, grouped by command, and exits 1 when any does.
+table there, with relative paths, as one call of the ``--src`` tree's
+``cli.main`` (loaded by ``bench.load``) in this process, with one BLAS
+thread.  What a fresh process per run gave is kept explicitly: warnings
+are shown every time and added to their run's stderr as ``Category:
+message``, an escaping exception is recorded as exit 1 with stderr ``Type:
+message``, and ``COLUMNS`` is 80, the width argparse wraps help to.
+``OUT/manifest.json`` records, per run, the argv, the exit code and the
+sha256 of stdout, stderr and each ``-o`` file (null when not written).
+``--diff`` lists the runs whose record differs, grouped by command, and
+exits 1 when any does.
 
-The file set is drawn from a fixed seed and written by this script's own
-``%.17g`` writer, so it is the same bytes for every checkout: T-symmetric
-tensors with ``p`` from 1 to 8, Gram tensors (one rank-deficient),
-general, tall, wide, all-zero and f-diagonal tensors, two identities,
-near-symmetric ones at asymmetry ratios from 5e-11 to 1e-8 and
-``identity(2, 8)`` plus 0.9e-10 on one tube, both sides of
-``verify``'s polarization guard (``n*p`` 64 and 65), a T-symmetric and a
-general tensor scaled by 1e6, 1e-6, 1e200, 1e-200 and 1e-300, a tensor
-near overflow, a 2x2x1 tensor whose ``A + A^T`` overflows though
-``(A + A^T) / 2`` does not, a near-symmetric tensor (ratio 9.9e-11) whose
-closed-form PSD minimum lies just past ``-1e-10 * 2^e``, matrix slices for
-``quadform``, and malformed files.
+The file set (:func:`_files`) is drawn from a fixed seed and written by
+this script's own ``%.17g`` writer, so it is the same bytes for every
+checkout: random inputs of each kind, edge cases of symmetry, scale,
+overflow and the PSD threshold, and malformed files.
 
-The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  Every
-command runs on each of its positional assignments in text and in
-``--format json`` to stdout, and in text to ``-o`` if it takes that
-option.  Each option then runs alone on the well-formed inputs, once per
-value of :data:`OPTION_VALUES` (JSON), and once with every option given
-together (``--format text`` and ``--output``).
+The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  It
+opens with no arguments, ``--help``, an unknown command and ``<command>
+--help`` for each command.  Every command runs on each of its positional
+assignments in text and in ``--format json`` to stdout, and in text to
+``-o`` if it takes that option.  Each option then runs alone on the
+well-formed inputs, once per value of :data:`OPTION_VALUES` (JSON), and
+once with every option given together (``--format text`` and
+``--output``).
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
-import subprocess
 import sys
+import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
+
+if __name__ == "__main__":  # one BLAS thread, set before numpy loads
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
 
 import numpy as np
 
+from bench import load
+
 SCHEMA = "tubal-spectra-corpus/1"
 SEED = 20261019
-JOBS = 2           # concurrent CLI processes, one per CPU of a small host
 
 #: Values given to each valued option, one run per value.
 OPTION_VALUES = {"--tol": ["1e-6", "0", "nan"], "--seed": ["7"]}
@@ -61,15 +64,11 @@ OPTION_VALUES = {"--tol": ["1e-6", "0", "nan"], "--seed": ["7"]}
 
 def _text(X):
     """The codec's text form of a T3 (3-d) or MAT (2-d) array."""
-    fmt = "%.17g"
-    head = f"{'T3' if X.ndim == 3 else 'MAT'} 1\n" + " ".join(map(str,
-                                                                X.shape))
-    rows = (lambda M: "\n".join(" ".join(fmt % v for v in row)
-                                for row in M.tolist()))
-    if X.ndim == 3:
-        return head + "".join("\n\n" + rows(X[:, :, k])
-                              for k in range(X.shape[2])) + "\n"
-    return head + "\n" + rows(X) + "\n"
+    slices = X.transpose(2, 0, 1) if X.ndim == 3 else [X]
+    body = "\n\n".join("\n".join(" ".join("%.17g" % v for v in row)
+                                  for row in M.tolist()) for M in slices)
+    return (f"{'T3' if X.ndim == 3 else 'MAT'} 1\n"
+            + " ".join(map(str, X.shape)) + "\n" * (X.ndim - 1) + body + "\n")
 
 
 def _transpose(A):
@@ -213,7 +212,7 @@ def _output_name(argv):
 
 def argv_table(commands):
     """Every argv of the corpus, from a ``cli.COMMANDS``-shaped table."""
-    table = []
+    table = [[], ["--help"], ["nonesuch"], *([c, "--help"] for c in commands)]
     for command, (_, _, *args) in commands.items():
         positional = tuple(names[0] for names, _ in args
                            if not names[0].startswith("-"))
@@ -246,54 +245,60 @@ def argv_table(commands):
 
 # --- running ----------------------------------------------------------------
 
+def _run(cli, argv):
+    """The record of ``cli.main(argv)``, with stdout, stderr and each ``-o``
+    file as bytes (None when not written); each ``-o`` file is removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a fresh process would exit 1 here
+            print(f"{type(exc).__name__}: {exc}", file=err)
+            code = 1
+    err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    outputs = {name: None for flag, name in zip(argv, argv[1:])
+               if flag in ("-o", "--output")}
+    for name in outputs:
+        if os.path.exists(name):
+            outputs[name] = Path(name).read_bytes()
+            os.remove(name)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue().encode(),
+            "stderr": err.getvalue().encode(), "outputs": outputs}
+
+
+def run_table(cli, work):
+    """Write the file set into ``work`` and :func:`_run` the table there."""
+    os.makedirs(work, exist_ok=True)
+    for name, text in FILES.items():
+        Path(work, name).write_text(text, encoding="ascii")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            return [_run(cli, argv) for argv in argv_table(cli.COMMANDS)]
+    finally:
+        os.chdir(cwd)
+
+
 def _sha(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-def _run_one(argv, work, env):
-    proc = subprocess.run([sys.executable, "-m", "tubal_spectra", *argv],
-                          cwd=work, env=env, capture_output=True,
-                          check=False)
-    outputs = {}
-    for flag in ("-o", "--output"):
-        if flag in argv:
-            name = argv[argv.index(flag) + 1]
-            path = os.path.join(work, name)
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    outputs[name] = _sha(fh.read())
-                os.remove(path)
-            else:
-                outputs[name] = None
-    return {"argv": argv, "exit": proc.returncode,
-            "stdout": _sha(proc.stdout), "stderr": _sha(proc.stderr),
-            "outputs": outputs}
+    return None if data is None else hashlib.sha256(data).hexdigest()
 
 
 def record(out, src):
-    """Write the file set under ``out/work``, run the table, write the
+    """Run the table on the tree ``src`` in ``out/work`` and write the
     manifest ``out/manifest.json``; returns the manifest."""
-    src = os.path.abspath(src)
-    sys.path.insert(0, src)
-    from tubal_spectra import cli
-
-    work = os.path.join(out, "work")
-    os.makedirs(work, exist_ok=True)
-    for name, text in FILES.items():
-        with open(os.path.join(work, name), "w", encoding="ascii") as fh:
-            fh.write(text)
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    table = argv_table(cli.COMMANDS)
-    with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        runs = list(pool.map(lambda argv: _run_one(argv, work, env), table))
+    cli = load(src, "corpus_tree").cli
+    runs = [dict(run, stdout=_sha(run["stdout"]), stderr=_sha(run["stderr"]),
+                 outputs={k: _sha(v) for k, v in run["outputs"].items()})
+            for run in run_table(cli, os.path.join(out, "work"))]
     manifest = {"schema": SCHEMA, "seed": SEED,
                 "files": {name: _sha(text.encode())
                           for name, text in sorted(FILES.items())},
                 "runs": runs}
-    with open(os.path.join(out, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=1) + "\n")
+    Path(out, "manifest.json").write_text(
+        json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -305,21 +310,16 @@ def diff(old, new):
     before = {tuple(r["argv"]): r for r in old["runs"]}
     after = {tuple(r["argv"]): r for r in new["runs"]}
     grouped = {}
-    for argv in list(before) + [a for a in after if a not in before]:
+    for argv in {**before, **after}:
         if argv not in before or argv not in after:
-            fields = ["missing in " + ("old" if argv not in before
-                                       else "new")]
+            fields = ["missing in " + ("new" if argv in before else "old")]
         else:
             fields = [key for key in ("exit", "stdout", "stderr", "outputs")
                       if before[argv][key] != after[argv][key]]
         if fields:
-            grouped.setdefault(argv[0], []).append((list(argv), fields))
+            grouped.setdefault(argv[0] if argv else "(no arguments)",
+                               []).append((list(argv), fields))
     return grouped
-
-
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def main(argv=None):
@@ -331,7 +331,8 @@ def main(argv=None):
                         help="compare two manifest files")
     args = parser.parse_args(argv)
     if args.diff:
-        old, new = map(_load, args.diff)
+        old, new = (json.loads(Path(path).read_text(encoding="utf-8"))
+                    for path in args.diff)
         grouped = diff(old, new)
         total = len({tuple(r["argv"]) for r in old["runs"] + new["runs"]})
         for command, rows in grouped.items():

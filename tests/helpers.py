@@ -5,7 +5,9 @@ fractions, probe outcomes) that are reported rather than asserted; the
 conftest terminal hook prints them after the test summary.
 """
 
-import math
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +41,22 @@ def record_acceptance(name, passed, detail):
     print(line)
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """``scripts/<name>.py`` as a fresh module.  The scripts directory is
+    put on ``sys.path``, as ``python3 scripts/<name>.py`` puts it, so that
+    a script can import its siblings."""
+    if str(SCRIPTS) not in sys.path:
+        sys.path.insert(0, str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location(name,
+                                                  SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # (n, p) shapes for the batched core: p = 1, p = 2, odd and even p, n = 1.
 CORE_SHAPES = ((1, 1), (4, 1), (3, 2), (5, 3), (4, 4), (6, 5), (1, 6),
                (7, 8), (8, 9))
@@ -68,30 +86,6 @@ def near_tsym(rng, n, p, ratio):
     if norm > 0.0:
         K *= ratio * float(np.linalg.norm(S)) / (2.0 * norm)
     return S + K
-
-
-def near_threshold(seed, n, p, ratio):
-    """A tensor inside the symmetry gate whose closed-form PSD minimum lies
-    just below ``-1e-10 * 2^e``: a positive-definite constant-tube tensor,
-    plus a zero-mean T-symmetric part scaled to put that minimum at
-    ``-1e-10 * 2^e * (1 + 1e-6)``, plus an antisymmetric part as in
-    :func:`near_tsym`.  The minimum is computed here with numpy alone.
-    """
-    rng = np.random.default_rng([seed, n, p])
-    B = rng.standard_normal((n, n))
-    P = np.repeat((B @ B.T + n * np.eye(n))[:, :, None], p, axis=2)
-    G = rng.standard_normal((n, n, p))
-    Z = 0.5 * (G + transpose(G))
-    Z -= Z.mean(axis=2, keepdims=True)
-    F = np.fft.fft(Z, axis=2).transpose(2, 0, 1)
-    lam = np.linalg.eigvalsh(0.5 * (F + F.conj().swapaxes(1, 2)))
-    m = np.outer(np.arange(p), np.arange(p)) % p
-    cos = np.cos(2 * np.pi * np.minimum(m, p - m) / p)
-    target = -1e-10 * 2.0 ** math.frexp(np.max(np.abs(P)))[1] * (1 + 1e-6)
-    S = P + target / np.min(cos[:, :, None] * lam[None]) * Z
-    H = rng.standard_normal((n, n, p))
-    K = H - transpose(H)
-    return S + K * (ratio * np.linalg.norm(S) / (2 * np.linalg.norm(K)))
 
 
 def exactly_scaled(A, e):

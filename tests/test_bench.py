@@ -1,6 +1,5 @@
 """Smoke tests of ``scripts/bench.py``: the two-tree loader and one record."""
 
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -8,21 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+from helpers import load_script
 
-
-def _bench():
-    path = ROOT / "scripts" / "bench.py"
-    spec = importlib.util.spec_from_file_location("bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
 def bench():
-    yield _bench()
+    yield load_script("bench")
     for key in [key for key in sys.modules
                 if key.split(".")[0] in ("before", "after")]:
         del sys.modules[key]

@@ -1,17 +1,15 @@
 """Command-line interface: exit codes, formats, determinism, file I/O."""
 
 import argparse
-import importlib.util
 import json
 from dataclasses import replace
-from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import near_threshold, near_tsym, random_tensor, random_tsym
+from helpers import load_script, near_tsym, random_tensor, random_tsym
 from tubal_spectra import cli, oracle
 from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import NotTSymmetric
@@ -23,6 +21,7 @@ from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
 from tubal_spectra.tproduct import tprod
 
 RNG = np.random.default_rng(611)
+corpus = load_script("corpus")
 
 
 def run(capsys, *argv):
@@ -126,20 +125,12 @@ def test_argv_row_gives_every_option(command):
         assert any(name in ARGV[command] for name in names), names
 
 
-def _corpus():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_corpus_gives_every_option_and_format(command):
     # scripts/corpus.py compares CLI output across checkouts; a knob it
     # never gives would go unchecked there.
-    table = [argv for argv in _corpus().argv_table(cli.COMMANDS)
-             if argv[0] == command]
+    table = [argv for argv in corpus.argv_table(cli.COMMANDS)
+             if argv[:1] == [command]]
     pairs = {tuple(argv[i:i + 2]) for argv in table
              for i in range(len(argv) - 1)}
     assert {("--format", "text"), ("--format", "json")} <= pairs
@@ -927,7 +918,7 @@ def test_near_threshold_near_symmetric_file_gets_a_label(capsys, tmp_path):
     # Inside the symmetry gate, with the closed-form minimum just past -tol:
     # valued on A itself, the witness missed it ("internal inconsistency").
     path = str(tmp_path / "near.t3")
-    write_tensor3(path, near_threshold(1, 3, 3, 9.9e-11))
+    write_tensor3(path, corpus._near_threshold(1, 3, 3, 9.9e-11))
     for command, *extra in (["psd"], ["verify"], ["psd", "--exact"]):
         code, out, _ = run(capsys, command, path, *extra)
         assert code == 0, (command, extra)

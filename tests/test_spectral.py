@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORE_SHAPES, exactly_scaled, near_threshold, near_tsym,
+from helpers import (CORE_SHAPES, exactly_scaled, load_script, near_tsym,
                      random_tensor, random_tsym, record_finding, rel_err,
                      ted_by_loop, tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
@@ -733,12 +733,14 @@ def test_exact_psd_inconsistent_witness_is_an_internal_error(monkeypatch):
         exact_psd(identity(1, 2), ted(identity(1, 2)))
 
 
-# (n, p, seed) of near_threshold tensors at ratio 9.9e-11.  The first two
-# raised "internal inconsistency" when the witness was evaluated on A,
-# whose antisymmetric part moves components r != 0 by about 1e-10 2^e; the
-# third when it was evaluated on the rounded 0.5 * A + 0.5 * A^T, which
-# moves the value by an ulp of max|A|, about the margin.
+# (n, p, seed) of scripts/corpus.py's near-threshold tensors at ratio
+# 9.9e-11.  The first two raised "internal inconsistency" when the witness
+# was evaluated on A, whose antisymmetric part moves components r != 0 by
+# about 1e-10 2^e; the third when it was evaluated on the rounded
+# 0.5 * A + 0.5 * A^T, which moves the value by an ulp of max|A|, about the
+# margin.
 NEAR_THRESHOLD = [(3, 3, 1), (4, 5, 20), (3, 4, 71)]
+near_threshold = load_script("corpus")._near_threshold
 
 
 @pytest.mark.parametrize("n,p,seed", NEAR_THRESHOLD)
