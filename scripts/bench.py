@@ -31,9 +31,11 @@ traceback, chained to an error naming the side.  The topics are:
 ``codec`` (seed 2404)
     The text codec: ``tensor3_text`` and ``tensor3_from_text`` on one
     tensor in memory at the shapes of the ``io`` (48x48x16) and
-    ``decompose`` (24x24x16, 32x16x15) workloads, and the ``io``
-    workload's two commands end to end: ``info --format json`` and
-    ``tprod`` with its result written to a file.
+    ``decompose`` (24x24x16, 32x16x15) workloads, ``tensor3_text`` on an
+    f-diagonal 24x24x16 tensor (384 nonzero values of 9,216, as the ``d``
+    that ``ted`` writes in ``decompose``), and the ``io`` workload's two
+    commands end to end: ``info --format json`` and ``tprod`` with its
+    result written to a file.
 
 Each entry records, per side, the median single-call time in ``seconds``
 and the distance between its quartiles in ``iqr_seconds``; ``ratio`` is
@@ -167,6 +169,7 @@ def measure_decompose(pkg, seed, workdir):
 
 
 def measure_codec(pkg, seed, workdir):
+    import numpy as np
     t3 = pkg.tensor3
     shapes = ((48, 48, 16), (24, 24, 16), (32, 16, 15))
     entries = []
@@ -177,6 +180,11 @@ def measure_codec(pkg, seed, workdir):
                     ("tensor3_from_text", label,
                      lambda text=t3.tensor3_text(A):
                      t3.tensor3_from_text(text))]
+
+    S = _draw([seed, 2, 24, 24, 16], (24, 24, 16))
+    S[~np.eye(24, dtype=bool)] = 0.0  # 384 nonzero of 9,216, as ted's d
+    entries.append(("tensor3_text", "24x24x16 f-diagonal",
+                    lambda: t3.tensor3_text(S)))
 
     a, b, c = (os.path.join(workdir, f"{name}.t3") for name in "abc")
     t3.write_tensor3(a, _draw([seed, 0, *shapes[0]], shapes[0]))

@@ -21,7 +21,8 @@ exits 1 when any does.
 The file set (:func:`_files`) is drawn from a fixed seed and written by
 this script's own ``%.17g`` writer, so it is the same bytes for every
 checkout: random inputs of each kind, edge cases of symmetry, scale,
-overflow and the PSD threshold, and malformed files.
+overflow and the PSD threshold, malformed files, and the number writer's
+edge values (:data:`EDGES`, run only through :data:`EDGE_RUNS`).
 
 The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  It
 opens with no arguments, ``--help``, an unknown command and ``<command>
@@ -150,6 +151,18 @@ def _files():
     T["near_threshold.t3"] = _near_threshold(1, 3, 3, 9.9e-11)
     T["near_overflow.t3"] = np.zeros((2, 2, 1))
     T["near_overflow.t3"][[0, 1], [1, 0], 0] = 1.5e308, 1.35e308
+    # The writer's edge values, each with both signs: ties that %.17g
+    # rounds half to even, subnormals, zeros, powers of ten and the
+    # neighbours on both sides of each switch of notation.  Up to 1e308,
+    # so that the norm that info prints stays finite.
+    ties = [1000000000000000.25, 1000000000000000.75, 123456789012345.125,
+            2.0 ** -25]
+    tiny = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    tens = [1e-300, 1e-5, 1e-4, 1e16, 1e17, 1e22, 1e23, 1e100, 1e308]
+    switches = [1e-5, 1e-4, 1e16, 1e17, 1e-99, 1e-100, 1e99, 1e100]
+    edges = ties + tiny + [0.0] + tens + [
+        np.nextafter(v, to) for v in switches for to in (0.0, np.inf)]
+    T[EDGES] = np.array(edges + [-v for v in edges]).reshape(-1, 2, 1)
     files = {name: _text(A) for name, A in T.items()}
     files.update({"x3_4.mat": _text(rng.standard_normal((3, 4))),
                   "x2_8.mat": _text(rng.standard_normal((2, 8))),
@@ -170,11 +183,19 @@ def _files():
     return files
 
 
+#: The writer's edge file, run only through the commands in :data:`EDGE_RUNS`.
+EDGES = "edges.t3"
 FILES = _files()
-WELL_FORMED = sorted(name for name in FILES
-                     if name.endswith(".t3") and not name.startswith("bad_"))
+WELL_FORMED = sorted(name for name in FILES if name.endswith(".t3")
+                     and not name.startswith("bad_") and name != EDGES)
 MALFORMED = sorted(name for name in FILES
                    if name.endswith(".t3") and name.startswith("bad_"))
+
+#: Extra well-formed positional assignments per command: the edge file is
+#: read by ``info``, and written back by ``transpose`` and by ``tprod`` with
+#: an identity, which leaves its one frontal slice exact.
+EDGE_RUNS = {"info": [[EDGES]], "transpose": [[EDGES]],
+             "tprod": [[EDGES, "identity_2x2x1.t3"]]}
 
 #: Positional assignments per positional-argument signature, as
 #: ``(well-formed, malformed)``; option runs use only the well-formed ones.
@@ -217,6 +238,7 @@ def argv_table(commands):
         positional = tuple(names[0] for names, _ in args
                            if not names[0].startswith("-"))
         well, bad = POSITIONALS[positional]
+        well = well + EDGE_RUNS.get(command, [])
         output = any("--output" in names for names, _ in args)
         options = []     # (names, values); values None for a flag
         for names, kwargs in args:

@@ -17,10 +17,26 @@ Tensors, matrix slices and tubes share one text codec: a header picked by
 ``ndim`` from ``HEADERS``, a size line, then rows of 17-digit decimals.  Its
 reader rejects another kind's header, bad sizes or rows, and non-finite values;
 its writer rejects complex and non-finite values.
+
+The writer formats values in numpy, byte-identical to ``%.17g``.  For a
+nonzero ``x`` with ``e = floor(log10|x|)``, it forms ``q = |x| * 10^(16 - e)``
+in ``[1e16, 1e17)`` as a double-double: Dekker's exact product of the
+``frexp`` mantissa with a table row ``10^s = (hi + lo) * 2^b``, then an
+exact power-of-two scale.  ``round(q)`` gives the 17 digits; rows where
+``log10`` missed by one are rescaled once.  ``q`` is within about 1e-14 of
+exact, so a value whose ``q`` lies within 1e-6 of a half-integer, such as an
+exact tie that ``%.17g`` rounds to even, is formatted with ``%.17g`` itself.
+Each value then becomes one NUL-padded row laid out as ``%.17g`` lays it
+out (fixed notation for exponents -4 to 16, else exponent notation with a
+signed exponent of at least two digits; trailing zeros and a bare point
+stripped), ending with its separator, and one ``bytes.translate`` drops the
+padding.  Zeros, ``-0`` included, skip the arithmetic, and values go in
+chunks of :data:`_CHUNK`, so that no temporary exceeds about 1 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -200,16 +216,188 @@ def is_standard_form(S):
 HEADERS = {3: "T3 1", 2: "MAT 1", 1: "TUBE 1"}
 
 #: The one number format, 17 significant digits: float64 values round-trip
-#: exactly.  The writer and :func:`_fmt` both derive from it.
+#: exactly.  :func:`_fmt` formats CLI scalars with it.  The writer computes
+#: the same bytes in numpy and formats with it only the values within 1e-6
+#: of a rounding tie, which it cannot decide.
 _FMT = "%.17g"
 _fmt = _FMT.__mod__
+
+
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
+
+
+@functools.cache
+def _pow10():
+    """``(hi, hh, hl, lo, b)`` in row ``e + 325`` for the decimal exponents
+    ``e`` of every finite nonzero float64, -324..308, and one more on each
+    side: with ``s = 16 - e``, ``10^s = (hi + lo) * 2^b`` within ``2^-106``
+    relative, ``hi`` in ``[1, 2]``, ``|lo| <= ulp(hi) / 2`` and ``hi = hh +
+    hl`` split into 26-bit halves.  Built once, from integer arithmetic."""
+    rows = []
+    for s in range(16 + 325, 16 - 310, -1):
+        N = 10 ** abs(s)
+        if s >= 0:  # R = round(10^s * 2^(105 - b)), 2^b <= 10^s < 2^(b + 1)
+            b = N.bit_length() - 1
+            R = N << (105 - b) if b <= 105 else (N >> (b - 106)) + 1 >> 1
+        else:
+            b = -N.bit_length()
+            R = ((1 << (106 - b)) // N + 1) >> 1
+        hi = float(R)
+        rows.append((math.ldexp(hi, -105), math.ldexp(R - int(hi), -105), b))
+    hi, lo, b = map(np.array, zip(*rows))
+    hh = hi * _SPLIT - (hi * _SPLIT - hi)
+    table = hi, hh, hi - hh, lo, b.astype(np.int32)  # ldexp is fast on int32
+    for col in table:
+        col.flags.writeable = False  # shared by every call
+    return table
+
+
+def _scaled(a, e):
+    """``a * 10^(16 - e)`` as a double-double ``(hi, lo)``, ``|lo| <=
+    ulp(hi) / 2``, within ``2^-104`` relative, for positive finite ``a``."""
+    row = (e + 325).astype(np.intp)
+    hi, hh, hl, lo, b = (col[row] for col in _pow10())
+    f, E = np.frexp(a)
+    c = f * _SPLIT
+    fh = c - (c - f)
+    fl = f - fh
+    p = f * hi  # f * hi == p + err exactly (Dekker)
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
+    t = err + f * lo
+    q = p + t
+    return np.ldexp(q, E + b), np.ldexp(t - (q - p), E + b)
+
+
+def _decimal(a):
+    """``(D, e, tie)`` for positive finite ``a``: ``a`` rounded to 17
+    significant digits is ``D * 10^(e - 16)`` with ``10^16 <= D < 10^17``,
+    except where ``tie`` marks a rounding too close to call."""
+    e = np.floor(np.log10(a)).astype(np.int32)
+    hi, lo = _scaled(a, e)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)  # log10 missed by one
+    if off.size:
+        e[off] += np.where(high[off], 1, -1)
+        hi[off], lo[off] = _scaled(a[off], e[off])
+    r = np.rint(lo)
+    tie = np.abs(lo - r) > 0.5 - 1e-6
+    D = hi.astype(np.int64) + r.astype(np.int64)
+    carry = D == 10 ** 17
+    return np.where(carry, 10 ** 16, D), e + carry, tie
+
+
+# Columns of a value's source row in _number_rows: the sign, 17 digits and
+# the separator; then, as one 8-byte word, a point, a zero, an "e", the
+# exponent's sign and three digits, and a NUL.
+_SIGN, _DIGITS, _SEP = 0, 1, 18
+_POINT, _ZERO, _E, _EXP, _NUL = 24, 25, 26, 27, 31
+_SRC_WIDTH = 32
+_TAIL = np.frombuffer(b".0e+000\0", np.uint64)
+#: The two ASCII digits of 0..99, as one ``uint16`` each, in memory order.
+_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(),
+                       dtype=np.uint16)
+_CHUNK = 4096  # values per pass
+
+
+@functools.cache
+def _layouts():
+    """``(index, length)``: per code ``17 * layout + nz - 1``, the source
+    columns of the text of a value with ``nz`` significant digits (trailing
+    zeros stripped), then its separator, padded with ``_NUL``; and their
+    number.  Layouts 0-20 are fixed notation for exponents -4..16, 21 and
+    22 exponent notation with two and three exponent digits."""
+    rows = []
+    for layout in range(23):
+        for nz in range(1, 18):
+            digits = list(range(_DIGITS, _DIGITS + nz))
+            x = layout - 4
+            if layout > 20:
+                body = digits[:1] + ([_POINT] + digits[1:]) * (nz > 1)
+                body += [_E, _EXP] + [_EXP + 1] * (layout == 22)
+                body += [_EXP + 2, _EXP + 3]
+            elif x >= 0:  # digits 0..x are the integer part, zeros kept
+                body = list(range(_DIGITS, _DIGITS + x + 1))
+                body += ([_POINT] + digits[x + 1:]) * (nz > x + 1)
+            else:
+                body = [_ZERO, _POINT] + [_ZERO] * (-x - 1) + digits
+            rows.append([_SIGN] + body + [_SEP, _SEP + 1])
+    length = np.array(list(map(len, rows)))
+    index = np.array([r + [_NUL] * (length.max() - len(r)) for r in rows],
+                     dtype=np.intp)
+    for col in index, length:
+        col.flags.writeable = False  # shared by every call
+    return index, length
+
+
+def _number_rows(x, sep):
+    """The text of each nonzero ``x`` followed by its two-byte separator
+    ``sep``, one NUL-padded ``uint8`` row per value."""
+    n = x.size
+    D, e, tie = _decimal(np.abs(x))
+    src = np.empty((n, _SRC_WIDTH), np.uint8)
+    words = src.view(np.uint16)  # digits 2k + 1 and 2k + 2 are word k + 1
+    src[:, _SIGN] = (x < 0) * np.uint8(ord("-"))
+    top = D // 10 ** 16
+    src[:, _DIGITS] = top + ord("0")
+    # The other 16 digits in two halves of 8, two digits at a time.
+    halves = np.empty((2, n), np.int64)
+    halves[1] = D - top * 10 ** 16
+    halves[0] = halves[1] // 10 ** 8
+    halves[1] -= halves[0] * 10 ** 8
+    for k, scale in enumerate((10 ** 6, 10 ** 4, 100, 1)):
+        q = halves // scale
+        halves -= q * scale
+        words[:, k + 1], words[:, k + 5] = np.take(_PAIRS, q)
+    words[:, _SEP // 2] = sep.view(np.uint16)[:, 0]
+    src.view(np.uint64)[:, _POINT // 8] = _TAIL
+    nz = np.full(n, 17)
+    z = np.flatnonzero(src[:, _DIGITS + 16] == ord("0"))
+    nz[z] = 17 - np.argmax(src[z, _DIGITS + 16:_SIGN:-1] != ord("0"), axis=1)
+    fixed = (e >= -4) & (e <= 16)
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        es = np.abs(e[sci])
+        src[sci, _EXP] = np.where(e[sci] < 0, ord("-"), ord("+"))
+        src[sci, _EXP + 1] = es // 100 + ord("0")
+        src[sci, _EXP + 2] = es // 10 % 10 + ord("0")
+        src[sci, _EXP + 3] = es % 10 + ord("0")
+    layout = np.where(fixed, e + 4, np.where(np.abs(e) >= 100, 22, 21))
+    code = 17 * layout + nz - 1
+    index, length = _layouts()
+    code[tie] = length.argmax()  # the widest row, written over below
+    width = length[code].max(initial=0)
+    index = np.take(index[:, :width], code, axis=0)
+    index += np.arange(0, n * _SRC_WIDTH, _SRC_WIDTH)[:, None]
+    rows = src.ravel().take(index)
+    for i in np.flatnonzero(tie):
+        text = (_FMT % x[i]).encode("ascii") + sep[i].tobytes()
+        rows[i] = 0
+        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return rows
+
+
+def _text_rows(x, sep):
+    """:func:`_number_rows` of every ``x``, its zeros written as ``0`` or
+    ``-0`` without the arithmetic."""
+    nonzero = np.flatnonzero(x)
+    if nonzero.size == x.size:
+        return _number_rows(x, sep)
+    number = _number_rows(x[nonzero], sep[nonzero])
+    rows = np.zeros((x.size, max(4, number.shape[1])), np.uint8)
+    rows[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    rows[:, 1] = ord("0")
+    rows[:, 2:4] = sep
+    rows[nonzero, :number.shape[1]] = number
+    return rows
 
 
 def tensor3_text(X):
     """The text serialization of a tensor, matrix slice or tube ``X``.
 
     A tensor's rows come as its frontal slices, each after a blank line.
-    The whole file is one :data:`_FMT` template, formatted once.
+    Values are formatted as :data:`_FMT` does, in chunks of :data:`_CHUNK`
+    (see the module docstring).
     """
     X = np.asarray(X)
     if np.iscomplexobj(X):
@@ -220,13 +408,20 @@ def tensor3_text(X):
         raise ShapeError(f"no text format for an array of shape {X.shape}")
     blocks = (X.transpose(2, 0, 1) if X.ndim == 3
               else X.reshape(1, -1, X.shape[-1]))
-    nblocks, nrows, width = blocks.shape
-    sep = "\n\n" if X.ndim == 3 else "\n"
-    block = "\n".join([" ".join([_FMT] * width)] * nrows)
-    template = (HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape)) + sep
-                + sep.join([block] * nblocks) + "\n")
-    return template % tuple(
-        blocks.astype(np.float64, copy=False).ravel().tolist())
+    values = np.ascontiguousarray(blocks, dtype=np.float64).ravel()
+    # Each value's separator: a space, a newline at the end of a row, and a
+    # blank line after each tensor slice but the last.
+    sep = np.zeros(blocks.shape + (2,), np.uint8)
+    sep[..., 0] = ord(" ")
+    sep[..., -1, 0] = ord("\n")
+    sep[:-1, -1, -1, 1] = ord("\n")
+    sep = sep.reshape(-1, 2)
+    body = b"".join(
+        _text_rows(values[i:i + _CHUNK], sep[i:i + _CHUNK]).tobytes()
+        for i in range(0, values.size, _CHUNK))
+    return (HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))
+            + ("\n\n" if X.ndim == 3 else "\n")
+            + body.translate(None, b"\0").decode("ascii"))
 
 
 def write_tensor3(path, X):

@@ -7,7 +7,8 @@ half-spectrum bin layout once, in ``transform``, and the T-symmetric part
 ``(A + A^T) / 2`` once, in ``spectral``.  No module reads or writes the
 process environment: the BLAS library reads its own thread variables.
 Every import inside the package is relative, so ``scripts/bench.py`` can
-load two trees into one process under different package names.
+load two trees into one process under different package names, and none
+is of ``fractions`` or ``decimal``, which cost every command's start-up.
 """
 
 import ast
@@ -84,9 +85,8 @@ def test_package_reads_no_environment():
     assert found == []
 
 
-def test_package_imports_itself_only_relatively():
-    # An absolute import would load a third tree into the bench's process,
-    # or mix its two trees, without an error.
+def _absolute_imports(packages):
+    """Each package file's absolute imports from any of ``packages``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
@@ -96,9 +96,21 @@ def test_package_imports_itself_only_relatively():
                 modules = [node.module]
             else:
                 continue
-            if any(m.split(".")[0] == "tubal_spectra" for m in modules):
+            if any(m.split(".")[0] in packages for m in modules):
                 found.append((path.name, node.lineno, ast.unparse(node)))
-    assert found == []
+    return found
+
+
+def test_package_imports_itself_only_relatively():
+    # An absolute import would load a third tree into the bench's process,
+    # or mix its two trees, without an error.
+    assert _absolute_imports({"tubal_spectra"}) == []
+
+
+def test_package_imports_neither_fractions_nor_decimal():
+    # The writer's table of powers of ten is built with integer arithmetic;
+    # either module would add to the start-up of every command.
+    assert _absolute_imports({"fractions", "decimal"}) == []
 
 
 def test_symmetric_part_is_spelled_only_in_spectral():
