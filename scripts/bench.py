@@ -33,9 +33,11 @@ traceback, chained to an error naming the side.  The topics are:
     tensor in memory at the shapes of the ``io`` (48x48x16) and
     ``decompose`` (24x24x16, 32x16x15) workloads, ``tensor3_text`` on an
     f-diagonal 24x24x16 tensor (384 nonzero values of 9,216, as the ``d``
-    that ``ted`` writes in ``decompose``), and the ``io`` workload's two
-    commands end to end: ``info --format json`` and ``tprod`` with its
-    result written to a file.
+    that ``ted`` writes in ``decompose``), ``tensor3_from_text`` on a
+    6x6x8 Gram tensor ``B^T * B`` (the shape of the ``certify`` workload's
+    file) and on the 24x24x16 text with CRLF line ends, which the exact
+    reader reads, and the ``io`` workload's two commands end to end:
+    ``info --format json`` and ``tprod`` with its result written to a file.
 
 Each entry records, per side, the median single-call time in ``seconds``
 and the distance between its quartiles in ``iqr_seconds``; ``ratio`` is
@@ -185,6 +187,14 @@ def measure_codec(pkg, seed, workdir):
     S[~np.eye(24, dtype=bool)] = 0.0  # 384 nonzero of 9,216, as ted's d
     entries.append(("tensor3_text", "24x24x16 f-diagonal",
                     lambda: t3.tensor3_text(S)))
+    B = _draw([seed, 3, 6, 6, 8], (6, 6, 8))
+    gram = t3.tensor3_text(pkg.tproduct.tprod(t3.transpose(B), B))
+    crlf = t3.tensor3_text(_draw([seed, 0, *shapes[1]], shapes[1]))
+    crlf = crlf.replace("\n", "\r\n")
+    entries += [("tensor3_from_text", "6x6x8 Gram",
+                 lambda: t3.tensor3_from_text(gram)),
+                ("tensor3_from_text", "24x24x16 CRLF",
+                 lambda: t3.tensor3_from_text(crlf))]
 
     a, b, c = (os.path.join(workdir, f"{name}.t3") for name in "abc")
     t3.write_tensor3(a, _draw([seed, 0, *shapes[0]], shapes[0]))

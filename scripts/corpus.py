@@ -21,8 +21,12 @@ exits 1 when any does.
 The file set (:func:`_files`) is drawn from a fixed seed and written by
 this script's own ``%.17g`` writer, so it is the same bytes for every
 checkout: random inputs of each kind, edge cases of symmetry, scale,
-overflow and the PSD threshold, malformed files, and the number writer's
-edge values (:data:`EDGES`, run only through :data:`EDGE_RUNS`).
+overflow and the PSD threshold, malformed files, the number writer's edge
+values (:data:`EDGES`), and the reader's edge files (:data:`READER_EDGES`:
+a CRLF copy, which ``open`` turns into ``\\n`` line ends, vertical tab and
+form feed line breaks, an indented header, an empty body and ``1_0.5``,
+all but the first read by the exact reader, not ``np.loadtxt``); the
+last two sets run only through :data:`EDGE_RUNS`.
 
 The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  It
 opens with no arguments, ``--help``, an unknown command and ``<command>
@@ -180,21 +184,38 @@ def _files():
         "bad_nanpayload.mat": "MAT 1\n1 2\nnan(123) 1\n"})
     for token in ("nan", "inf", "-inf", "1e400"):
         files[f"bad_{token}.t3"] = good[:good.rindex(" ")] + f" {token}\n"
+
+    # The reader's edge files: all but the CRLF copy, which open() reads
+    # with \n line ends, go to its exact reader.
+    rows = good.split("\n")
+    files.update({
+        "read_crlf.t3": good.replace("\n", "\r\n"),
+        "read_vt.t3": "\n".join(rows[:4]) + "\x0b" + "\n".join(rows[4:]),
+        "read_ff.t3": "\n".join(rows[:4]) + "\x0c" + "\n".join(rows[4:]),
+        "read_indented.t3": "  " + good,
+        "read_empty_body.t3": "T3 1\n1 1 1\n",
+        "read_underscore.t3": "T3 1\n1 2 1\n\n1_0.5 -2_5e-1\n"})
     return files
 
 
 #: The writer's edge file, run only through the commands in :data:`EDGE_RUNS`.
 EDGES = "edges.t3"
 FILES = _files()
+#: The reader's edge files, run only through the commands in
+#: :data:`EDGE_RUNS`.
+READER_EDGES = sorted(name for name in FILES if name.startswith("read_"))
 WELL_FORMED = sorted(name for name in FILES if name.endswith(".t3")
-                     and not name.startswith("bad_") and name != EDGES)
+                     and not name.startswith(("bad_", "read_"))
+                     and name != EDGES)
 MALFORMED = sorted(name for name in FILES
                    if name.endswith(".t3") and name.startswith("bad_"))
 
-#: Extra well-formed positional assignments per command: the edge file is
-#: read by ``info``, and written back by ``transpose`` and by ``tprod`` with
-#: an identity, which leaves its one frontal slice exact.
-EDGE_RUNS = {"info": [[EDGES]], "transpose": [[EDGES]],
+#: Extra positional assignments per command: the edge files are read by
+#: ``info`` and written back by ``transpose``, and the writer's edge file
+#: also by ``tprod`` with an identity, which leaves its one frontal slice
+#: exact.
+EDGE_RUNS = {"info": [[EDGES]] + [[f] for f in READER_EDGES],
+             "transpose": [[EDGES]] + [[f] for f in READER_EDGES],
              "tprod": [[EDGES, "identity_2x2x1.t3"]]}
 
 #: Positional assignments per positional-argument signature, as

@@ -18,6 +18,17 @@ Tensors, matrix slices and tubes share one text codec: a header picked by
 reader rejects another kind's header, bad sizes or rows, and non-finite values;
 its writer rejects complex and non-finite values.
 
+The reader has two paths, and the text picks one.  ASCII text that opens
+with the header and size line as the writer writes them, holds at least one
+data token and no control character but ``\\n`` and ``\\t``, goes to
+``np.loadtxt``, whose C parser converts each token with CPython's own
+``PyOS_string_to_double``, so it rounds exactly as ``float`` does.  Its
+result is used if it has the expected rows and width and only finite
+values.  Everything else, and every text ``np.loadtxt`` rejects, goes to
+the exact reader, which splits lines and tokens with ``str.splitlines`` and
+``str.split`` and parses with ``float``: it accepts ``float``'s full
+grammar (``1_0.5``) and raises the documented errors.
+
 The writer formats values in numpy, byte-identical to ``%.17g``.  For a
 nonzero ``x`` with ``e = floor(log10|x|)``, it forms ``q = |x| * 10^(16 - e)``
 in ``[1e16, 1e17)`` as a double-double: Dekker's exact product of the
@@ -37,7 +48,9 @@ chunks of :data:`_CHUNK`, so that no temporary exceeds about 1 MB.
 from __future__ import annotations
 
 import functools
+import io
 import math
+import re
 
 import numpy as np
 
@@ -378,18 +391,31 @@ def _number_rows(x, sep):
 
 
 def _text_rows(x, sep):
-    """:func:`_number_rows` of every ``x``, its zeros written as ``0`` or
-    ``-0`` without the arithmetic."""
+    """The rows of :func:`_number_rows` for every ``x``, in blocks of at
+    most :data:`_CHUNK` values.  Zeros are written as ``0`` or ``-0``
+    without the arithmetic, and the nonzero values are formatted in one
+    pass, in chunks of up to :data:`_CHUNK`, however sparse they are."""
+    if np.count_nonzero(x) == x.size:
+        for i in range(0, x.size, _CHUNK):
+            yield _number_rows(x[i:i + _CHUNK], sep[i:i + _CHUNK])
+        return
     nonzero = np.flatnonzero(x)
-    if nonzero.size == x.size:
-        return _number_rows(x, sep)
-    number = _number_rows(x[nonzero], sep[nonzero])
-    rows = np.zeros((x.size, max(4, number.shape[1])), np.uint8)
-    rows[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    rows[:, 1] = ord("0")
-    rows[:, 2:4] = sep
-    rows[nonzero, :number.shape[1]] = number
-    return rows
+    start = 0
+    for a in range(0, max(nonzero.size, 1), _CHUNK):
+        at = nonzero[a:a + _CHUNK]
+        number = _number_rows(x[at], sep[at])
+        # This chunk's blocks run to its last value, the last one to the end.
+        stop = at[-1] + 1 if a + _CHUNK < nonzero.size else x.size
+        for i in range(start, stop, _CHUNK):
+            j = min(i + _CHUNK, stop)
+            rows = np.zeros((j - i, max(4, number.shape[1])), np.uint8)
+            rows[:, 0] = np.where(np.signbit(x[i:j]), ord("-"), 0)
+            rows[:, 1] = ord("0")
+            rows[:, 2:4] = sep[i:j]
+            lo, hi = np.searchsorted(at, (i, j))
+            rows[at[lo:hi] - i, :number.shape[1]] = number[lo:hi]
+            yield rows
+        start = stop
 
 
 def tensor3_text(X):
@@ -416,9 +442,9 @@ def tensor3_text(X):
     sep[..., -1, 0] = ord("\n")
     sep[:-1, -1, -1, 1] = ord("\n")
     sep = sep.reshape(-1, 2)
-    body = b"".join(
-        _text_rows(values[i:i + _CHUNK], sep[i:i + _CHUNK]).tobytes()
-        for i in range(0, values.size, _CHUNK))
+    # map() lets each block go once written; a generator expression's loop
+    # variable would hold it while the next one is built, which is slower.
+    body = b"".join(map(np.ndarray.tobytes, _text_rows(values, sep)))
     return (HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))
             + ("\n\n" if X.ndim == 3 else "\n")
             + body.translate(None, b"\0").decode("ascii"))
@@ -436,11 +462,68 @@ def read_tensor3(path, ndim=3):
         return tensor3_from_text(fh.read(), ndim, name=str(path))
 
 
+#: The header and size line of each kind as :func:`tensor3_text` writes
+#: them, with the sizes as groups, followed by at least one data token.
+_WRITTEN = {ndim: re.compile(re.escape(header) + "\n"
+                             + " ".join(["([1-9][0-9]*)"] * ndim)
+                             + "\n(?=[ \t\n]*[^ \t\n])")
+            for ndim, header in HEADERS.items()}
+
+
+def _plain(text):
+    """Whether ASCII ``text`` holds no control character but ``\\n`` and
+    ``\\t``: of the control characters, the only line break and whitespace
+    that ``np.loadtxt`` and the exact reader split alike."""
+    raw = text.encode("ascii")
+    codes = np.frombuffer(raw, np.uint8)
+    low = codes[codes < 32]
+    return b"\x7f" not in raw and bool(np.all((low == 10) | (low == 9)))
+
+
 def tensor3_from_text(text, ndim=3, name="<string>"):
     """Parse the text serialization of an ``ndim``-dimensional array.
 
     Blank lines are ignored; each error is a ``ValueError`` naming ``name``.
+    ASCII text with :func:`tensor3_text`'s header and size line and no
+    control character but ``\\n`` and ``\\t`` is read by ``np.loadtxt``,
+    which rounds each token as ``float`` does.  Any other text, and any
+    that ``np.loadtxt`` rejects or reads to the wrong shape or a non-finite
+    value, goes to the exact reader, :func:`_read_text`.
     """
+    head = text.isascii() and _WRITTEN[ndim].match(text)
+    if head and _plain(text):
+        shape = tuple(map(int, head.groups()))
+        width = _row_width(shape)
+        try:
+            data = np.loadtxt(io.StringIO(text[head.end():]),
+                              dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if (data.shape == (math.prod(shape) // width, width)
+                    and np.isfinite(data).all()):
+                return _shaped(data, shape)
+    return _read_text(text, ndim, name)
+
+
+def _row_width(shape):
+    """Rows are ``n`` wide in a tensor and ``p`` wide in a matrix slice or
+    a tube."""
+    return shape[1] if len(shape) == 3 else shape[-1]
+
+
+def _shaped(data, shape):
+    """The array of ``shape`` whose data rows, in file order, are ``data``."""
+    if len(shape) == 3:  # the rows of a tensor are the rows of unfold(A)
+        return np.ascontiguousarray(
+            fold(data.reshape(-1, shape[1]), shape[2]))
+    return data.reshape(shape)
+
+
+def _read_text(text, ndim, name):
+    """The exact reader: :func:`tensor3_from_text` for any text, with
+    ``str.splitlines`` and ``str.split`` for lines and tokens, and ``float``
+    for numbers, its full grammar included."""
     header = HEADERS[ndim]
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != header:
@@ -451,8 +534,7 @@ def tensor3_from_text(text, ndim=3, name="<string>"):
         raise ValueError(f"{name}: malformed size line: {exc}") from exc
     if len(shape) != ndim or min(shape) <= 0:
         raise ValueError(f"{name}: expected {ndim} positive sizes")
-    # Rows are n wide in a tensor and p wide in a matrix slice or a tube.
-    width = shape[1] if ndim == 3 else shape[-1]
+    width = _row_width(shape)
     rows = lines[2:]
     if len(rows) != math.prod(shape) // width:
         raise ValueError(f"{name}: expected {math.prod(shape) // width} data "
@@ -470,6 +552,4 @@ def tensor3_from_text(text, ndim=3, name="<string>"):
         raise ValueError(f"{name}: {exc}") from exc
     if not np.isfinite(data).all():
         raise ValueError(f"{name}: non-finite value in data rows")
-    if ndim == 3:  # the rows of a tensor are the rows of unfold(A)
-        return np.ascontiguousarray(fold(data.reshape(-1, width), shape[2]))
-    return data.reshape(shape)
+    return _shaped(data, shape)

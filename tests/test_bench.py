@@ -1,4 +1,5 @@
-"""Smoke tests of ``scripts/bench.py``: the two-tree loader and one record."""
+"""Smoke tests of ``scripts/bench.py``: the two-tree loader, one record and
+the ``codec`` topic's entries."""
 
 import json
 import sys
@@ -83,3 +84,20 @@ def test_failing_entry_fails_the_run_and_names_the_side(bench, monkeypatch,
     assert str(exc.value) == "fails ratio 1 failed on the after tree"
     assert isinstance(exc.value.__cause__, ZeroDivisionError)
     assert not out.exists()
+
+
+def test_codec_entries_run_once_each(bench, tmp_path):
+    pkg = bench.load(SRC, "after")
+    seed, measure = bench.TOPICS["codec"]
+    entries = measure(pkg, seed, str(tmp_path))
+    labels = [(name, shape) for name, shape, _ in entries]
+    assert labels[-4:] == [
+        ("tensor3_from_text", "6x6x8 Gram"),
+        ("tensor3_from_text", "24x24x16 CRLF"),
+        ("cli info --format json", "48x48x16"), ("cli tprod -o", "48x48x16")]
+    assert len(set(labels)) == len(labels) == 11
+    results = {label: fn() for label, (*_, fn) in zip(labels, entries)}
+    crlf, plain = (results["tensor3_from_text", shape]
+                   for shape in ("24x24x16 CRLF", "24x24x16"))
+    assert np.array_equal(crlf, plain)
+    assert results["tensor3_from_text", "6x6x8 Gram"].shape == (6, 6, 8)

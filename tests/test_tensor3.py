@@ -1,9 +1,16 @@
 """Tensor plumbing: block circulants, folds, transpose, checks, text files."""
 
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import random_tensor, random_tsym
+from tubal_spectra import tensor3
 from tubal_spectra.errors import NotBlockCirculant, ShapeError
 from tubal_spectra.tensor3 import (HEADERS, bcirc, bcirc_inv, fold,
                                    fold_mat, identity, is_f_diagonal,
@@ -361,6 +368,123 @@ def test_reader_rejects_what_float_rejects(token):
     with pytest.raises(ValueError) as err:
         tensor3_from_text(f"TUBE 1\n2\n1 {token}\n", 1)
     assert str(err.value) == f"<string>: {expected.value}"
+
+
+def _exact(text, ndim):
+    """``(array, None)`` from the exact reader, or ``(None, message)``."""
+    try:
+        return tensor3._read_text(text, ndim, "<string>"), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# What the random edits insert or write over: characters of numbers and
+# characters that neither reader takes in a number, letters of nan and inf,
+# and a non-ASCII digit; or, as often, one of every class of whitespace and
+# line break.
+_EDIT_CHARS = (list("0123456789+-.eE_#,'\"xnaif")
+               + ["\0", "nan", "inf", "\u0661", ""])
+_EDIT_SPACES = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                "\x1e", "\x1f", "\xa0", "\x85", "\u2028"]
+
+
+@st.composite
+def _edited_texts(draw):
+    """``(ndim, text)``: a file as the writer writes it, then up to three
+    random insertions, deletions or overwrites, half of them at a space or
+    a line break."""
+    ndim = draw(st.integers(1, 3))
+    shape = draw(st.tuples(*[st.integers(1, 3)] * ndim))
+    X = draw(arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False, width=64)))
+    text = tensor3_text(X)
+    for _ in range(draw(st.integers(0, 3))):
+        gaps = [i for i, c in enumerate(text) if c in " \n"]
+        i = draw(st.integers(0, len(text)) | st.sampled_from(gaps))
+        cut = draw(st.integers(0, 2))
+        piece = draw(st.sampled_from(_EDIT_CHARS)
+                     | st.sampled_from(_EDIT_SPACES))
+        text = text[:i] + piece + text[i + cut:]
+    return ndim, text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_edited_texts())
+def test_reader_matches_the_exact_reader_on_edited_files(case):
+    # The loadtxt path gives the exact reader's array bit for bit, or the
+    # exact reader's error, and no warning.
+    ndim, text = case
+    want, message = _exact(text, ndim)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = tensor3_from_text(text, ndim)
+        except ValueError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+    assert caught == []
+
+
+def _halfway_tokens(rng, count):
+    """Decimals of 25-60 significant digits near the midpoints between
+    random adjacent finite doubles, of both signs and every scale."""
+    bits = rng.integers(0, 2 ** 63 - 2 ** 52 - 1, count, dtype=np.int64)
+    bits[:count // 8] %= 2 ** 52  # subnormals
+    tokens = []
+    with localcontext() as ctx:
+        ctx.prec = 800  # every double and midpoint is exact
+        for b, digits, sign in zip(bits.tolist(),
+                                   rng.integers(25, 61, count).tolist(),
+                                   rng.choice(["", "-"], count).tolist()):
+            lo, hi = np.array([b, b + 1], np.int64).view(np.float64).tolist()
+            mid = (Decimal(lo) + Decimal(hi)) / 2
+            tokens.append(sign + format(mid, f".{digits - 1}e"))
+    return tokens
+
+
+def test_loadtxt_rounds_as_float(monkeypatch):
+    # Every token is in the writer's grammar, so the exact reader must not
+    # run: loadtxt alone reads them, and rounds each one as float does.
+    def refuse(*args):
+        raise AssertionError("the exact reader ran")
+    monkeypatch.setattr(tensor3, "_read_text", refuse)
+    tokens = _halfway_tokens(np.random.default_rng(20261020), 2000) + [
+        "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "4.9406564584124654e-324", "2.2250738585072011e-308", "1e-400",
+        "1.7976931348623157e308"]
+    text = f"MAT 1\n{len(tokens) // 2} 2\n" + "\n".join(
+        map(" ".join, zip(tokens[::2], tokens[1::2]))) + "\n"
+    assert np.array_equal(_bits(tensor3_from_text(text, 2).ravel()),
+                          _bits([float(t) for t in tokens]))
+    # And every finite double written by tensor3_text reads back exactly.
+    X = _BITS[np.isfinite(_BITS)][:3960].reshape(10, 22, 18)
+    assert np.array_equal(_bits(tensor3_from_text(tensor3_text(X))),
+                          _bits(X))
+
+
+@pytest.mark.parametrize("text", [
+    "TUBE 1\r\n2\r\n1 2\r\n", "TUBE 1\n2\n1\x0b2\n", "TUBE 1\n2\n1\x0c2\n",
+    " TUBE 1\n2\n1 2\n", "TUBE 1\n2\n1_0.5 2\n", "TUBE 1\n02\n1 2\n",
+    "TUBE 1\n2\n1\xa02\n", "TUBE 1\n2\n\n \t\n"])
+def test_reader_edges_go_to_the_exact_reader(monkeypatch, text):
+    # Line breaks and spaces that loadtxt splits otherwise, a header or size
+    # line not as written, float's underscores, and an empty body, on which
+    # loadtxt would warn: each goes to the exact reader, once.
+    want, message = _exact(text, 1)
+    calls = []
+    exact = tensor3._read_text
+    monkeypatch.setattr(tensor3, "_read_text",
+                        lambda *args: calls.append(args) or exact(*args))
+    try:
+        got = tensor3_from_text(text, 1)
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        assert np.array_equal(_bits(got), _bits(want))
+    assert len(calls) == 1
 
 
 def test_shape_validation():
