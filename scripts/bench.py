@@ -27,17 +27,22 @@ traceback, chained to an error naming the side.  The topics are:
 ``decompose`` (seed 2403)
     ``ted`` on T-symmetric tensors ``(G + G^T) / 2`` and ``tsvd`` on
     Gaussian tensors, and both end to end on the shapes of the
-    ``decompose`` benchmark workload, with text output written to a file.
+    ``decompose`` benchmark workload, with text output written to a file,
+    and ``ted`` once more with ``--format json``.
 ``codec`` (seed 2404)
     The text codec: ``tensor3_text`` and ``tensor3_from_text`` on one
     tensor in memory at the shapes of the ``io`` (48x48x16) and
     ``decompose`` (24x24x16, 32x16x15) workloads, ``tensor3_text`` on an
     f-diagonal 24x24x16 tensor (384 nonzero values of 9,216, as the ``d``
-    that ``ted`` writes in ``decompose``), ``tensor3_from_text`` on a
-    6x6x8 Gram tensor ``B^T * B`` (the shape of the ``certify`` workload's
-    file) and on the 24x24x16 text with CRLF line ends, which the exact
-    reader reads, and the ``io`` workload's two commands end to end:
-    ``info --format json`` and ``tprod`` with its result written to a file.
+    that ``ted`` writes in ``decompose``), ``tensor3_text`` on 8, 48, 288,
+    384 and 1,024 values (a tube, a 6x8 matrix, a 6x6x8 tensor, a 24x16
+    and a 64x16 matrix: both sides of the writer's ``_SMALL`` cutoff, at
+    the sizes of ``psd``'s and ``ted``'s document arrays),
+    ``tensor3_from_text`` on a 6x6x8 Gram tensor ``B^T * B`` (the shape
+    of the ``certify`` workload's file) and on the 24x24x16 text with CRLF
+    line ends, which the exact reader reads, and the ``io`` workload's two
+    commands end to end: ``info --format json`` and ``tprod`` with its
+    result written to a file.
 
 Each entry records, per side, the median single-call time in ``seconds``
 and the distance between its quartiles in ``iqr_seconds``; ``ratio`` is
@@ -154,11 +159,11 @@ def measure_decompose(pkg, seed, workdir):
         G = draw((n, n, p))
         return 0.5 * (G + t3.transpose(G))
 
-    def run_cli(command, A):
+    def run_cli(command, A, *options):
         path = os.path.join(workdir, f"{command}.t3")
         t3.write_tensor3(path, A)
-        return _cli(pkg, command, path, "-o",
-                    os.path.join(workdir, f"{command}.txt"))
+        return _cli(pkg, command, path, *options, "-o",
+                    os.path.join(workdir, f"{command}{''.join(options)}.txt"))
 
     entries = [("ted", f"{n}x{n}x{p}", lambda A=tsym(n, p): ted(A))
                for n, p in ((16, 16), (24, 16), (32, 32), (64, 32))]
@@ -167,7 +172,9 @@ def measure_decompose(pkg, seed, workdir):
                 for shape in ((32, 16, 15), (64, 32, 32))]
     return entries + [("cli ted", "24x24x16", run_cli("ted", tsym(24, 16))),
                       ("cli tsvd", "32x16x15",
-                       run_cli("tsvd", draw((32, 16, 15))))]
+                       run_cli("tsvd", draw((32, 16, 15)))),
+                      ("cli ted --format json", "24x24x16",
+                       run_cli("ted", tsym(24, 16), "--format", "json"))]
 
 
 def measure_codec(pkg, seed, workdir):
@@ -187,6 +194,10 @@ def measure_codec(pkg, seed, workdir):
     S[~np.eye(24, dtype=bool)] = 0.0  # 384 nonzero of 9,216, as ted's d
     entries.append(("tensor3_text", "24x24x16 f-diagonal",
                     lambda: t3.tensor3_text(S)))
+    for shape in ((8,), (6, 8), (6, 6, 8), (24, 16), (64, 16)):
+        X = _draw([seed, 4, *shape], shape)
+        entries.append(("tensor3_text", f"{X.size} values",
+                        lambda X=X: t3.tensor3_text(X)))
     B = _draw([seed, 3, 6, 6, 8], (6, 6, 8))
     gram = t3.tensor3_text(pkg.tproduct.tprod(t3.transpose(B), B))
     crlf = t3.tensor3_text(_draw([seed, 0, *shapes[1]], shapes[1]))

@@ -5,8 +5,9 @@ Subcommands: ``info``, ``tprod``, ``transpose``, ``ted``, ``tsvd``, ``psd``,
 tagged with the schema ``tubal-spectra/1`` (``verify`` lists
 :func:`tubal_spectra.tsvd.verify_checks`): ``--format json`` writes it as
 deterministic JSON, the text format is its line rendering (:func:`render`).
-Both write every number with 17 significant digits through one scalar
-formatter, so identical inputs (and seed) give byte-identical output.
+Both write every number with 17 significant digits, an array's rows through
+:func:`tubal_spectra.tensor3.text_rows` and a lone scalar through
+:func:`_scalar`, so identical inputs (and seed) give byte-identical output.
 Malformed or non-finite input (in the one text codec of
 :mod:`tubal_spectra.tensor3`) and a non-finite number anywhere in a
 document are errors in both formats (exit 1).
@@ -33,89 +34,89 @@ from .errors import ShapeError, TubalError
 from .spectral import (ELEMENTWISE_PSD, SPECTRAL_PD, SPECTRAL_PSD,
                        _symmetric_part, psd_spectral, quadform, ted)
 from .tensor3 import (_fmt, is_f_diagonal, is_standard_form, is_t_symmetric,
-                      read_tensor3, tensor3_text, transpose, unit_scaled)
+                      read_tensor3, tensor3_text, text_rows, transpose,
+                      unit_scaled)
 from .tproduct import tprod
 from .tsvd import tsvd, verify_checks
 
 SCHEMA = "tubal-spectra/1"
 
 
-# --- the one scalar formatter -----------------------------------------------
-
-def _finite(value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value in output: {value}")
-    return value
-
+# --- numbers: arrays by their text rows, scalars one at a time -------------
 
 def _scalar(value):
-    """A bool, integer or float as text: lower-case bools, 17-digit floats."""
+    """A scalar as JSON: ``null``, a quoted string, a lower-case bool, an
+    integer or a float with 17 significant digits."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(_finite(value))
+        return _fmt(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _check_finite(value):
+    """Reject a non-finite number anywhere in ``value``, as JSON does: one
+    ``np.isfinite`` per array, ``math.isfinite`` per lone scalar."""
+    if isinstance(value, np.ndarray):
+        value = value[~np.isfinite(value)][:1]  # its first non-finite value
+    if isinstance(value, (dict, list, tuple, np.ndarray)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _check_finite(item)
+    elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"non-finite value in output: {float(value)}")
 
 
 # --- deterministic JSON ----------------------------------------------------
 
-def _json_scalar(value):
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    return _scalar(value)
-
-
 def _emit(value, indent):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    brackets = "{}" if isinstance(value, dict) else "[]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}"
+        rows = [f"{json.dumps(str(k))}: {_emit(v, indent + 1)}"
                 for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if not any(isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
-        rows = [f"{inner}{_emit(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    return _json_scalar(value)
+    elif isinstance(value, np.ndarray):  # a formatted number has no space
+        rows = [f"[{row.replace(' ', ', ')}]" for row in text_rows(value)]
+        if value.ndim == 1:
+            return rows[0]
+    elif isinstance(value, (list, tuple)):
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray))
+                   for v in value):
+            return "[" + ", ".join(map(_scalar, value)) + "]"
+        rows = [_emit(v, indent + 1) for v in value]
+    else:
+        return _scalar(value)
+    if not rows:
+        return brackets
+    pad = "\n" + "  " * indent
+    return (brackets[0] + pad + "  " + ("," + pad + "  ").join(rows) + pad
+            + brackets[1])
 
 
 def dumps_doc(doc):
     """Serialize a document deterministically (insertion order, 17 digits)."""
+    _check_finite(doc)
     return _emit(doc, 0) + "\n"
 
 
 # --- text rendering ---------------------------------------------------------
 
-def _check_finite(value):
-    """Reject a non-finite number anywhere in ``value``, as JSON does."""
-    if isinstance(value, (dict, list, tuple)):
-        for item in value.values() if isinstance(value, dict) else value:
-            _check_finite(item)
-    elif isinstance(value, (float, np.floating)):
-        _finite(value)
-
-
 def _text(value):
-    """A document value as text: ``n/a`` for None, a list space-separated,
-    a mapping as ``key=value`` pairs and a number by :func:`_scalar`."""
+    """A document value as text: ``n/a`` for None, an array (or a list read
+    back from JSON) as its values space-separated, a mapping as
+    ``key=value`` pairs and a number by :func:`_scalar`."""
     if value is None:
         return "n/a"
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
         return " ".join(f"{k}={_text(v)}" for k, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return " ".join(_text(v) for v in value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return " ".join(text_rows(value))
     return _scalar(value)
 
 
@@ -133,8 +134,8 @@ def _info_lines(doc):
 def _decomposition_lines(doc):
     tuples = "eigentuples" if doc["kind"] == "ted" else "singular_tuples"
     lines = [f"{doc['kind']}: {_text(doc['shape'])}"]
-    lines += [f"{tuples[:-1]} {j}: {_text(row)}"
-              for j, row in enumerate(doc[tuples], 1)]
+    lines += [f"{tuples[:-1]} {j}: {row}"
+              for j, row in enumerate(text_rows(doc[tuples]), 1)]
     ordering = doc.get("ordering", {})
     lines += _fields(ordering, *ordering)
     lines.append(f"residuals: {_text(doc['residuals'])}")
@@ -152,7 +153,7 @@ def _psd_lines(doc):
         lines += _fields(exact, "class", "min_eigenvalue", "component",
                          prefix="exact_")
         if exact["witness"] is not None:
-            lines += ["witness:"] + [_text(row) for row in exact["witness"]]
+            lines += ["witness:"] + text_rows(exact["witness"])
         lines += _fields(doc, "verdicts_agree")
         if not doc["verdicts_agree"]:
             lines.append(
@@ -200,17 +201,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _values(X):
-    return np.asarray(X, dtype=np.float64).tolist()
-
-
 def _shape(A):
     return dict(zip("mnp", A.shape))
 
 
-def _tensor_doc(kind, A):
-    return {"schema": SCHEMA, "kind": kind, "shape": _shape(A),
-            "result_t3": tensor3_text(A)}
+def _tensor_doc(A):
+    return {"shape": _shape(A), "result_t3": tensor3_text(A)}
 
 
 def _deliver(args, doc):
@@ -230,8 +226,7 @@ def _cmd_info(args):
     m, n, _ = A.shape
     S, e = unit_scaled(A)  # the norm neither overflows nor underflows
     fdiag = bool(is_f_diagonal(A))
-    return {"schema": SCHEMA, "kind": "info", "input": args.input,
-            "shape": _shape(A),
+    return {"input": args.input, "shape": _shape(A),
             "frobenius_norm": float(np.ldexp(np.linalg.norm(S), e)),
             "max_abs": float(np.max(np.abs(A))),
             "t_symmetric": bool(is_t_symmetric(A)) if m == n else None,
@@ -241,12 +236,11 @@ def _cmd_info(args):
 
 
 def _cmd_tprod(args):
-    return _tensor_doc("tprod", tprod(read_tensor3(args.a),
-                                      read_tensor3(args.b)))
+    return _tensor_doc(tprod(read_tensor3(args.a), read_tensor3(args.b)))
 
 
 def _cmd_transpose(args):
-    return _tensor_doc("transpose", transpose(read_tensor3(args.input)))
+    return _tensor_doc(transpose(read_tensor3(args.input)))
 
 
 def _cmd_ted(args):
@@ -255,10 +249,9 @@ def _cmd_ted(args):
     res = result.residuals
     n, _, p = A.shape
     return {
-        "schema": SCHEMA, "kind": "ted", "input": args.input,
-        "shape": {"n": n, "p": p},
-        "eigentuples": _values(result.eigentuples),
-        "frequency_eigenvalues": _values(result.frequency_eigenvalues),
+        "input": args.input, "shape": {"n": n, "p": p},
+        "eigentuples": result.eigentuples,
+        "frequency_eigenvalues": result.frequency_eigenvalues,
         "ordering": {
             "first_components_sorted": bool(result.first_components_sorted),
             "elementwise_chain": str(result.elementwise_chain).lower()},
@@ -274,11 +267,9 @@ def _cmd_tsvd(args):
     result = tsvd(A)
     res = result.residuals
     return {
-        "schema": SCHEMA, "kind": "tsvd", "input": args.input,
-        "shape": _shape(A),
-        "singular_tuples": _values(result.singular_tuples),
-        "frequency_singular_values":
-            _values(result.frequency_singular_values),
+        "input": args.input, "shape": _shape(A),
+        "singular_tuples": result.singular_tuples,
+        "frequency_singular_values": result.frequency_singular_values,
         "residuals": {"reconstruction": res.reconstruction,
                       "orthogonality_u": res.orthogonality_u,
                       "orthogonality_v": res.orthogonality_v,
@@ -292,39 +283,35 @@ def _cmd_psd(args):
     A = read_tensor3(args.input)
     verdict = psd_spectral(A, tol=args.tol,
                            auto_symmetrize=args.auto_symmetrize)
-    doc = {
-        "schema": SCHEMA, "kind": "psd", "input": args.input,
+    exact = verdict.exact if args.exact else None
+    agree = verdict.spectral_class in (SPECTRAL_PD, SPECTRAL_PSD)
+    return {
+        "input": args.input,
         "spectral": {
             "class": verdict.spectral_class,
-            "smallest_eigentuple": _values(verdict.smallest_eigentuple),
+            "smallest_eigentuple": verdict.smallest_eigentuple,
             "min_entry": verdict.min_entry,
             "min_frequency_eigenvalue": verdict.min_frequency_eigenvalue,
             "tol": verdict.tol},
-        "exact": None, "verdicts_agree": None}
-    if args.exact:
-        exact = verdict.exact
-        doc["exact"] = {
+        "exact": None if exact is None else {
             "class": exact.label,
             "min_eigenvalue": exact.min_eigenvalue,
             "component": exact.component,
-            "witness": None if exact.witness is None
-            else _values(exact.witness),
-            "witness_value": exact.witness_value}
-        agree = verdict.spectral_class in (SPECTRAL_PD, SPECTRAL_PSD)
-        doc["verdicts_agree"] = agree == (exact.label == ELEMENTWISE_PSD)
-    return doc
+            "witness": exact.witness,
+            "witness_value": exact.witness_value},
+        "verdicts_agree": None if exact is None
+        else agree == (exact.label == ELEMENTWISE_PSD)}
 
 
 def _cmd_quadform(args):
     values = quadform(read_tensor3(args.a), read_tensor3(args.x, 2))
-    return {"schema": SCHEMA, "kind": "quadform", "input_a": args.a,
-            "input_x": args.x, "values": _values(values)}
+    return {"input_a": args.a, "input_x": args.x, "values": values}
 
 
 def _cmd_verify(args):
     checks = verify_checks(read_tensor3(args.input), args.seed)
-    return {"schema": SCHEMA, "kind": "verify", "input": args.input,
-            "seed": args.seed, "checks": [c.as_dict() for c in checks],
+    return {"input": args.input, "seed": args.seed,
+            "checks": [c.as_dict() for c in checks],
             "passed": all(c.passed is not False for c in checks)}
 
 
@@ -346,7 +333,7 @@ def _cmd_random(args):
     else:  # psd
         B = rng.standard_normal((n, n, p))
         A = tprod(transpose(B), B)
-    return _tensor_doc("random", A)
+    return _tensor_doc(A)
 
 
 # --- the command table ------------------------------------------------------
@@ -411,16 +398,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        args = parser.parse_args(argv)  # a usage error is a ValueError
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
         tol = getattr(args, "tol", None)
         if tol is not None and not np.isfinite(tol):
             raise ValueError("--tol must be finite")
@@ -429,9 +410,12 @@ def main(argv=None):
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be non-negative")
         with np.errstate(all="ignore"):  # finite gates report overflow
-            doc = COMMANDS[args.command][0](args)
+            doc = {"schema": SCHEMA, "kind": args.command,
+                   **COMMANDS[args.command][0](args)}
             _deliver(args, doc)
         return 0 if doc.get("passed", True) else 3
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except np.linalg.LinAlgError as exc:  # a ValueError, but numerical
         print(f"error: LinAlgError: {exc}", file=sys.stderr)
         return 2

@@ -95,7 +95,7 @@ def test_codec_entries_run_once_each(bench, tmp_path):
         ("tensor3_from_text", "6x6x8 Gram"),
         ("tensor3_from_text", "24x24x16 CRLF"),
         ("cli info --format json", "48x48x16"), ("cli tprod -o", "48x48x16")]
-    assert len(set(labels)) == len(labels) == 11
+    assert len(set(labels)) == len(labels) == 16
     results = {label: fn() for label, (*_, fn) in zip(labels, entries)}
     crlf, plain = (results["tensor3_from_text", shape]
                    for shape in ("24x24x16 CRLF", "24x24x16"))

@@ -15,9 +15,9 @@ from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.errors import NotTSymmetric
 from tubal_spectra.oracle import oracle_psd_exact
 from tubal_spectra.spectral import exact_psd, psd_spectral, symmetrize, ted
-from tubal_spectra.tensor3 import (identity, is_f_diagonal, is_t_symmetric,
-                                   read_tensor3, tensor3_from_text, transpose,
-                                   write_tensor3)
+from tubal_spectra.tensor3 import (_FMT, _SMALL, identity, is_f_diagonal,
+                                   is_t_symmetric, read_tensor3,
+                                   tensor3_from_text, transpose, write_tensor3)
 from tubal_spectra.tproduct import tprod
 
 RNG = np.random.default_rng(611)
@@ -72,6 +72,56 @@ def test_render_rejects_what_json_rejects(capsys, tsym_file):
     for emit in (cli.dumps_doc, cli.render):
         with pytest.raises(ValueError, match="non-finite value in output"):
             emit(doc)
+
+
+def _edge_values(size):
+    """``size`` finite values: the writer's edge cases (signed zeros, a
+    rounding tie, the smallest subnormal, the neighbours of ``1e16`` and
+    ``1e17``), then Gaussian draws over 60 decades."""
+    edges = np.hstack([
+        -0.0, 0.0, 1000000000000000.25, -1000000000000000.75, 5e-324,
+        -5e-324, *(np.nextafter(v, [0.0, np.inf]) for v in (1e16, 1e17)),
+        1e16, 1e17])
+    rng = np.random.default_rng(size)
+    rest = size - edges.size
+    return np.hstack([edges, rng.standard_normal(rest)
+                      * 10.0 ** rng.integers(-30, 30, rest)])
+
+
+@pytest.mark.parametrize("size", [_SMALL - 1, _SMALL])
+def test_array_fields_print_as_list_fields(capsys, tsym_file, size):
+    # Arrays on both sides of the writer's cutoff print exactly as the same
+    # values in lists (as json.loads gives them) and as _FMT does.
+    values = _edge_values(size)
+    width = max(w for w in range(1, 30) if size % w == 0)
+    rows = values.reshape(-1, width)
+    ted_doc, psd_doc = (json.loads(run(capsys, *argv, "--format", "json")[1])
+                        for argv in (("ted", tsym_file),
+                                     ("psd", tsym_file, "--exact")))
+    ted_doc.update(eigentuples=rows, frequency_eigenvalues=rows.T)
+    psd_doc["spectral"]["smallest_eigentuple"] = values
+    psd_doc["exact"] = {"class": "x", "min_eigenvalue": -1.0, "component": 1,
+                        "witness": rows, "witness_value": -1.0}
+    quadform_doc = {"schema": cli.SCHEMA, "kind": "quadform",
+                    "input_a": "a", "input_x": "x", "values": values}
+    for doc in (ted_doc, psd_doc, quadform_doc):
+        listed = json.loads(json.dumps(doc, default=np.ndarray.tolist))
+        for emit in (cli.dumps_doc, cli.render):
+            assert emit(doc) == emit(listed)
+    text = cli.render(ted_doc)
+    for j, row in enumerate(rows, 1):
+        assert f"eigentuple {j}: {' '.join(_FMT % v for v in row)}\n" in text
+    assert "\neigentuple 1: -0 0 1000000000000000.2 -1000000000000000.8 " \
+           "4.9406564584124654e-324 -4.9406564584124654e-324 " in text
+    assert "[-0, 0, 1000000000000000.2, " in cli.dumps_doc(quadform_doc)
+    # A nan inside an array fails both formats, listed or not.
+    rows[1, 2] = np.nan
+    listed = json.loads(json.dumps(ted_doc, default=np.ndarray.tolist))
+    for doc in (ted_doc, listed):
+        for emit in (cli.dumps_doc, cli.render):
+            with pytest.raises(ValueError,
+                               match="^non-finite value in output: nan$"):
+                emit(doc)
 
 
 # --- argument handling ------------------------------------------------------

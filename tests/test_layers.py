@@ -4,8 +4,11 @@ The traced benchmark binds every name in ``perfbench/tracer.py``'s
 ``LAYERS`` with ``getattr`` at run time, so each must exist in its module.
 The 17-digit number format is spelled once, in ``tensor3``, the
 half-spectrum bin layout once, in ``transform``, and the T-symmetric part
-``(A + A^T) / 2`` once, in ``spectral``.  No module reads or writes the
-process environment: the BLAS library reads its own thread variables.
+``(A + A^T) / 2`` once, in ``spectral``.  The CLI keeps no array formatter
+of its own: it takes an array's rows from ``tensor3.text_rows``, calls no
+``.tolist()``, and formats with ``_fmt`` only the lone scalars of
+``_scalar``.  No module reads or writes the process environment: the BLAS
+library reads its own thread variables.
 Every import inside the package is relative, so ``scripts/bench.py`` can
 load two trees into one process under different package names, and none
 is of ``fractions`` or ``decimal``, which cost every command's start-up.
@@ -58,6 +61,19 @@ def test_number_format_is_spelled_only_in_tensor3():
                 and "17g" in node.value
                 for node in ast.walk(ast.parse(path.read_text("utf-8")))))
     assert spelled == []
+
+
+def test_cli_formats_no_array_itself():
+    tree = ast.parse((PACKAGE / "cli.py").read_text("utf-8"))
+    scalar = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_scalar"
+              for node in ast.walk(fn)}
+    uses = [node for node in ast.walk(tree)
+            if not isinstance(node, ast.ImportFrom)
+            and _names(node) & {"_fmt", "tolist"}]
+    assert uses and all(id(node) in scalar for node in uses), [
+        (node.lineno, ast.unparse(node)) for node in uses]
+    assert not [node for node in uses if "tolist" in _names(node)]
 
 
 def test_bin_layout_is_spelled_only_in_transform():

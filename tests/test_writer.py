@@ -1,17 +1,22 @@
 """The text writer against ``%.17g``, each value and each separator.
 
-``tensor3_text`` formats values in numpy (see the ``tensor3`` docstring).
-Each test splits the writer's text into values and separators and compares
-every value with ``_FMT % x`` and every separator with the layout of its
-kind: fixed value sets, constructed rounding ties, a hypothesis property
-and a tensor with special values on its chunk boundaries.  The table of
-powers of ten is checked exactly with ``fractions``, which the package
-itself does not import.
+``tensor3_text`` formats fewer than ``_SMALL`` values with ``_FMT %`` and
+more in numpy (see the ``tensor3`` docstring).  Each test splits the
+writer's text into values and separators and compares every value with
+``_FMT % x`` and every separator with the layout of its kind: fixed value
+sets, constructed rounding ties, a hypothesis property and a tensor with
+special values on its chunk boundaries, each on both sides of ``_SMALL``.
+An array below ``_SMALL`` is also written with the cutoff patched to 0, so
+that the numpy kernel keeps its small inputs, and ``text_rows`` must give
+the rows of every matrix and tube.  The table of powers of ten is checked
+exactly with ``fractions``, which the package itself does not import.
 """
 
+import contextlib
 import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tubal_spectra import tensor3
-from tubal_spectra.tensor3 import _FMT, HEADERS, tensor3_text
+from tubal_spectra.tensor3 import _FMT, _SMALL, HEADERS, tensor3_text
 
 _SEPARATOR = re.compile(r"(\n\n|\n| )")
 
@@ -47,10 +52,22 @@ def _expected(X):
 
 
 def _assert_writes_fmt(X):
-    values, seps = _pieces(tensor3_text(X), X.shape)
+    """``tensor3_text(X)`` is ``X`` written as ``_FMT`` does, by the path its
+    size picks and, below ``_SMALL`` values, by the numpy kernel too; and
+    ``text_rows(X)`` gives the data rows of a matrix or a tube."""
     want_values, want_seps = _expected(X)
-    assert values == want_values
-    assert seps == want_seps
+    paths = [contextlib.nullcontext()]
+    if X.size < _SMALL:
+        paths.append(mock.patch.object(tensor3, "_SMALL", 0))
+    for path in paths:
+        with path:
+            text = tensor3_text(X)
+            rows = tensor3.text_rows(X) if X.ndim < 3 else None
+        values, seps = _pieces(text, X.shape)
+        assert values == want_values
+        assert seps == want_seps
+        if rows is not None:
+            assert rows == text.split("\n")[2:-1]
 
 
 def _ulp_steps(v, steps):
@@ -111,6 +128,9 @@ def test_fixed_values_match_fmt():
     assert (np.abs(FIXED) < 2.2250738585072014e-308).sum() > 5000
     _assert_writes_fmt(FIXED)                   # one long TUBE row
     _assert_writes_fmt(FIXED[:-(FIXED.size % 7) or None].reshape(-1, 7))
+    # On both sides of the cutoff: zeros, subnormals and extremes lead.
+    _assert_writes_fmt(FIXED[:_SMALL - 1])
+    _assert_writes_fmt(FIXED[:_SMALL].reshape(-1, _SMALL // 4, 2))
 
 
 def test_rounding_ties_go_half_to_even():
@@ -118,12 +138,27 @@ def test_rounding_ties_go_half_to_even():
     assert len(TIES) > 500
     assert all(len(d) == 18 and d[-1] == 5 for d in digits)
     _assert_writes_fmt(TIES)
+    _assert_writes_fmt(TIES[:_SMALL - 1])
+    _assert_writes_fmt(TIES[:_SMALL].reshape(-1, 4))
     text = tensor3_text(np.array([1000000000000000.25, 1000000000000000.75]))
     assert text == "TUBE 1\n2\n1000000000000000.2 1000000000000000.8\n"
 
 
-@settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=6),
+def _shapes(size):
+    """Every shape of one to three dimensions with ``size`` values."""
+    sides = [d for d in range(1, size + 1) if size % d == 0]
+    return ([(size,)] + [(d, size // d) for d in sides]
+            + [(d, e, size // (d * e)) for d in sides for e in sides
+               if size % (d * e) == 0])
+
+
+#: Small shapes, and every shape of _SMALL - 1 and of _SMALL values.
+SHAPES = (array_shapes(min_dims=1, max_dims=3, max_side=6)
+          | st.sampled_from(_shapes(_SMALL - 1) + _shapes(_SMALL)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, SHAPES,
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_any_finite_array_is_written_as_fmt(X):
     _assert_writes_fmt(X)
