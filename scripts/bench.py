@@ -17,13 +17,16 @@ temporary directory.  An entry that raises stops the run with its
 traceback, chained to an error naming the side.  The topics are:
 
 ``certify`` (seed 2011)
-    The dense certification path on Gram tensors ``B^T * B``: the
+    The dense certification path on Gram tensors ``G = B^T * B``: the
     polarization matrices, ``bcirc``, ``gram_consistency`` (timed with
     the ``tsvd`` it checks, ``gram_consistency(G, tsvd(G))``: one TSVD and
     two Gram ``ted`` calls), the dense check of a ``ted`` result
     (``oracle_ted_check``, its ``ted`` computed outside the timed call),
     and ``verify`` and ``psd --exact`` end to end, the latter also at
-    ``n*p = 128``.
+    ``n*p = 128``.  A computed ``B^T * B`` is not exactly T-symmetric, so
+    these entries never share a Gram decomposition.  ``gram_consistency``,
+    ``verify`` and ``psd --exact`` run again at 6x6x8 on ``(G + G^T) / 2``,
+    the ``certify`` workload's input, which is exactly T-symmetric.
 ``decompose`` (seed 2403)
     ``ted`` on T-symmetric tensors ``(G + G^T) / 2`` and ``tsvd`` on
     Gaussian tensors, and both end to end on the shapes of the
@@ -125,10 +128,11 @@ def measure_certify(pkg, seed, workdir):
         return pkg.tproduct.tprod(t3.transpose(B), B)
 
     G = {(n, p): gram(n, p) for n, p in ((6, 8), (8, 8), (8, 16))}
-    path = os.path.join(workdir, "gram.t3")
-    t3.write_tensor3(path, G[6, 8])
-    big = os.path.join(workdir, "gram128.t3")
-    t3.write_tensor3(big, G[8, 16])
+    S = 0.5 * (G[6, 8] + t3.transpose(G[6, 8]))  # the workload's own input
+    path, big, sym = (os.path.join(workdir, f"{name}.t3")
+                      for name in ("gram", "gram128", "gramsym"))
+    for file, A in ((path, G[6, 8]), (big, G[8, 16]), (sym, S)):
+        t3.write_tensor3(file, A)
     out = os.path.join(workdir, "out.txt")
     T = pkg.spectral.ted(G[6, 8])
     return [
@@ -146,6 +150,12 @@ def measure_certify(pkg, seed, workdir):
          _cli(pkg, "psd", path, "--exact", "--format", "json", "-o", out)),
         ("cli psd --exact", "8x8x16 (n*p=128)",
          _cli(pkg, "psd", big, "--exact", "--format", "json", "-o", out)),
+        ("gram_consistency", "6x6x8 T-symmetric",
+         lambda: tsvd.gram_consistency(S, tsvd.tsvd(S))),
+        ("cli verify", "6x6x8 T-symmetric", _cli(pkg, "verify", sym, "-o",
+                                                 out)),
+        ("cli psd --exact", "6x6x8 T-symmetric",
+         _cli(pkg, "psd", sym, "--exact", "--format", "json", "-o", out)),
     ]
 
 

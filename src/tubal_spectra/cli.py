@@ -16,9 +16,12 @@ Exit codes: 0 success, 1 usage or input-format error (or an array too
 large for memory), 2 numerical error (non-T-symmetric input to ``ted``,
 LAPACK failure), 3 verification failure.
 
-Every command is one entry of :data:`COMMANDS`.  A call builds only its own
-command's parser, or the full table when no known command leads the
-arguments (no command, ``--help``, an unknown name); the output is the same.
+Every command is one entry of :data:`COMMANDS`.  A call that a known
+command leads builds only that command's parser, with no top-level parser
+around it, and gives it the arguments after the name; the full table of
+subparsers serves every other call (no command, ``--help``, an unknown
+name).  One helper adds a command's arguments in both, so the output is
+the same.
 """
 
 from __future__ import annotations
@@ -98,7 +101,13 @@ def _emit(value, indent):
 
 
 def dumps_doc(doc):
-    """Serialize a document deterministically (insertion order, 17 digits)."""
+    """Serialize a document deterministically (insertion order, 17 digits).
+
+    Negative zero is written ``-0``, which is valid JSON; Python's
+    ``json.loads`` reads it as the integer ``0`` unless it is given
+    ``parse_int=float``.  With that, :func:`render` of the parsed document
+    is the text output, and ``dumps_doc`` of it is this output again.
+    """
     _check_finite(doc)
     return _emit(doc, 0) + "\n"
 
@@ -378,27 +387,39 @@ COMMANDS = {
 }
 
 
+def _add_arguments(parser, command):
+    """Give ``parser`` the arguments of ``command``, ``--format`` first."""
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format")
+    for names, kwargs in COMMANDS[command][2:]:
+        parser.add_argument(*names, **kwargs)
+    return parser
+
+
 def build_parser(command=None):
-    """The top-level parser with the subparser of ``command`` only, or with
-    every subparser of :data:`COMMANDS` when ``command`` is None."""
+    """The parser of ``command`` alone, which takes the arguments after the
+    command name and sets ``command`` by default, or, when ``command`` is
+    None, the full table: a top-level parser with one subparser per entry
+    of :data:`COMMANDS`.  Both give the same Namespace, help and usage
+    errors for a command's arguments."""
+    if command is not None:
+        parser = _Parser(prog=f"tubal-spectra {command}")
+        parser.set_defaults(command=command)
+        return _add_arguments(parser, command)
     parser = _Parser(prog="tubal-spectra",
                      description="Tubal tensor algebra toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS if command is None else (command,):
-        _, help_text, *args = COMMANDS[name]
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--format", choices=("text", "json"),
-                        default="text", help="output format")
-        for names, kwargs in args:
-            sp.add_argument(*names, **kwargs)
+    for name, (_, help_text, *_) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)  # a usage error is a ValueError
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
+    try:  # a usage error is a ValueError
+        args = parser.parse_args(argv if command is None else argv[1:])
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1

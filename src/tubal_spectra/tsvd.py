@@ -29,15 +29,18 @@ each equals ``s_j ⊛ s_j`` (``tube_mul``), index by index (zero beyond
 ``min(m, n)``), because both decompositions sort every bin descending, and
 their frequency spectra must be nonnegative.  Their spatial eigentuple
 entries are routinely negative even though the tuples are squares; that
-floor is reported, not asserted.
+floor is reported, not asserted.  Each distinct Gram is decomposed once:
+for an exactly T-symmetric ``A`` the two are one tensor, bit for bit.
 
 ``verify_checks(A, seed)`` is the ``verify`` command's report, a list of
 :class:`~tubal_spectra.oracle.CheckResult` on ``unit_scaled(A)``: round
 trips, the fast t-product against the dense ``bcirc`` route, the TSVD
 certificates, ``gram_consistency`` and, when ``ted`` accepts ``A``,
 ``oracle.oracle_ted_check`` and two dense polarization checks of ``(A +
-A^T) / 2`` (the tensor ``ted`` factors) from one set of matrices.  Every
-bound ``verify`` applies is set here or in ``oracle``, relative to ``2^e``.
+A^T) / 2`` (the tensor ``ted`` factors) from one set of matrices, whose
+smallest eigenvalue comes from the ``M_r`` with ``r <= p - r`` alone
+(``M_{p-r}`` is ``M_r`` for a T-symmetric tensor).  Every bound ``verify``
+applies is set here or in ``oracle``, relative to ``2^e``.
 """
 
 from __future__ import annotations
@@ -143,6 +146,12 @@ def singular_pairs(result, j):
             [shift_columns(Yj, k) for k in range(p)])
 
 
+def _same_bits(X, Y):
+    """Whether ``X`` and ``Y`` are one array bit for bit (``-0.0`` differs
+    from ``0.0``), so that any computation gives both the same result."""
+    return X.shape == Y.shape and X.tobytes() == Y.tobytes()
+
+
 def gram_consistency(A, result):
     """Cross-check the TSVD ``result`` of ``A`` against both Gram
     eigendecompositions.
@@ -153,8 +162,10 @@ def gram_consistency(A, result):
     every bin descending, within 1e-8 of the largest square (absolute when
     every square vanishes); its frequency spectrum is nonnegative to 1e-10;
     and its spatial eigentuple entry floor, an informational check with no
-    threshold.  Each Gram is decomposed once; both floors are read from
-    that decomposition.
+    threshold.  Each distinct Gram is decomposed once, and both floors are
+    read from that decomposition: when ``A^T`` is ``A`` bit for bit (every
+    exactly T-symmetric ``A``), or the two Grams are, they are one tensor,
+    and one ``ted`` gives both sides' checks.
     """
     A = as_tensor3(A)
     m, n, p = A.shape
@@ -163,10 +174,13 @@ def gram_consistency(A, result):
         squares[j] = tube_mul(t, t)
     scale = max(float(np.linalg.norm(t)) for t in squares)
 
+    At = transpose(A)
+    right = tprod(At, A)
+    left = right if _same_bits(At, A) else tprod(A, At)
+    T_right = ted(right)
+    T_left = T_right if _same_bits(left, right) else ted(left)
     checks = []
-    for name, G, size in (("right", tprod(transpose(A), A), n),
-                          ("left", tprod(A, transpose(A)), m)):
-        T = ted(G)
+    for name, T, size in (("right", T_right, n), ("left", T_left, m)):
         verdict = classify_ted(T)
         worst = max(float(np.linalg.norm(row))
                     for row in T.eigentuples - squares[:size])
@@ -228,7 +242,10 @@ def verify_checks(A, seed):
             poly = np.array([float(x @ M[k] @ x) for k in range(p)])
             r = float(np.max(np.abs(quadform(S, X) - poly)))
             checks.append(CheckResult("quadform_polarization", r, 1e-10))
-            lam = float(np.linalg.eigvalsh(M).min())
+            # S is exactly T-symmetric, so M[p - k] is M[k] bit for bit:
+            # fold k to min(k, p - k), as exact_psd does.
+            k = np.arange(p)
+            lam = float(np.linalg.eigvalsh(M[k <= p - k]).min())
             r = abs(exact_psd(A, T).min_eigenvalue - lam) / max(
                 1.0, float(np.max(np.abs(T.frequency_eigenvalues))))
             checks.append(CheckResult("exact_psd_cross_path", r, 1e-12))

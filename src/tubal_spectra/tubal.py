@@ -120,14 +120,17 @@ def tube_le(a, b):
 def descending_chain(tubes):
     """Three-valued check that each tube dominates the next elementwise.
 
-    Returns ``True`` when ``tubes[j + 1] <= tubes[j]`` for every adjacent
-    pair, :data:`INCOMPARABLE` when some adjacent pair is not comparable,
-    and ``False`` otherwise.
+    ``tubes`` is a ``(c, p)`` stack, one tube per row.  Returns ``True``
+    when ``tubes[j + 1] <= tubes[j]`` for every adjacent pair,
+    :data:`INCOMPARABLE` when some adjacent pair is not comparable, and
+    ``False`` otherwise: the verdicts of :func:`tube_le` on the pairs, from
+    one comparison of adjacent rows in each direction.
     """
-    verdicts = [tube_le(b, a) for a, b in zip(tubes, tubes[1:])]
-    if all(v is True for v in verdicts):
+    tubes = np.asarray(tubes)
+    down = np.all(tubes[1:] <= tubes[:-1], axis=-1)
+    if down.all():
         return True
-    if any(v == INCOMPARABLE for v in verdicts):
+    if not (down | np.all(tubes[:-1] <= tubes[1:], axis=-1)).all():
         return INCOMPARABLE
     return False
 

@@ -1,5 +1,5 @@
 """Smoke tests of ``scripts/bench.py``: the two-tree loader, one record and
-the ``codec`` topic's entries."""
+the ``codec`` and ``certify`` topics' entries."""
 
 import json
 import sys
@@ -101,3 +101,21 @@ def test_codec_entries_run_once_each(bench, tmp_path):
                    for shape in ("24x24x16 CRLF", "24x24x16"))
     assert np.array_equal(crlf, plain)
     assert results["tensor3_from_text", "6x6x8 Gram"].shape == (6, 6, 8)
+
+
+def test_certify_entries_run_once_each(bench, tmp_path):
+    pkg = bench.load(SRC, "after")
+    seed, measure = bench.TOPICS["certify"]
+    entries = measure(pkg, seed, str(tmp_path))
+    labels = [(name, shape) for name, shape, _ in entries]
+    assert labels[-3:] == [
+        ("gram_consistency", "6x6x8 T-symmetric"),
+        ("cli verify", "6x6x8 T-symmetric"),
+        ("cli psd --exact", "6x6x8 T-symmetric")]
+    assert len(set(labels)) == len(labels) == 11
+    for _, _, fn in entries:
+        fn()
+    # The workload's input is exactly T-symmetric; the Grams B^T * B are not.
+    for name, symmetric in (("gramsym", True), ("gram", False)):
+        A = pkg.tensor3.read_tensor3(str(tmp_path / f"{name}.t3"))
+        assert np.array_equal(pkg.tensor3.transpose(A), A) is symmetric

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (exactly_scaled, random_tensor, record_finding,
-                     tsvd_by_loop)
+from helpers import (exactly_scaled, near_tsym, random_tensor,
+                     record_finding, tsvd_by_loop)
 from tubal_spectra.errors import ShapeError
-from tubal_spectra.spectral import ted
-from tubal_spectra.tensor3 import bcirc, identity, is_f_diagonal, transpose
+from tubal_spectra.oracle import oracle_quadform_matrices
+from tubal_spectra.spectral import _symmetric_part, exact_psd, ted
+from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal, transpose,
+                                   unit_scaled)
 from tubal_spectra.tproduct import tprod
 from tubal_spectra import tsvd as tsvd_module
 from tubal_spectra.tsvd import gram_consistency, singular_pairs, tsvd
@@ -232,6 +234,68 @@ def test_gram_consistency_decomposes_each_tensor_once(monkeypatch):
     gram_consistency(A, R)
     # One ted per Gram; the TSVD is the caller's.
     assert calls == {"ted": 2, "tsvd": 0}
+
+
+@pytest.mark.parametrize("kind, shape, teds", [
+    ("T-symmetric", (4, 4, 5), 1), ("general", (4, 4, 5), 2),
+    ("rectangular", (4, 3, 5), 2)])
+def test_gram_consistency_decomposes_each_distinct_gram_once(
+        monkeypatch, kind, shape, teds):
+    rng = np.random.default_rng(11)
+    A = random_tensor(rng, *shape)
+    if kind == "T-symmetric":
+        A = 0.5 * A + 0.5 * transpose(A)
+        assert transpose(A).tobytes() == A.tobytes()
+    R = tsvd(A)
+    # Without the reuse, both bit-identical Grams get their own ted.
+    with monkeypatch.context() as patch:
+        patch.setattr(tsvd_module, "_same_bits", lambda X, Y: False)
+        unshared = gram_consistency(A, R)
+    grams = []
+
+    def spy(G):
+        grams.append(G)
+        return ted(G)
+
+    monkeypatch.setattr(tsvd_module, "ted", spy)
+    checks = gram_consistency(A, R)
+    assert len(grams) == teds
+    assert checks == unshared
+    if kind == "T-symmetric":
+        assert grams[0].tobytes() == tprod(A, transpose(A)).tobytes()
+        assert [replace(c, check=c.check.replace("right", "left"))
+                for c in checks[:3]] == checks[3:]
+
+
+def test_same_bits_tells_signed_zeros_apart():
+    assert tsvd_module._same_bits(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)))
+    assert not tsvd_module._same_bits(np.zeros(2), -np.zeros(2))
+    assert not tsvd_module._same_bits(np.zeros((2, 3, 1)),
+                                      np.zeros((3, 2, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(
+    [(1, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 8), (6, 8), (8, 8), (4, 16)]),
+    st.sampled_from([0.0, 1e-13, 1e-11]))
+def test_polarization_matrices_fold_bit_for_bit(seed, shape, ratio):
+    # (A + A^T) / 2 is exactly T-symmetric, so M_r and M_{p-r} are one
+    # matrix, and verify's cross-path residual from the folded half equals
+    # the one from all p matrices.
+    n, p = shape
+    A = near_tsym(np.random.default_rng(seed), n, p, ratio)
+    M = oracle_quadform_matrices(_symmetric_part(A))
+    for r in range(p):
+        assert M[r].tobytes() == M[-r % p].tobytes()
+
+    [check] = [c for c in tsvd_module.verify_checks(A, 3)
+               if c.check == "exact_psd_cross_path"]
+    S, _ = unit_scaled(A)
+    T = ted(S)
+    lam = float(np.linalg.eigvalsh(
+        oracle_quadform_matrices(_symmetric_part(S))).min())
+    assert check.residual == abs(exact_psd(S, T).min_eigenvalue - lam) / max(
+        1.0, float(np.max(np.abs(T.frequency_eigenvalues))))
 
 
 def test_shape_errors():

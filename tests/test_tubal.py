@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from helpers import record_finding, rel_err
 from tubal_spectra.errors import DimensionMismatch
 from tubal_spectra.tensor3 import read_tensor3
-from tubal_spectra.tubal import (INCOMPARABLE, circ, tube_action, tube_add,
-                                 tube_le, tube_mul, tube_transpose,
-                                 tubal_sqrt_all, unit_tube)
+from tubal_spectra.tubal import (INCOMPARABLE, circ, descending_chain,
+                                 tube_action, tube_add, tube_le, tube_mul,
+                                 tube_transpose, tubal_sqrt_all, unit_tube)
 
 RNG = np.random.default_rng(20260814)
 
@@ -129,6 +129,34 @@ def test_tube_abs_and_partial_order():
     assert tube_le(a, a) is True  # equality compares as True
     with pytest.raises(DimensionMismatch):
         tube_le(a, np.array([1.0, 2.0, 3.0]))
+
+
+def _chain_by_pairs(tubes):
+    """``descending_chain`` by its definition: ``tube_le`` on each pair."""
+    verdicts = [tube_le(b, a) for a, b in zip(tubes, tubes[1:])]
+    if all(v is True for v in verdicts):
+        return True
+    if any(v == INCOMPARABLE for v in verdicts):
+        return INCOMPARABLE
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5),
+       st.sampled_from(["random", "descending", "ascending", "tied",
+                        "one row"]), st.data())
+def test_descending_chain_is_the_pairwise_partial_order(c, p, kind, data):
+    # Few distinct values, so that ties and equal rows are common.
+    tubes = data.draw(arrays(np.float64, (1 if kind == "one row" else c, p),
+                             elements=st.sampled_from(
+                                 [-2.0, -0.0, 0.0, 1.0, 2.5])))
+    if kind == "descending":
+        tubes = -np.sort(-tubes, axis=0)
+    elif kind == "ascending":
+        tubes = np.sort(tubes, axis=0)
+    elif kind == "tied":
+        tubes = np.repeat(tubes[:1], c, axis=0)
+    assert descending_chain(tubes) is _chain_by_pairs(tubes)
 
 
 def test_mismatched_lengths_raise():
