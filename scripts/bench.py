@@ -42,10 +42,12 @@ traceback, chained to an error naming the side.  The topics are:
     and a 64x16 matrix: both sides of the writer's ``_SMALL`` cutoff, at
     the sizes of ``psd``'s and ``ted``'s document arrays),
     ``tensor3_from_text`` on a 6x6x8 Gram tensor ``B^T * B`` (the shape
-    of the ``certify`` workload's file) and on the 24x24x16 text with CRLF
-    line ends, which the exact reader reads, and the ``io`` workload's two
-    commands end to end: ``info --format json`` and ``tprod`` with its
-    result written to a file.
+    of the ``certify`` workload's file), on the f-diagonal 24x24x16 text
+    (mostly ``0`` tokens), on the 48x48x16 text with two spaces between
+    values, and on the 24x24x16 text with CRLF line ends, which the exact
+    reader reads, and the ``io`` workload's two commands end to end:
+    ``info --format json`` and ``tprod`` with its result written to a
+    file.
 
 Each entry records, per side, the median single-call time in ``seconds``
 and the distance between its quartiles in ``iqr_seconds``; ``ratio`` is
@@ -212,8 +214,16 @@ def measure_codec(pkg, seed, workdir):
     gram = t3.tensor3_text(pkg.tproduct.tprod(t3.transpose(B), B))
     crlf = t3.tensor3_text(_draw([seed, 0, *shapes[1]], shapes[1]))
     crlf = crlf.replace("\n", "\r\n")
+    spaced = t3.tensor3_text(_draw([seed, 0, *shapes[0]], shapes[0]))
+    head = spaced.index("\n\n")
+    spaced = spaced[:head] + spaced[head:].replace(" ", "  ")
+    sparse = t3.tensor3_text(S)
     entries += [("tensor3_from_text", "6x6x8 Gram",
                  lambda: t3.tensor3_from_text(gram)),
+                ("tensor3_from_text", "24x24x16 f-diagonal",
+                 lambda: t3.tensor3_from_text(sparse)),
+                ("tensor3_from_text", "48x48x16 two spaces",
+                 lambda: t3.tensor3_from_text(spaced)),
                 ("tensor3_from_text", "24x24x16 CRLF",
                  lambda: t3.tensor3_from_text(crlf))]
 

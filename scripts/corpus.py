@@ -23,10 +23,12 @@ this script's own ``%.17g`` writer, so it is the same bytes for every
 checkout: random inputs of each kind, edge cases of symmetry, scale,
 overflow and the PSD threshold, malformed files, the number writer's edge
 values (:data:`EDGES`), and the reader's edge files (:data:`READER_EDGES`:
-a CRLF copy, which ``open`` turns into ``\\n`` line ends, vertical tab and
-form feed line breaks, an indented header, an empty body and ``1_0.5``,
-all but the first read by the exact reader, not ``np.loadtxt``); the
-last two sets run only through :data:`EDGE_RUNS`.
+a CRLF copy, which ``open`` turns into ``\\n`` line ends, and 30-digit
+decimals on double midpoints, both read by the long double parse, which
+reads the midpoints again with ``float``; vertical tab and form feed line
+breaks, an indented header, an empty body, ``1_0.5``, a hex token, and
+rows that a tab and a double space give the wrong widths, all read by the
+exact reader); the last two sets run only through :data:`EDGE_RUNS`.
 
 The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  It
 opens with no arguments, ``--help``, an unknown command and ``<command>
@@ -48,6 +50,7 @@ import os
 import sys
 import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -186,7 +189,7 @@ def _files():
         files[f"bad_{token}.t3"] = good[:good.rindex(" ")] + f" {token}\n"
 
     # The reader's edge files: all but the CRLF copy, which open() reads
-    # with \n line ends, go to its exact reader.
+    # with \n line ends, and the midpoints go to its exact reader.
     rows = good.split("\n")
     files.update({
         "read_crlf.t3": good.replace("\n", "\r\n"),
@@ -194,8 +197,30 @@ def _files():
         "read_ff.t3": "\n".join(rows[:4]) + "\x0c" + "\n".join(rows[4:]),
         "read_indented.t3": "  " + good,
         "read_empty_body.t3": "T3 1\n1 1 1\n",
-        "read_underscore.t3": "T3 1\n1 2 1\n\n1_0.5 -2_5e-1\n"})
+        "read_underscore.t3": "T3 1\n1 2 1\n\n1_0.5 -2_5e-1\n",
+        "read_tab_rows.t3": "T3 1\n2 3 1\n\n1 2\t3 4\n5  6\n",
+        "read_hex.t3": "T3 1\n1 2 1\n\n1 0x10\n",
+        "read_halfway.t3": "T3 1\n2 2 2\n\n" + _midpoints()})
     return files
+
+
+def _midpoints():
+    """Data rows of a 2x2x2 tensor: 30-digit decimals of the midpoints
+    between doubles above 1 and 0.1, below powers of two (2, ``2^-1020``),
+    where the spacing halves, between zero and the two smallest
+    subnormals, near -1e300, and below 1e16, an exact tie."""
+    pairs = [(1.0, np.nextafter(1.0, 2.0)), (np.nextafter(2.0, 0.0), 2.0),
+             (0.1, np.nextafter(0.1, 1.0)), (0.0, 5e-324),
+             (5e-324, 1e-323), (-1e300, np.nextafter(-1e300, 0.0)),
+             (np.nextafter(2.0 ** -1020, 0.0), 2.0 ** -1020),
+             (np.nextafter(1e16, 0.0), 1e16)]
+    with localcontext() as ctx:
+        ctx.prec = 800  # every double and midpoint is exact
+        tokens = [format((Decimal(float(lo)) + Decimal(float(hi))) / 2, ".29e")
+                  for lo, hi in pairs]
+    return "\n\n".join(" ".join(tokens[k:k + 4:2]) + "\n"
+                         + " ".join(tokens[k + 1:k + 4:2])
+                         for k in (0, 4)) + "\n"
 
 
 #: The writer's edge file, run only through the commands in :data:`EDGE_RUNS`.

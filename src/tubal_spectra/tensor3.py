@@ -20,14 +20,18 @@ its writer rejects complex and non-finite values.
 
 The reader has two paths, and the text picks one.  ASCII text that opens
 with the header and size line as the writer writes them, holds at least one
-data token and no control character but ``\\n`` and ``\\t``, goes to
-``np.loadtxt``, whose C parser converts each token with CPython's own
-``PyOS_string_to_double``, so it rounds exactly as ``float`` does.  Its
-result is used if it has the expected rows and width and only finite
-values.  Everything else, and every text ``np.loadtxt`` rejects, goes to
-the exact reader, which splits lines and tokens with ``str.splitlines`` and
-``str.split`` and parses with ``float``: it accepts ``float``'s full
-grammar (``1_0.5``) and raises the documented errors.
+data token, no control character but ``\\n`` and no ``n``, ``N``, ``x``
+or ``X``, goes to one ``np.fromstring`` parse into long doubles,
+which converts each token with the C library's correctly rounded
+``strtold``, and a cast to float64.  The cast rounds a second time, which
+can differ from ``float``'s one rounding only where the long double lies
+exactly half-way between two doubles; those few values are read again with
+``float``.  The result is used if every nonblank line holds a row's width
+of values, as many lines as the shape has rows, all finite.  Everything
+else, and every text ``np.fromstring`` cannot read to its end, goes to the
+exact reader, which splits lines and tokens with ``str.splitlines`` and
+``str.split`` and parses with ``float``: it accepts ``float``'s full grammar
+(``1_0.5``) and raises the documented errors.
 
 The writer, :func:`tensor3_text` and :func:`text_rows` (the rows of a 1-D or
 2-D array, as the CLI prints its results), has one body builder, :func:`_body`,
@@ -52,7 +56,6 @@ exceeds about 1 MB.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import re
 
@@ -496,40 +499,104 @@ _WRITTEN = {ndim: re.compile(re.escape(header) + "\n"
             for ndim, header in HEADERS.items()}
 
 
-def _plain(text):
-    """Whether ASCII ``text`` holds no control character but ``\\n`` and
-    ``\\t``: of the control characters, the only line break and whitespace
-    that ``np.loadtxt`` and the exact reader split alike."""
-    raw = text.encode("ascii")
-    codes = np.frombuffer(raw, np.uint8)
-    low = codes[codes < 32]
-    return b"\x7f" not in raw and bool(np.all((low == 10) | (low == 9)))
+def _plain(raw, breaks):
+    """Whether the ASCII bytes ``raw`` hold no control character but their
+    ``breaks`` line breaks, ``\\n`` (``\\r``, ``\\v`` and ``\\f`` break
+    lines for the exact reader but only split tokens for ``strtold``), and
+    no ``n``, ``N``, ``x`` or ``X``, so that no ``nan``, ``inf`` or hex
+    float reaches ``strtold``."""
+    return (not any(c in raw for c in b"nNxX")
+            and np.count_nonzero(np.frombuffer(raw, np.uint8) < 32) == breaks)
 
 
 def tensor3_from_text(text, ndim=3, name="<string>"):
     """Parse the text serialization of an ``ndim``-dimensional array.
 
     Blank lines are ignored; each error is a ``ValueError`` naming ``name``.
-    ASCII text with :func:`tensor3_text`'s header and size line and no
-    control character but ``\\n`` and ``\\t`` is read by ``np.loadtxt``,
-    which rounds each token as ``float`` does.  Any other text, and any
-    that ``np.loadtxt`` rejects or reads to the wrong shape or a non-finite
-    value, goes to the exact reader, :func:`_read_text`.
+    ASCII text with :func:`tensor3_text`'s header and size line that
+    :func:`_plain` passes is read by :func:`_read_long`, which rounds each
+    token as ``float`` does.  Any other text, and any that it cannot read to
+    its end or reads to the wrong rows or a non-finite value, goes to the
+    exact reader, :func:`_read_text`.
     """
     head = text.isascii() and _WRITTEN[ndim].match(text)
-    if head and _plain(text):
+    if head:
         shape = tuple(map(int, head.groups()))
-        width = _row_width(shape)
-        try:
-            data = np.loadtxt(io.StringIO(text[head.end():]),
-                              dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if (data.shape == (math.prod(shape) // width, width)
-                    and np.isfinite(data).all()):
-                return _shaped(data, shape)
+        # The body from the size line's line break on, so a break opens it.
+        data = _read_long(text[head.end() - 1:].encode("ascii"), shape)
+        if data is not None:
+            return _shaped(data, shape)
     return _read_text(text, ndim, name)
+
+
+def _read_long(body, shape):
+    """The values of the data rows ``body``, which opens with a line break,
+    as ``float`` reads them, or ``None`` where the exact reader must decide.
+
+    One ``np.fromstring`` parses every token to a long double with the C
+    library's correctly rounded ``strtold``, with a ``nan`` token in place
+    of each line break: :func:`_plain` text holds no ``nan`` of its own, so
+    the NaNs count the tokens on each line.  Every line break must be read,
+    and as many lines as the shape has rows must hold a row's width and the
+    others none.  The cast to float64 is then ``float``'s value except at
+    the ties of :func:`_ties`, which are read again with ``float``.  The
+    installed numpy raises ``ValueError`` on text that ``fromstring``
+    cannot read to its end; a numpy that warns instead returns a short
+    array, which misses the last line break.
+    """
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    marked = body.replace(b"\n", b" nan ")
+    breaks = (len(marked) - len(body)) // 4
+    if not _plain(body, breaks):
+        return None
+    try:
+        ld = np.fromstring(marked, np.longdouble, sep=" ")
+    except ValueError:
+        return None
+    with np.errstate(over="ignore"):  # out of range casts to inf, rejected
+        d = ld.astype(np.float64)
+        nan = np.isnan(d)
+        at = np.flatnonzero(nan)  # the first value and the last are breaks
+        width = _row_width(shape)
+        size = np.count_nonzero(np.diff(at) == width + 1) * width
+        if (at.size != breaks or size != math.prod(shape)
+                or size != d.size - at.size):
+            return None
+        values = ~nan  # long double arithmetic on NaNs is slow
+        d, ld = d[values], ld[values]
+        if not np.isfinite(d).all():
+            return None
+        redo = _ties(ld, d)
+    if redo.size:
+        tokens = body.split()
+        d[redo] = [float(tokens[i]) for i in redo.tolist()]
+    return d
+
+
+def _ties(ld, d):
+    """Where ``d``, finite, is ``ld`` cast to float64 and may not be the
+    decimal that ``ld`` rounds rounded to float64.
+
+    ``ld`` is the decimal ``v`` correctly rounded to the long double, whose
+    grid holds every midpoint between two doubles.  Unless ``ld`` is such a
+    midpoint, no midpoint lies between ``v`` and ``ld``, so both round to
+    the same double (Figueroa, "When is double rounding innocuous?", 1995).
+    ``ld`` is one where ``|ld - d|`` is half of ``np.spacing(|d|)``, or a
+    quarter of it below a power of two.  ``2 * (ld - d)``, exact in long
+    double, is then a power of two of at least ``2^-1074``, exact in
+    float64 too, subnormals and underflow to zero included, and above
+    ``|d| * 2^-54``: a float64 filter on that bound leaves few values to
+    test.  Where long double is float64, ``ld - d`` is zero.  ``np.spacing``
+    of the largest doubles overflows: call it with overflow ignored.
+    """
+    a = np.abs(d)
+    twice = 2 * (ld - d)
+    near = np.flatnonzero(np.abs(twice.astype(np.float64)) > a * 2.0 ** -54)
+    off, a = np.abs(twice[near]), a[near]
+    ulp = np.spacing(a)
+    pow2 = a == ulp * 2.0 ** 52
+    return near[(off == ulp) | ((off + off == ulp) & pow2)]
 
 
 def _row_width(shape):

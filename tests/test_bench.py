@@ -91,15 +91,20 @@ def test_codec_entries_run_once_each(bench, tmp_path):
     seed, measure = bench.TOPICS["codec"]
     entries = measure(pkg, seed, str(tmp_path))
     labels = [(name, shape) for name, shape, _ in entries]
-    assert labels[-4:] == [
+    assert labels[-6:] == [
         ("tensor3_from_text", "6x6x8 Gram"),
+        ("tensor3_from_text", "24x24x16 f-diagonal"),
+        ("tensor3_from_text", "48x48x16 two spaces"),
         ("tensor3_from_text", "24x24x16 CRLF"),
         ("cli info --format json", "48x48x16"), ("cli tprod -o", "48x48x16")]
-    assert len(set(labels)) == len(labels) == 16
+    assert len(set(labels)) == len(labels) == 18
     results = {label: fn() for label, (*_, fn) in zip(labels, entries)}
-    crlf, plain = (results["tensor3_from_text", shape]
-                   for shape in ("24x24x16 CRLF", "24x24x16"))
-    assert np.array_equal(crlf, plain)
+    for edited, plain in (("24x24x16 CRLF", "24x24x16"),
+                          ("48x48x16 two spaces", "48x48x16")):
+        assert np.array_equal(results["tensor3_from_text", edited],
+                              results["tensor3_from_text", plain])
+    sparse = results["tensor3_from_text", "24x24x16 f-diagonal"]
+    assert np.count_nonzero(sparse) == 384
     assert results["tensor3_from_text", "6x6x8 Gram"].shape == (6, 6, 8)
 
 

@@ -379,11 +379,11 @@ def _exact(text, ndim):
 
 
 # What the random edits insert or write over: characters of numbers and
-# characters that neither reader takes in a number, letters of nan and inf,
-# and a non-ASCII digit; or, as often, one of every class of whitespace and
-# line break.
-_EDIT_CHARS = (list("0123456789+-.eE_#,'\"xnaif")
-               + ["\0", "nan", "inf", "\u0661", ""])
+# characters that neither reader takes in a number, letters of nan, inf and
+# hex floats in both cases, a double space, and a non-ASCII digit; or, as
+# often, one of every class of whitespace and line break.
+_EDIT_CHARS = (list("0123456789+-.eE_#,'\"xnaifNXIp")
+               + ["\0", "nan", "inf", "  ", "\u0661", ""])
 _EDIT_SPACES = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
                 "\x1e", "\x1f", "\xa0", "\x85", "\u2028"]
 
@@ -411,8 +411,8 @@ def _edited_texts(draw):
 @settings(max_examples=1000, deadline=None)
 @given(_edited_texts())
 def test_reader_matches_the_exact_reader_on_edited_files(case):
-    # The loadtxt path gives the exact reader's array bit for bit, or the
-    # exact reader's error, and no warning.
+    # The long double parse gives the exact reader's array bit for bit, or
+    # the exact reader's error, and no warning.
     ndim, text = case
     want, message = _exact(text, ndim)
     with warnings.catch_warnings(record=True) as caught:
@@ -430,9 +430,13 @@ def test_reader_matches_the_exact_reader_on_edited_files(case):
 
 def _halfway_tokens(rng, count):
     """Decimals of 25-60 significant digits near the midpoints between
-    random adjacent finite doubles, of both signs and every scale."""
+    random adjacent finite doubles, of both signs and every scale: an eighth
+    subnormal, and an eighth just below a power of two, where the spacing
+    halves."""
     bits = rng.integers(0, 2 ** 63 - 2 ** 52 - 1, count, dtype=np.int64)
     bits[:count // 8] %= 2 ** 52  # subnormals
+    powers = 2.0 ** rng.integers(-1021, 1024, count // 8)
+    bits[count // 8:count // 4] = powers.view(np.int64) - 1
     tokens = []
     with localcontext() as ctx:
         ctx.prec = 800  # every double and midpoint is exact
@@ -445,12 +449,19 @@ def _halfway_tokens(rng, count):
     return tokens
 
 
-def test_loadtxt_rounds_as_float(monkeypatch):
+def _refuse(*args):
+    raise AssertionError("the exact reader ran")
+
+
+def test_long_double_parse_rounds_as_float(monkeypatch):
     # Every token is in the writer's grammar, so the exact reader must not
-    # run: loadtxt alone reads them, and rounds each one as float does.
-    def refuse(*args):
-        raise AssertionError("the exact reader ran")
-    monkeypatch.setattr(tensor3, "_read_text", refuse)
+    # run: the long double parse alone reads them, reads the ties again with
+    # float, and rounds each one as float does.
+    monkeypatch.setattr(tensor3, "_read_text", _refuse)
+    reread = []
+    monkeypatch.setattr(tensor3, "float",
+                        lambda token: reread.append(token) or float(token),
+                        raising=False)
     tokens = _halfway_tokens(np.random.default_rng(20261020), 2000) + [
         "2.4703282292062327e-324", "2.4703282292062328e-324",
         "4.9406564584124654e-324", "2.2250738585072011e-308", "1e-400",
@@ -459,20 +470,92 @@ def test_loadtxt_rounds_as_float(monkeypatch):
         map(" ".join, zip(tokens[::2], tokens[1::2]))) + "\n"
     assert np.array_equal(_bits(tensor3_from_text(text, 2).ravel()),
                           _bits([float(t) for t in tokens]))
+    assert reread and {token.decode() for token in reread} <= set(tokens)
     # And every finite double written by tensor3_text reads back exactly.
     X = _BITS[np.isfinite(_BITS)][:3960].reshape(10, 22, 18)
     assert np.array_equal(_bits(tensor3_from_text(tensor3_text(X))),
                           _bits(X))
 
 
+#: Zeros of both signs and subnormals, the smallest normal and its
+#: neighbours, as a tube, a matrix and a tensor.
+_TINY = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+     2.2250738585072014e-308, -2.2250738585072019e-308],
+    np.random.default_rng(20261021).integers(
+        1, 2 ** 52, 293, dtype=np.int64).view(np.float64)
+    * np.resize([1.0, -1.0], 293)])
+_TINY_ARRAYS = {"TUBE-tiny": _TINY, "MAT-tiny": _TINY.reshape(20, 15),
+                "T3-tiny": _TINY.reshape(5, 6, 10)}
+
+
+@pytest.mark.parametrize("name", [*CODEC_ARRAYS, *_TINY_ARRAYS])
+def test_writer_output_takes_the_long_double_parse(monkeypatch, name):
+    # What the writer writes, sparse and subnormal values included, is read
+    # by the long double parse alone: no value is read again with float, and
+    # the exact reader does not run.
+    X = {**CODEC_ARRAYS, **_TINY_ARRAYS}[name]
+    text = tensor3_text(X)
+    reread = []
+    monkeypatch.setattr(tensor3, "float", reread.append, raising=False)
+    monkeypatch.setattr(tensor3, "_read_text", _refuse)
+    assert np.array_equal(_bits(tensor3_from_text(text, X.ndim)), _bits(X))
+    assert reread == []
+
+
+@pytest.mark.parametrize("ndim, text", [
+    (2, "MAT 1\n2 2\n  1 2  \n\n   \n3   4\n"), (2, "MAT 1\n2 2\n1 2\n3 4"),
+    (1, "TUBE 1\n3\n 1e5 +.5E-3  00012 \n")])
+def test_hand_spaced_rows_take_the_long_double_parse(monkeypatch, ndim,
+                                                      text):
+    # Rows are counted in tokens, as str.split counts them, so spaces, blank
+    # lines and a missing last line break keep the long double parse.
+    want, _ = _exact(text, ndim)
+    monkeypatch.setattr(tensor3, "_read_text", _refuse)
+    assert np.array_equal(_bits(tensor3_from_text(text, ndim)), _bits(want))
+
+
+@pytest.mark.parametrize("ndim, text, message", [
+    (2, "MAT 1\n2 3\n1 2\t3 4\n5  6\n", "data row 1 has 4 values, expected 3"),
+    (2, "MAT 1\n2 2\n1 2 3\n4\n", "data row 1 has 3 values, expected 2"),
+    (2, "MAT 1\n2 2\n1 2\n3 4\n5 6\n", "expected 2 data rows, found 3"),
+    (1, "TUBE 1\n2\n1 1e4933\n", "non-finite value in data rows"),
+    (1, "TUBE 1\n2\n-1e400 1\n", "non-finite value in data rows"),
+    (1, "TUBE 1\n2\n1 1.7976931348623159e308\n",
+     "non-finite value in data rows")])
+def test_bad_rows_reach_the_exact_reader_without_warning(ndim, text,
+                                                         message):
+    # Tokens that make up a file's total in the wrong rows, and values out
+    # of float64's range, finite or not as long doubles, raise the exact
+    # reader's error and no warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            tensor3_from_text(text, ndim)
+    assert str(err.value) == f"<string>: {message}"
+    assert caught == []
+
+
+def test_a_short_parse_goes_to_the_exact_reader(monkeypatch):
+    # A numpy that warns on text it cannot read to its end, where this one
+    # raises, returns the values before it; they are not taken.
+    real = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda text, dtype, sep: real(
+        text[:text.index(b"#")], dtype, sep=sep))
+    with pytest.raises(ValueError) as err:
+        tensor3_from_text("MAT 1\n2 2\n1 2\n3 4\n#\n", 2)
+    assert str(err.value) == "<string>: expected 2 data rows, found 3"
+
+
 @pytest.mark.parametrize("text", [
-    "TUBE 1\r\n2\r\n1 2\r\n", "TUBE 1\n2\n1\x0b2\n", "TUBE 1\n2\n1\x0c2\n",
-    " TUBE 1\n2\n1 2\n", "TUBE 1\n2\n1_0.5 2\n", "TUBE 1\n02\n1 2\n",
-    "TUBE 1\n2\n1\xa02\n", "TUBE 1\n2\n\n \t\n"])
+    "TUBE 1\r\n2\r\n1 2\r\n", "TUBE 1\n2\n1\r2\n", "TUBE 1\n2\n1\x0b2\n",
+    "TUBE 1\n2\n1\x0c2\n", "TUBE 1\n2\n1\t2\n", " TUBE 1\n2\n1 2\n",
+    "TUBE 1\n2\n1_0.5 2\n", "TUBE 1\n02\n1 2\n", "TUBE 1\n2\n1\xa02\n",
+    "TUBE 1\n2\n\n \t\n"])
 def test_reader_edges_go_to_the_exact_reader(monkeypatch, text):
-    # Line breaks and spaces that loadtxt splits otherwise, a header or size
-    # line not as written, float's underscores, and an empty body, on which
-    # loadtxt would warn: each goes to the exact reader, once.
+    # Line breaks and spaces that strtold splits otherwise, a tab, a header
+    # or size line not as written, float's underscores, and an empty body:
+    # each goes to the exact reader, once.
     want, message = _exact(text, 1)
     calls = []
     exact = tensor3._read_text
