@@ -37,10 +37,13 @@ traceback, chained to an error naming the side.  The topics are:
     tensor in memory at the shapes of the ``io`` (48x48x16) and
     ``decompose`` (24x24x16, 32x16x15) workloads, ``tensor3_text`` on an
     f-diagonal 24x24x16 tensor (384 nonzero values of 9,216, as the ``d``
-    that ``ted`` writes in ``decompose``), ``tensor3_text`` on 8, 48, 288,
-    384 and 1,024 values (a tube, a 6x8 matrix, a 6x6x8 tensor, a 24x16
-    and a 64x16 matrix: both sides of the writer's ``_SMALL`` cutoff, at
-    the sizes of ``psd``'s and ``ted``'s document arrays),
+    that ``ted`` writes in ``decompose``) and on the 48x48x16 tensor with
+    one value set to zero, ``transpose`` at 6x6x8, 24x24x16 and 48x48x16
+    (the shapes of the ``certify``, ``decompose`` and ``io`` workloads),
+    ``tensor3_text`` on 8, 48, 288, 384 and 1,024 values (a tube, a 6x8
+    matrix, a 6x6x8 tensor, a 24x16 and a 64x16 matrix: both sides of the
+    writer's ``_SMALL`` cutoff, at the sizes of ``psd``'s and ``ted``'s
+    document arrays),
     ``tensor3_from_text`` on a 6x6x8 Gram tensor ``B^T * B`` (the shape
     of the ``certify`` workload's file), on the f-diagonal 24x24x16 text
     (mostly ``0`` tokens), on the 48x48x16 text with two spaces between
@@ -206,6 +209,14 @@ def measure_codec(pkg, seed, workdir):
     S[~np.eye(24, dtype=bool)] = 0.0  # 384 nonzero of 9,216, as ted's d
     entries.append(("tensor3_text", "24x24x16 f-diagonal",
                     lambda: t3.tensor3_text(S)))
+    Z = _draw([seed, 0, *shapes[0]], shapes[0])
+    Z[1, 2, 3] = 0.0  # one zero takes the writer's sparse branch
+    entries.append(("tensor3_text", "48x48x16 one zero",
+                    lambda: t3.tensor3_text(Z)))
+    for shape in ((6, 6, 8), (24, 24, 16), (48, 48, 16)):
+        entries.append(("transpose", "x".join(map(str, shape)),
+                        lambda A=_draw([seed, 5, *shape], shape):
+                        t3.transpose(A)))
     for shape in ((8,), (6, 8), (6, 6, 8), (24, 16), (64, 16)):
         X = _draw([seed, 4, *shape], shape)
         entries.append(("tensor3_text", f"{X.size} values",

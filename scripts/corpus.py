@@ -23,12 +23,12 @@ this script's own ``%.17g`` writer, so it is the same bytes for every
 checkout: random inputs of each kind, edge cases of symmetry, scale,
 overflow and the PSD threshold, malformed files, the number writer's edge
 values (:data:`EDGES`), and the reader's edge files (:data:`READER_EDGES`:
-a CRLF copy, which ``open`` turns into ``\\n`` line ends, and 30-digit
-decimals on double midpoints, both read by the long double parse, which
-reads the midpoints again with ``float``; vertical tab and form feed line
-breaks, an indented header, an empty body, ``1_0.5``, a hex token, and
-rows that a tab and a double space give the wrong widths, all read by the
-exact reader); the last two sets run only through :data:`EDGE_RUNS`.
+a CRLF copy, which ``open`` turns into ``\\n`` line ends, read by the
+long double parse; 30-digit decimals on double midpoints, which that parse
+gives whole to the exact reader, vertical tab and form feed line breaks,
+an indented header, an empty body, ``1_0.5``, a hex token, and rows that
+a tab and a double space give the wrong widths, all read by the exact
+reader); the last two sets run only through :data:`EDGE_RUNS`.
 
 The argv table (:func:`argv_table`) is built from ``cli.COMMANDS``.  It
 opens with no arguments, ``--help``, an unknown command and ``<command>
@@ -189,7 +189,7 @@ def _files():
         files[f"bad_{token}.t3"] = good[:good.rindex(" ")] + f" {token}\n"
 
     # The reader's edge files: all but the CRLF copy, which open() reads
-    # with \n line ends, and the midpoints go to its exact reader.
+    # with \n line ends, go to its exact reader.
     rows = good.split("\n")
     files.update({
         "read_crlf.t3": good.replace("\n", "\r\n"),

@@ -173,10 +173,9 @@ def _dense_freq_diagonals(D):
     """Diagonals of the frequency slices of an f-diagonal tensor, by
     explicit DFT sums (no FFT library)."""
     n, _, p = D.shape
-    diag_tubes = np.vstack([D[j, j, :] for j in range(n)])
-    k = np.arange(p)
+    j, k = np.arange(n), np.arange(p)
     W = np.exp(-2j * np.pi * np.outer(k, k) / p)
-    return diag_tubes @ W.T  # (n, p) complex
+    return D[j, j] @ W.T  # (n, p) complex
 
 
 def oracle_ted_check(A, result):

@@ -11,7 +11,8 @@ tensor: column ``j`` of the matrix is frontal slice ``j`` of the tensor.
 and ``shift_columns`` implements the cyclic column shift ``X -> X^[k]``.
 
 The tensor transpose reverses the order of frontal slices 2..p and
-transposes each one, so that ``bcirc(transpose(A)) == bcirc(A).T``.
+transposes each one, so that ``bcirc(transpose(A)) == bcirc(A).T``.  On
+tubes that is the index map ``k -> -k mod p``, one gather.
 
 Tensors, matrix slices and tubes share one text codec: a header picked by
 ``ndim`` from ``HEADERS``, a size line, then rows of 17-digit decimals.  Its
@@ -25,10 +26,10 @@ or ``X``, goes to one ``np.fromstring`` parse into long doubles,
 which converts each token with the C library's correctly rounded
 ``strtold``, and a cast to float64.  The cast rounds a second time, which
 can differ from ``float``'s one rounding only where the long double lies
-exactly half-way between two doubles; those few values are read again with
-``float``.  The result is used if every nonblank line holds a row's width
-of values, as many lines as the shape has rows, all finite.  Everything
-else, and every text ``np.fromstring`` cannot read to its end, goes to the
+exactly half-way between two doubles.  The result is used if every nonblank
+line holds a row's width of values, as many lines as the shape has rows,
+all finite, and no value lies on such a midpoint.  Everything else, and
+every text ``np.fromstring`` cannot read to its end, goes whole to the
 exact reader, which splits lines and tokens with ``str.splitlines`` and
 ``str.split`` and parses with ``float``: it accepts ``float``'s full grammar
 (``1_0.5``) and raises the documented errors.
@@ -48,9 +49,11 @@ formatted with ``%.17g`` itself.  Each value then becomes one NUL-padded row
 laid out as ``%.17g`` lays it out (fixed notation for exponents -4 to 16, else
 exponent notation with a signed exponent of at least two digits; trailing zeros
 and a bare point stripped), ending with its separator, and one
-``bytes.translate`` drops the padding.  Zeros, ``-0`` included, skip the
-arithmetic, and values go in chunks of :data:`_CHUNK`, so that no temporary
-exceeds about 1 MB.
+``bytes.translate`` drops the padding.  Values go in chunks of
+:data:`_CHUNK`, so that no temporary of the arithmetic exceeds about 1 MB.
+An array with a zero gets one row array of the widest layout, ``0`` or
+``-0`` in every row, and only its nonzero values, chunk by chunk, go
+through the arithmetic and are scattered into it.
 """
 
 from __future__ import annotations
@@ -167,14 +170,13 @@ def shift_columns(X, k):
 
 
 def transpose(A):
-    """Tensor transpose: slice 1 transposed, slices 2..p transposed and reversed."""
+    """Tensor transpose: slice 1 transposed, slices 2..p transposed and reversed.
+
+    One gather, tube index ``k`` from ``-k mod p``, into a new array, which
+    is not in C order."""
     A = as_tensor3(A)
-    m, n, p = A.shape
-    out = np.empty((n, m, p))
-    out[:, :, 0] = A[:, :, 0].T
-    for k in range(1, p):
-        out[:, :, k] = A[:, :, p - k].T
-    return out
+    p = A.shape[2]
+    return A.transpose(1, 0, 2)[:, :, -np.arange(p) % p]
 
 
 def identity(n, p):
@@ -398,31 +400,25 @@ def _number_rows(x, sep):
 
 
 def _text_rows(x, sep):
-    """The rows of :func:`_number_rows` for every ``x``, in blocks of at
-    most :data:`_CHUNK` values.  Zeros are written as ``0`` or ``-0``
-    without the arithmetic, and the nonzero values are formatted in one
-    pass, in chunks of up to :data:`_CHUNK`, however sparse they are."""
+    """The rows of :func:`_number_rows` for every ``x``: in blocks of
+    :data:`_CHUNK` values if no value is zero, else as one array of rows as
+    wide as the widest layout.  Its zeros are written as ``0`` or ``-0``
+    without the arithmetic, and its nonzero values are formatted in chunks
+    of :data:`_CHUNK`, however sparse they are, and scattered into it."""
     if np.count_nonzero(x) == x.size:
         for i in range(0, x.size, _CHUNK):
             yield _number_rows(x[i:i + _CHUNK], sep[i:i + _CHUNK])
         return
+    rows = np.zeros((x.size, _layouts()[0].shape[1]), np.uint8)
+    rows[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    rows[:, 1] = ord("0")
+    rows[:, 2:4] = sep
     nonzero = np.flatnonzero(x)
-    start = 0
-    for a in range(0, max(nonzero.size, 1), _CHUNK):
+    for a in range(0, nonzero.size, _CHUNK):
         at = nonzero[a:a + _CHUNK]
         number = _number_rows(x[at], sep[at])
-        # This chunk's blocks run to its last value, the last one to the end.
-        stop = at[-1] + 1 if a + _CHUNK < nonzero.size else x.size
-        for i in range(start, stop, _CHUNK):
-            j = min(i + _CHUNK, stop)
-            rows = np.zeros((j - i, max(4, number.shape[1])), np.uint8)
-            rows[:, 0] = np.where(np.signbit(x[i:j]), ord("-"), 0)
-            rows[:, 1] = ord("0")
-            rows[:, 2:4] = sep[i:j]
-            lo, hi = np.searchsorted(at, (i, j))
-            rows[at[lo:hi] - i, :number.shape[1]] = number[lo:hi]
-            yield rows
-        start = stop
+        rows[at, :number.shape[1]] = number
+    yield rows
 
 
 def tensor3_text(X):
@@ -516,8 +512,8 @@ def tensor3_from_text(text, ndim=3, name="<string>"):
     ASCII text with :func:`tensor3_text`'s header and size line that
     :func:`_plain` passes is read by :func:`_read_long`, which rounds each
     token as ``float`` does.  Any other text, and any that it cannot read to
-    its end or reads to the wrong rows or a non-finite value, goes to the
-    exact reader, :func:`_read_text`.
+    its end or reads to the wrong rows, a non-finite value or a double
+    midpoint, goes whole to the exact reader, :func:`_read_text`.
     """
     head = text.isascii() and _WRITTEN[ndim].match(text)
     if head:
@@ -538,11 +534,11 @@ def _read_long(body, shape):
     of each line break: :func:`_plain` text holds no ``nan`` of its own, so
     the NaNs count the tokens on each line.  Every line break must be read,
     and as many lines as the shape has rows must hold a row's width and the
-    others none.  The cast to float64 is then ``float``'s value except at
-    the ties of :func:`_ties`, which are read again with ``float``.  The
-    installed numpy raises ``ValueError`` on text that ``fromstring``
-    cannot read to its end; a numpy that warns instead returns a short
-    array, which misses the last line break.
+    others none.  The cast to float64 is then ``float``'s value unless
+    :func:`_ties` finds a double midpoint, and then the exact reader reads
+    the whole text.  The installed numpy raises ``ValueError`` on text that
+    ``fromstring`` cannot read to its end; a numpy that warns instead
+    returns a short array, which misses the last line break.
     """
     if not body.endswith(b"\n"):
         body += b"\n"
@@ -565,18 +561,15 @@ def _read_long(body, shape):
             return None
         values = ~nan  # long double arithmetic on NaNs is slow
         d, ld = d[values], ld[values]
-        if not np.isfinite(d).all():
+        if not np.isfinite(d).all() or _ties(ld, d).size:
             return None
-        redo = _ties(ld, d)
-    if redo.size:
-        tokens = body.split()
-        d[redo] = [float(tokens[i]) for i in redo.tolist()]
     return d
 
 
 def _ties(ld, d):
     """Where ``d``, finite, is ``ld`` cast to float64 and may not be the
-    decimal that ``ld`` rounds rounded to float64.
+    decimal that ``ld`` rounds rounded to float64: :func:`_read_long` gives
+    a text with any such value to the exact reader.
 
     ``ld`` is the decimal ``v`` correctly rounded to the long double, whose
     grid holds every midpoint between two doubles.  Unless ``ld`` is such a

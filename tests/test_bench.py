@@ -97,7 +97,7 @@ def test_codec_entries_run_once_each(bench, tmp_path):
         ("tensor3_from_text", "48x48x16 two spaces"),
         ("tensor3_from_text", "24x24x16 CRLF"),
         ("cli info --format json", "48x48x16"), ("cli tprod -o", "48x48x16")]
-    assert len(set(labels)) == len(labels) == 18
+    assert len(set(labels)) == len(labels) == 22
     results = {label: fn() for label, (*_, fn) in zip(labels, entries)}
     for edited, plain in (("24x24x16 CRLF", "24x24x16"),
                           ("48x48x16 two spaces", "48x48x16")):

@@ -4,8 +4,9 @@
 more in numpy (see the ``tensor3`` docstring).  Each test splits the
 writer's text into values and separators and compares every value with
 ``_FMT % x`` and every separator with the layout of its kind: fixed value
-sets, constructed rounding ties, a hypothesis property and a tensor with
-special values on its chunk boundaries, each on both sides of ``_SMALL``.
+sets, constructed rounding ties, a hypothesis property, a tensor with
+special values on its chunk boundaries and sparse arrays whose nonzero
+values span chunks, each on both sides of ``_SMALL``.
 An array below ``_SMALL`` is also written with the cutoff patched to 0, so
 that the numpy kernel keeps its small inputs, and ``text_rows`` must give
 the rows of every matrix and tube.  The table of powers of ten is checked
@@ -181,6 +182,34 @@ def test_values_on_chunk_boundaries():
     values, _ = _pieces(tensor3_text(X), X.shape)
     assert values[chunk - 1:chunk + 1] == ["1000000000000000.2", "-0"]
     assert values[2 * chunk - 1:2 * chunk + 1] == ["-0", "-1000000000000000.8"]
+
+
+def test_sparse_values_on_chunk_boundaries():
+    # With a zero among them, only the nonzero values are formatted, in
+    # chunks of _CHUNK, and their rows scattered among the zeros' rows: a
+    # zero run longer than a chunk, nonzeros over three chunks with a tie
+    # closing the first and a -0.0 between it and the next, and arrays of
+    # zeros alone or with one nonzero, on both sides of _SMALL.
+    chunk = tensor3._CHUNK
+    v = np.random.default_rng(20261027).standard_normal(2 * chunk + 10)
+    v[chunk - 1] = 1000000000000000.25
+    lead = np.zeros(chunk + 100)
+    lead[[0, chunk - 1, chunk]] = -0.0
+    x = np.concatenate([lead, v[:chunk], [-0.0], v[chunk:2 * chunk],
+                        [0.0, -0.0], v[2 * chunk:], np.zeros(5)])
+    nonzero = np.flatnonzero(x)
+    edge = nonzero[chunk - 1] + 1
+    assert nonzero.size > 2 * chunk and x[edge] == 0 and np.signbit(x[edge])
+    _assert_writes_fmt(x)
+    _assert_writes_fmt(x[:31 * 400].reshape(-1, 31))
+    _assert_writes_fmt(x[:12 * 13 * 79].reshape(12, 13, 79))
+    zeros = np.zeros((6, 6, 8))
+    zeros[::2] = -0.0
+    one = np.zeros((24, 24, 16))
+    one[3, 5, 7] = -2.5e-300
+    for X in (zeros, one, zeros[:2, :3, 0], one[2:4, 4:7, 7]):
+        assert np.count_nonzero(X) <= 1
+        _assert_writes_fmt(X)
 
 
 def test_power_of_ten_table_is_exact_to_2_pow_minus_104():
