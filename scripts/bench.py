@@ -9,7 +9,10 @@ Both trees load into this one process, as the packages ``before`` and
 ``after`` (:func:`load`; every import inside the package is relative).
 Each entry gets one warm-up call per side, then :data:`PAIRS` pairs of
 single calls, alternating which side goes first, so drift of a shared host
-falls on both calls of a pair alike.  The process is pinned to one CPU,
+falls on both calls of a pair alike.  Each entry's warm-up call absorbs
+one-time set-up, such as building the CLI's parser, so a CLI entry times a
+warm call; the cost a one-command process pays for that set-up is measured
+in fresh processes instead.  The process is pinned to one CPU,
 the last one it may use, and BLAS to one thread before numpy is imported.
 Inputs are Gaussian draws from a fixed seed per topic and shape; CLI
 entries call each tree's ``cli.main`` with ``-o`` into that side's

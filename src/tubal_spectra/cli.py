@@ -16,17 +16,14 @@ Exit codes: 0 success, 1 usage or input-format error (or an array too
 large for memory), 2 numerical error (non-T-symmetric input to ``ted``,
 LAPACK failure), 3 verification failure.
 
-Every command is one entry of :data:`COMMANDS`.  A call that a known
-command leads builds only that command's parser, with no top-level parser
-around it, and gives it the arguments after the name; the full table of
-subparsers serves every other call (no command, ``--help``, an unknown
-name).  One helper adds a command's arguments in both, so the output is
-the same.
+Every command is one entry of :data:`COMMANDS`, and one parser, built
+on first use, parses every call's whole ``argv`` (:func:`build_parser`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -387,39 +384,29 @@ COMMANDS = {
 }
 
 
-def _add_arguments(parser, command):
-    """Give ``parser`` the arguments of ``command``, ``--format`` first."""
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format")
-    for names, kwargs in COMMANDS[command][2:]:
-        parser.add_argument(*names, **kwargs)
-    return parser
-
-
-def build_parser(command=None):
-    """The parser of ``command`` alone, which takes the arguments after the
-    command name and sets ``command`` by default, or, when ``command`` is
-    None, the full table: a top-level parser with one subparser per entry
-    of :data:`COMMANDS`.  Both give the same Namespace, help and usage
-    errors for a command's arguments."""
-    if command is not None:
-        parser = _Parser(prog=f"tubal-spectra {command}")
-        parser.set_defaults(command=command)
-        return _add_arguments(parser, command)
+@functools.cache
+def build_parser():
+    """The parser of every call: a top-level parser with one subparser per
+    entry of :data:`COMMANDS`, each taking ``--format`` first and then the
+    entry's arguments.  It is built on first use and shared by every later
+    call, so :data:`COMMANDS` is read once per process; a parse leaves it
+    as it was, and nothing may mutate it."""
     parser = _Parser(prog="tubal-spectra",
                      description="Tubal tensor algebra toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, help_text, *_) in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (_, help_text, *arguments) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        subparser.add_argument("--format", choices=("text", "json"),
+                               default="text", help="output format")
+        for names, kwargs in arguments:
+            subparser.add_argument(*names, **kwargs)
     return parser
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    parser = build_parser(command)
+    parser = build_parser()
     try:  # a usage error is a ValueError
-        args = parser.parse_args(argv if command is None else argv[1:])
+        args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1

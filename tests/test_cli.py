@@ -204,38 +204,37 @@ def _usage_error(parser, argv):
 
 
 @pytest.mark.parametrize("command", list(ARGV))
-def test_one_command_parser_matches_the_full_table(capsys, command):
-    # The one-command parser takes the arguments after the command name.
-    full, one = cli.build_parser(), cli.build_parser(command)
-    assert one.parse_args(ARGV[command][1:]) == full.parse_args(ARGV[command])
+def test_a_parse_leaves_the_parser_as_it_was(capsys, command):
+    # main shares one parser across calls, so no parse may change it.
+    parser = cli.build_parser()
+    other = next(name for name in ARGV if name != command)
 
-    helps = []
-    for parser, argv in ((full, [command, "--help"]), (one, ["--help"])):
+    def observe():
+        args = parser.parse_args(ARGV[command])
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
+            parser.parse_args([command, "--help"])
         assert exc.value.code == 0
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1]
-    assert helps[0].startswith(f"usage: tubal-spectra {command} ")
+        return (args, capsys.readouterr().out,
+                _usage_error(parser, ARGV[command] + ["--bogus"]))
 
-    for bad in (ARGV[command] + ["--bogus"], [command]):
-        assert _usage_error(one, bad[1:]) == _usage_error(full, bad)
+    before = observe()
+    _usage_error(parser, [command])
+    with pytest.raises(SystemExit):
+        parser.parse_args([other, "--help"])
+    capsys.readouterr()
+    parser.parse_args(ARGV[other])
+    assert observe() == before
+    assert before[0].command == command
+    assert before[1].startswith(f"usage: tubal-spectra {command} ")
 
 
-def test_main_builds_only_the_invoked_command(capsys, monkeypatch,
-                                              tsym_file):
-    built = []
-    real = cli.build_parser
-
-    def spy(command=None):
-        built.append(command)
-        return real(command)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
+def test_main_builds_one_parser_per_process(capsys, tsym_file):
+    cli.build_parser.cache_clear()
     for argv in (["info", tsym_file], ["--help"], ["frobnicate"], [],
-                 ["-h", "info"]):
+                 ["-h", "info"], ["info", tsym_file, "--bogus"],
+                 ["psd", tsym_file, "--exact"]):
         cli.main(argv)
-    assert built == ["info", None, None, None, None]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_top_level_help_lists_every_command(capsys):

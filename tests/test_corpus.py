@@ -30,10 +30,12 @@ def test_in_process_runs_match_fresh_processes(table):
     verify = ["verify", "gram.t3"]
     rows = [["ted", "tsym_p4.t3"], ["ted", "tsym_p4.t3", "--format", "json"],
             verify + ["-o", corpus._output_name(verify)],
-            ["info", "bad_nan.t3"], ["ted", "general.t3"], ["psd", "--help"]]
+            ["info", "bad_nan.t3"], ["ted", "general.t3"], ["psd", "--help"],
+            [], ["--help"], ["nonesuch"],
+            ["psd", "tsym_p4.t3", "--tol", "nan", "--format", "json"]]
     records = {tuple(run["argv"]): run for run in runs}
     codes = [records[tuple(argv)]["exit"] for argv in rows]
-    assert codes == [0, 0, 0, 1, 2, 0]
+    assert codes == [0, 0, 0, 1, 2, 0, 1, 0, 1, 1]
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     procs = [subprocess.Popen([sys.executable, "-m", "tubal_spectra", *argv],
                               cwd=work, env=env, stdout=subprocess.PIPE,
