@@ -252,7 +252,6 @@ def _cmd_transpose(args):
 def _cmd_ted(args):
     A = read_tensor3(args.input)
     result = ted(A, args.tol)
-    res = result.residuals
     n, _, p = A.shape
     return {
         "input": args.input, "shape": {"n": n, "p": p},
@@ -261,9 +260,9 @@ def _cmd_ted(args):
         "ordering": {
             "first_components_sorted": bool(result.first_components_sorted),
             "elementwise_chain": str(result.elementwise_chain).lower()},
-        "residuals": {"reconstruction": res.reconstruction,
-                      "orthogonality": res.orthogonality,
-                      "eigenpair_max": res.eigenpair_max},
+        "residuals": {"reconstruction": result.reconstruction,
+                      "orthogonality": result.orthogonality,
+                      "eigenpair_max": result.eigenpair_max},
         "factors": {"u_t3": tensor3_text(result.u),
                     "d_t3": tensor3_text(result.d)}}
 
@@ -271,15 +270,14 @@ def _cmd_ted(args):
 def _cmd_tsvd(args):
     A = read_tensor3(args.input)
     result = tsvd(A)
-    res = result.residuals
     return {
         "input": args.input, "shape": _shape(A),
         "singular_tuples": result.singular_tuples,
         "frequency_singular_values": result.frequency_singular_values,
-        "residuals": {"reconstruction": res.reconstruction,
-                      "orthogonality_u": res.orthogonality_u,
-                      "orthogonality_v": res.orthogonality_v,
-                      "pair_max": res.pair_max},
+        "residuals": {"reconstruction": result.reconstruction,
+                      "orthogonality_u": result.orthogonality_u,
+                      "orthogonality_v": result.orthogonality_v,
+                      "pair_max": result.pair_max},
         "factors": {"u_t3": tensor3_text(result.u),
                     "s_t3": tensor3_text(result.s),
                     "v_t3": tensor3_text(result.v)}}

@@ -28,6 +28,7 @@ factorization used and one transform of each returned factor (``U^T`` is
 the per-bin conjugate transpose), then brought back by one inverse
 transform for its norm: ``A - U * D * U^T``, ``U^T * U - I``, and
 ``A * U - U * D``, whose lateral slice ``j`` is ``A * U_j - d_j act U_j``.
+Their norms are fields of the result, beside the factors.
 Each eigentuple gets one residual, and the residuals of its ``p`` shifts
 are inferred from it: a shift ``U_j^[k]`` is the action of the unit tube
 ``e_k`` on ``U_j``, which commutes with the t-product and with every tube
@@ -74,25 +75,6 @@ SPECTRAL_NOT_PSD = "NOT_PSD_BY_CRITERION"
 
 
 @dataclass
-class TedDiagnostics:
-    """Residuals certifying one decomposition, of ``S = A * 2^-e``.
-
-    ``eigenpair[j]`` is ``||S * U_j - d_j act U_j||_F / ||U_j||_F`` for
-    the ``j``-th eigentuple, with shape ``(n,)``.  Every column shift
-    ``U_j^[k]`` has the same residual (see the module docstring), so one
-    value per eigentuple certifies all ``p`` eigenmatrices.
-    """
-
-    reconstruction: float
-    orthogonality: float
-    eigenpair: np.ndarray
-
-    @property
-    def eigenpair_max(self):
-        return float(self.eigenpair.max())
-
-
-@dataclass
 class TedResult:
     """Canonical T-eigendecomposition ``A = u * d * u^T``.
 
@@ -104,6 +86,15 @@ class TedResult:
     ``u_half`` is the half spectrum of ``u`` (``to_freq(u)``), kept from
     the certificates for :func:`exact_psd`'s witness.  ``d`` and the
     spectra are those of ``A * 2^-e`` times ``2^e``, ``e = scale_exponent``.
+
+    The residuals certify the factors of ``S = A * 2^-e``, whose diagonal
+    factor is ``D = d * 2^-e``: ``reconstruction`` is
+    ``||S - u * D * u^T||_F / ||S||_F`` (absolute when ``S`` vanishes),
+    ``orthogonality`` is ``||u^T * u - I||_F``, and ``eigenpair[j]`` is
+    ``||S * U_j - d_j act U_j||_F / ||U_j||_F`` for eigentuple ``d_j`` of
+    ``D``, with shape ``(n,)``.  Every column shift ``U_j^[k]`` has the
+    same residual (see the module docstring), so one value per eigentuple
+    certifies all ``p`` eigenmatrices; ``eigenpair_max`` is the largest.
     """
 
     u: np.ndarray
@@ -111,10 +102,16 @@ class TedResult:
     u_half: np.ndarray
     eigentuples: np.ndarray
     frequency_eigenvalues: np.ndarray
-    residuals: TedDiagnostics
+    reconstruction: float
+    orthogonality: float
+    eigenpair: np.ndarray
     first_components_sorted: bool
     elementwise_chain: object
     scale_exponent: int
+
+    @property
+    def eigenpair_max(self):
+        return float(self.eigenpair.max())
 
 
 @dataclass
@@ -220,7 +217,7 @@ def ted(A, tol=1e-10):
     D, tuples, w = _scaled_back(e, D, eigentuples, _full_spectrum(w, p))
     return TedResult(
         u=U, d=D, u_half=Uf, eigentuples=tuples, frequency_eigenvalues=w,
-        residuals=TedDiagnostics(recon, orth, pair),
+        reconstruction=recon, orthogonality=orth, eigenpair=pair,
         first_components_sorted=sorted_ok,
         elementwise_chain=descending_chain(eigentuples), scale_exponent=e)
 

@@ -476,9 +476,12 @@ def _body(X):
 
 
 def write_tensor3(path, X):
-    """Write ``X`` in the text format of its kind."""
+    """Write ``X`` in the text format of its kind; ``X`` is formatted
+    before ``path`` is opened, so a refused ``X`` leaves the file as it
+    was."""
+    text = tensor3_text(X)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(tensor3_text(X))
+        fh.write(text)
 
 
 def read_tensor3(path, ndim=3):

@@ -19,9 +19,9 @@ and ``ted``'s power-of-two scaling.  Its certificates are ``ted``'s, from
 ``spectral._certificate`` with ``L, D, R = U, S, V`` (reconstruction,
 ``U^T * U - I`` and the right pairs ``A * V - U * S``), plus
 ``V^T * V - I`` and the left pairs ``A^T * U - V * S^T``: one residual per
-singular tuple and side, shared by every shift.  No dense check recomputes
-the per-shift values for ``tsvd``; the test suite compares them with a
-per-shift loop.
+singular tuple and side, shared by every shift, each a field of
+``TsvdResult``.  No dense check recomputes the per-shift values for
+``tsvd``; the test suite compares them with a per-shift loop.
 
 ``gram_consistency(A, result)`` cross-checks the TSVD ``result`` of ``A``
 against both Gram tensors ``A^T * A`` and ``A * A^T``: eigentuple ``j`` of
@@ -64,28 +64,6 @@ from .tubal import tube_mul
 
 
 @dataclass
-class TsvdDiagnostics:
-    """Residuals certifying one decomposition, of ``A * 2^-e``.
-
-    ``pair_right[j]`` is ``||A * X_j - Y_j * S_jj||_F`` and
-    ``pair_left[j]`` is ``||A^T * Y_j - X_j * (S^T)_jj||_F``, with shape
-    ``(min(m, n),)`` (the singular matrices have unit norm, so the values
-    are relative to ``2^e``).  Every column shift ``X_j^[k]``, ``Y_j^[k]``
-    has the same residuals (see the module docstring).
-    """
-
-    reconstruction: float
-    orthogonality_u: float
-    orthogonality_v: float
-    pair_right: np.ndarray
-    pair_left: np.ndarray
-
-    @property
-    def pair_max(self):
-        return float(max(self.pair_right.max(), self.pair_left.max()))
-
-
-@dataclass
 class TsvdResult:
     """Canonical TSVD ``A = u * s * v^T``.
 
@@ -93,6 +71,18 @@ class TsvdResult:
     ``frequency_singular_values[:, k]`` are the singular values of
     frequency slice ``k`` (descending).  ``s`` and the spectra are those of
     ``A * 2^-e`` times ``2^e``, ``e = scale_exponent``.
+
+    The residuals certify the factors of ``B = A * 2^-e``, whose diagonal
+    factor is ``S = s * 2^-e``: ``reconstruction`` is
+    ``||B - u * S * v^T||_F / ||B||_F`` (absolute when ``B`` vanishes),
+    ``orthogonality_u`` and ``orthogonality_v`` are ``||u^T * u - I||_F``
+    and ``||v^T * v - I||_F``, ``pair_right[j]`` is
+    ``||B * X_j - Y_j * S_jj||_F`` and ``pair_left[j]`` is
+    ``||B^T * Y_j - X_j * (S^T)_jj||_F``, with shape ``(min(m, n),)`` (the
+    singular matrices have unit norm, so the values are relative to
+    ``2^e``).  Every column shift ``X_j^[k]``, ``Y_j^[k]`` has the same
+    residuals (see the module docstring); ``pair_max`` is the largest of
+    both sides.
     """
 
     u: np.ndarray
@@ -100,8 +90,16 @@ class TsvdResult:
     v: np.ndarray
     singular_tuples: np.ndarray
     frequency_singular_values: np.ndarray
-    residuals: TsvdDiagnostics
+    reconstruction: float
+    orthogonality_u: float
+    orthogonality_v: float
+    pair_right: np.ndarray
+    pair_left: np.ndarray
     scale_exponent: int
+
+    @property
+    def pair_max(self):
+        return float(max(self.pair_right.max(), self.pair_left.max()))
 
 
 def tsvd(A):
@@ -128,8 +126,8 @@ def tsvd(A):
     S, tuples, sig = _scaled_back(e, S, tuples, _full_spectrum(sig, p))
     return TsvdResult(
         u=U, s=S, v=V, singular_tuples=tuples, frequency_singular_values=sig,
-        residuals=TsvdDiagnostics(recon, orth_u, orth_v, right, left),
-        scale_exponent=e)
+        reconstruction=recon, orthogonality_u=orth_u, orthogonality_v=orth_v,
+        pair_right=right, pair_left=left, scale_exponent=e)
 
 
 def singular_pairs(result, j):
@@ -214,7 +212,6 @@ def verify_checks(A, seed):
     fast, dense = tprod(A, B), oracle_tprod(A, B)
     result = tsvd(A)
     _scaled_back(e, result.s, result.frequency_singular_values)
-    res = result.residuals
     checks = [CheckResult(name, float(r), bound) for name, r, bound in (
         ("bcirc_roundtrip", np.max(np.abs(bcirc_inv(bcirc(A), p) - A)), 0.0),
         ("fold_roundtrip", np.max(np.abs(fold(unfold(A), p) - A)), 0.0),
@@ -222,10 +219,10 @@ def verify_checks(A, seed):
          0.0),
         ("tprod_cross_path", np.linalg.norm(fast - dense)
          / max(1.0, float(np.linalg.norm(dense))), 1e-12),
-        ("tsvd_reconstruction", res.reconstruction, 1e-10),
-        ("tsvd_orthogonality_u", res.orthogonality_u, 1e-10),
-        ("tsvd_orthogonality_v", res.orthogonality_v, 1e-10),
-        ("tsvd_pair_residuals", res.pair_max, 1e-9))]
+        ("tsvd_reconstruction", result.reconstruction, 1e-10),
+        ("tsvd_orthogonality_u", result.orthogonality_u, 1e-10),
+        ("tsvd_orthogonality_v", result.orthogonality_v, 1e-10),
+        ("tsvd_pair_residuals", result.pair_max, 1e-9))]
     checks += gram_consistency(A, result)
 
     # Symmetry is decided by ted's gate, as in psd_spectral.

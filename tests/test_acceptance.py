@@ -115,15 +115,13 @@ def test_criterion_3_ted_suite():
     structure_ok = True
     for A, result in _ted_suite():
         n, _, p = A.shape
-        worst["recon"] = max(worst["recon"],
-                             result.residuals.reconstruction)
+        worst["recon"] = max(worst["recon"], result.reconstruction)
         Q = bcirc(result.u)
         worst["orth"] = max(worst["orth"], float(np.max(np.abs(
             Q.T @ Q - np.eye(n * p)))))
         structure_ok = (structure_ok and is_f_diagonal(result.d)
                         and is_t_symmetric(result.d))
-        worst["pair"] = max(worst["pair"],
-                            float(result.residuals.eigenpair.max()))
+        worst["pair"] = max(worst["pair"], float(result.eigenpair.max()))
         cols = [unfold_mat(X) for j in range(1, n + 1)
                 for X in eigenmatrices(result, j)]
         G = np.column_stack(cols)
@@ -264,8 +262,8 @@ def test_criterion_7_tsvd_suite():
         saw_wide = saw_wide or m < n
         A = random_tensor(rng, m, n, p)
         result = tsvd(A)
-        worst_recon = max(worst_recon, result.residuals.reconstruction)
-        worst_pair = max(worst_pair, result.residuals.pair_max)
+        worst_recon = max(worst_recon, result.reconstruction)
+        worst_pair = max(worst_pair, result.pair_max)
         checks = gram_consistency(A, result)
         gram_ok = gram_ok and all(c.passed is not False for c in checks)
         worst_match = max(worst_match, *(

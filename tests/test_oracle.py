@@ -175,6 +175,13 @@ def test_exact_psd_negative_identity():
     assert ex.witness_value < 0.0
 
 
+def test_exact_psd_oracle_threshold_is_inclusive():
+    # p = 1: the one polarization matrix is the 1 x 1 slice itself.
+    assert oracle_psd_exact(-1e-10 * identity(1, 1)).label == ELEMENTWISE_PSD
+    ex = oracle_psd_exact(-1.5e-10 * identity(1, 1))
+    assert (ex.label, ex.witness_value) == (NOT_ELEMENTWISE_PSD, -1.5e-10)
+
+
 def test_ted_check_passes_on_valid_result():
     S = random_tsym(RNG, 4, 3)
     checks = oracle_ted_check(S, ted(S))
@@ -248,6 +255,58 @@ def test_ted_check_flags_swapped_eigentuples():
     assert by_name["reconstruction"].passed
     assert not by_name["eigenpair_residuals"].passed
     assert by_name["eigenpair_residuals"].residual > 1e-3
+
+
+def _scale_u(T):
+    return replace(T, u=T.u * (1 + 1e-6))
+
+
+def _off_diagonal(T):
+    d = T.d.copy()
+    d[0, 1, 2] = 1e-6
+    return replace(T, d=d)
+
+
+def _odd_tube(T):
+    # An odd real tube has an imaginary spectrum: bin values change only
+    # in their imaginary parts, so the bins keep their order.
+    d = T.d.copy()
+    d[1, 1, 1] += 1e-6
+    d[1, 1, -1] -= 1e-6
+    return replace(T, d=d)
+
+
+def _swap_tubes(T):
+    d = T.d.copy()
+    d[[0, 1], [0, 1]] = d[[1, 0], [1, 0]]
+    return replace(T, d=d)
+
+
+def _swap_first_components(T):
+    tuples = T.eigentuples.copy()
+    tuples[[0, 1], 0] = tuples[[1, 0], 0]
+    return replace(T, eigentuples=tuples)
+
+
+@pytest.mark.parametrize("corrupt, fails", [
+    (_scale_u, {"reconstruction", "orthogonality"}),
+    (_off_diagonal, {"reconstruction", "d_f_diagonal", "d_t_symmetric"}),
+    (_odd_tube, {"reconstruction", "d_t_symmetric", "frequency_ordering"}),
+    (_swap_tubes, {"reconstruction", "frequency_ordering"}),
+    (_swap_first_components,
+     {"eigenpair_residuals", "first_component_ordering"}),
+], ids=["orthogonality", "d_f_diagonal", "d_t_symmetric", "frequency_drop",
+        "first_component_ordering"])
+def test_each_ted_check_fails_on_its_own_fault(corrupt, fails):
+    # Each result is wrong in one check's way; every other check that
+    # fails reads the same corrupted field.
+    S = random_tsym(np.random.default_rng(53), 4, 5)
+    T = ted(S)
+    assert np.all(np.diff(T.eigentuples[:, 0]) < -1e-3)
+    assert all(c.passed for c in oracle_ted_check(S, T))
+    checks = oracle_ted_check(S, corrupt(T))
+    assert {c.check for c in checks if not c.passed} == fails
+    assert all(c.residual > 1e-7 for c in checks if c.check in fails)
 
 
 def test_check_result_derives_its_verdict():

@@ -18,8 +18,8 @@ from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
                                   oracle_quadform_matrices, oracle_ted_check,
                                   oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
-                                    SPECTRAL_PSD, _f_diagonal, classify_ted,
-                                    eigenmatrices,
+                                    SPECTRAL_PSD, _f_diagonal, _scaled_back,
+                                    classify_ted, eigenmatrices,
                                     exact_psd, expand_in_eigenbasis,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
@@ -44,9 +44,9 @@ def test_ted_invariants_random():
         p = int(RNG.integers(1, 7))
         S = random_tsym(RNG, n, p)
         T = ted(S)
-        assert T.residuals.reconstruction <= 1e-10
-        assert T.residuals.orthogonality <= 1e-10
-        assert T.residuals.eigenpair_max <= 1e-9
+        assert T.reconstruction <= 1e-10
+        assert T.orthogonality <= 1e-10
+        assert T.eigenpair_max <= 1e-9
         assert is_f_diagonal(T.d)
         assert is_t_symmetric(T.d)
         assert T.first_components_sorted
@@ -68,11 +68,9 @@ def test_ted_batched_core_matches_per_slice_loop():
         assert np.array_equal(T.eigentuples, tuples), A.shape
         assert np.array_equal(T.frequency_eigenvalues, freq), A.shape
         # One residual per eigentuple stands for all p shifts.
-        assert T.residuals.eigenpair.shape == (A.shape[0],)
-        assert np.max(np.abs(T.residuals.eigenpair[:, None] - pair)) \
-            <= 1e-14, A.shape
-        assert T.residuals.eigenpair_max == float(
-            T.residuals.eigenpair.max())
+        assert T.eigenpair.shape == (A.shape[0],)
+        assert np.max(np.abs(T.eigenpair[:, None] - pair)) <= 1e-14, A.shape
+        assert T.eigenpair_max == float(T.eigenpair.max())
 
 
 def test_pair_residuals_match_one_call_per_candidate():
@@ -143,7 +141,7 @@ def test_perturbed_tuple_raises_only_its_own_residual():
     # ted certifies A * 2^-e, and scaling by a power of two is exact.
     assert np.array_equal(np.ldexp(base, -T.scale_exponent)
                           / np.linalg.norm(T.u, axis=(0, 2)),
-                          T.residuals.eigenpair)
+                          T.eigenpair)
     for j in range(5):
         U = T.u.copy()
         U[:, j, :] += 1e-3 * rng.standard_normal((5, 6))
@@ -166,8 +164,8 @@ def test_ted_and_tsvd_make_no_per_shift_calls(monkeypatch):
     rng = np.random.default_rng(33)
     T = ted(random_tsym(rng, 4, 5))
     R = tsvd(random_tensor(rng, 5, 3, 4))
-    assert T.residuals.eigenpair_max <= 1e-12
-    assert R.residuals.pair_max <= 1e-12
+    assert T.eigenpair_max <= 1e-12
+    assert R.pair_max <= 1e-12
 
 
 @pytest.mark.parametrize("decompose, A, calls", [
@@ -226,32 +224,32 @@ def test_certificates_read_the_returned_factors(monkeypatch):
 
     A = random_tsym(rng, 4, 6)
     T = ted(A)
-    U, D, res = T.u, T.d, T.residuals
-    assert res.reconstruction > 1e-8 and res.orthogonality > 1e-8
-    assert close(res.reconstruction, np.linalg.norm(
+    U, D = T.u, T.d
+    assert T.reconstruction > 1e-8 and T.orthogonality > 1e-8
+    assert close(T.reconstruction, np.linalg.norm(
         A - tprod(tprod(U, D), transpose(U))) / np.linalg.norm(A))
-    assert close(res.orthogonality, np.linalg.norm(
+    assert close(T.orthogonality, np.linalg.norm(
         tprod(transpose(U), U) - identity(4, 6)))
-    assert close(res.eigenpair, np.ldexp(lateral(tprod(A, U) - tprod(U, D)),
-                                         -T.scale_exponent) / lateral(U))
+    assert close(T.eigenpair, np.ldexp(lateral(tprod(A, U) - tprod(U, D)),
+                                       -T.scale_exponent) / lateral(U))
 
     for m, n in ((5, 3), (3, 5)):
         A = random_tensor(rng, m, n, 7)
         R = tsvd(A)
-        U, S, V, res = R.u, R.s, R.v, R.residuals
-        assert min(res.reconstruction, res.orthogonality_u,
-                   res.orthogonality_v) > 1e-8
-        assert close(res.reconstruction, np.linalg.norm(
+        U, S, V = R.u, R.s, R.v
+        assert min(R.reconstruction, R.orthogonality_u,
+                   R.orthogonality_v) > 1e-8
+        assert close(R.reconstruction, np.linalg.norm(
             A - tprod(tprod(U, S), transpose(V))) / np.linalg.norm(A))
-        assert close(res.orthogonality_u, np.linalg.norm(
+        assert close(R.orthogonality_u, np.linalg.norm(
             tprod(transpose(U), U) - identity(m, 7)))
-        assert close(res.orthogonality_v, np.linalg.norm(
+        assert close(R.orthogonality_v, np.linalg.norm(
             tprod(transpose(V), V) - identity(n, 7)))
         r = min(m, n)
         e = R.scale_exponent
-        assert close(res.pair_right,
+        assert close(R.pair_right,
                      np.ldexp(lateral(tprod(A, V) - tprod(U, S))[:r], -e))
-        assert close(res.pair_left, np.ldexp(lateral(
+        assert close(R.pair_left, np.ldexp(lateral(
             tprod(transpose(A), U) - tprod(V, transpose(S)))[:r], -e))
 
 
@@ -270,7 +268,7 @@ def test_symmetry_gate_bounds_the_reconstruction():
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             A = scale * near_tsym(RNG, n, p, 0.99e-10)
             T = ted(A)
-            worst = max(worst, T.residuals.reconstruction)
+            worst = max(worst, T.reconstruction)
             checks = {c.check: c for c in oracle_ted_check(A, T)}
             assert checks["reconstruction"].passed
     assert worst <= 0.5e-10 + 1e-14
@@ -408,8 +406,8 @@ def test_canonical_form_invariant_under_eigen_order_permutation():
 def test_zero_tensor():
     T = ted(np.zeros((3, 3, 4)))
     assert np.max(np.abs(T.eigentuples)) == 0.0
-    assert T.residuals.reconstruction == 0.0
-    assert T.residuals.orthogonality <= 1e-10
+    assert T.reconstruction == 0.0
+    assert T.orthogonality <= 1e-10
 
 
 # --- quadratic form ----------------------------------------------------------
@@ -638,6 +636,9 @@ def test_classify_ted_is_psd_spectral_on_a_held_decomposition():
             assert np.array_equal(held.smallest_eigentuple,
                                   fresh.smallest_eigentuple)
             assert held.tol == tol
+            T = ted(A)
+            assert (classify_ted(T, tol).min_frequency_eigenvalue
+                    == T.frequency_eigenvalues.min())
 
 
 def test_psd_criterion_vs_elementwise_oracle_gap():
@@ -782,9 +783,6 @@ def test_decompositions_commute_with_power_of_two_scaling(seed, e, shape):
             if name in ("d", "s", "eigentuples", "singular_tuples",
                         "frequency_eigenvalues", "frequency_singular_values"):
                 assert np.array_equal(got, np.ldexp(value, e)), name
-            elif name == "residuals":
-                for key, r in vars(value).items():
-                    assert np.array_equal(getattr(got, key), r), key
             elif name != "scale_exponent":
                 assert np.array_equal(got, value), name
 
@@ -817,6 +815,22 @@ def test_psd_tol_is_relative_to_the_scale():
             SPECTRAL_NOT_PSD
 
 
+def test_psd_thresholds_are_inclusive_as_documented():
+    # identity(2, 1) scales by 2^1, so tol = 0.5 puts the bound at 1, the
+    # size of every eigentuple entry and eigenvalue: 1 does not exceed 1,
+    # and -1 is at least -1.
+    below = np.nextafter(0.5, 0.0)
+    T = ted(identity(2, 1))
+    assert classify_ted(T, 0.5).spectral_class == SPECTRAL_PSD
+    assert classify_ted(T, below).spectral_class == SPECTRAL_PD
+    N = -identity(2, 1)
+    T = ted(N)
+    assert classify_ted(T, 0.5).spectral_class == SPECTRAL_PSD
+    assert classify_ted(T, below).spectral_class == SPECTRAL_NOT_PSD
+    assert exact_psd(N, T, 0.5).label == ELEMENTWISE_PSD
+    assert exact_psd(N, T, below).witness_value == -1.0
+
+
 def test_exact_psd_of_huge_constant_tubes_is_elementwise_psd():
     # Every polarization matrix of a constant-tube tensor is c J, so the
     # form is elementwise PSD; at 1e300 the roundoff minimum is about
@@ -825,6 +839,18 @@ def test_exact_psd_of_huge_constant_tubes_is_elementwise_psd():
     assert (v.spectral_class, v.exact.label) == (SPECTRAL_PSD,
                                                  ELEMENTWISE_PSD)
     assert v.exact.witness is None
+
+
+def test_scaled_back_raises_when_any_one_array_overflows():
+    # The overflowing array holds a finite entry too, so neither "every
+    # array" nor "every entry" may be weakened to "some".
+    fits, overflows = np.ones(2), np.array([1.0, 2.0 ** 1000])
+    with np.errstate(over="ignore"):
+        for arrays in ((overflows, fits, fits), (fits, fits, overflows)):
+            with pytest.raises(ValueError, match="spectrum overflows"):
+                _scaled_back(100, *arrays)
+    assert all(np.array_equal(X, np.ldexp(fits, 100))
+               for X in _scaled_back(100, fits, fits))
 
 
 def test_spectrum_that_overflows_once_scaled_back_raises():

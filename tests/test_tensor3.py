@@ -249,6 +249,20 @@ def test_text_writer_rejects_non_finite(kind, value):
         tensor3_text(X)
 
 
+@pytest.mark.parametrize("X, error", [
+    (np.full((1, 1, 1), np.nan), ValueError),
+    (np.ones((2, 2, 2)) * 1j, ValueError),
+    (np.ones((1, 1, 1, 1)), ShapeError),
+], ids=["nan", "complex", "4-d"])
+def test_refused_write_keeps_the_file(tmp_path, X, error):
+    path = tmp_path / "keep.t3"
+    write_tensor3(path, KINDS["T3"])
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_tensor3(path, X)
+    assert path.read_bytes() == before
+
+
 def test_header_must_match_expected_kind(tmp_path):
     path = tmp_path / "x.mat"
     write_tensor3(path, np.ones((2, 2)))

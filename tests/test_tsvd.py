@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from helpers import (exactly_scaled, near_tsym, random_tensor,
                      record_finding, tsvd_by_loop)
 from tubal_spectra.errors import ShapeError
-from tubal_spectra.oracle import oracle_quadform_matrices
-from tubal_spectra.spectral import _symmetric_part, exact_psd, ted
+from tubal_spectra.oracle import oracle_quadform_matrices, oracle_tprod
+from tubal_spectra.spectral import (_symmetric_part, classify_ted, exact_psd,
+                                    ted)
 from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal, transpose,
                                    unit_scaled)
 from tubal_spectra.tproduct import tprod
@@ -29,10 +30,10 @@ def test_tsvd_invariants_random():
         p = int(RNG.integers(1, 7))
         A = random_tensor(RNG, m, n, p)
         R = tsvd(A)
-        assert R.residuals.reconstruction <= 1e-10
-        assert R.residuals.orthogonality_u <= 1e-10
-        assert R.residuals.orthogonality_v <= 1e-10
-        assert R.residuals.pair_max <= 1e-9
+        assert R.reconstruction <= 1e-10
+        assert R.orthogonality_u <= 1e-10
+        assert R.orthogonality_v <= 1e-10
+        assert R.pair_max <= 1e-9
         for Q in (R.u, R.v):  # dense check: bcirc(Q) is orthogonal
             Qc = bcirc(Q)
             assert np.allclose(Qc.T @ Qc, np.eye(Qc.shape[1]), atol=1e-10)
@@ -59,16 +60,13 @@ def test_tsvd_batched_core_matches_per_slice_loop():
         assert np.array_equal(R.v, v), A.shape
         assert np.array_equal(R.singular_tuples, tuples), A.shape
         assert np.array_equal(R.frequency_singular_values, freq), A.shape
-        res = R.residuals
         # One residual per singular tuple and side stands for all p shifts.
         r = min(A.shape[:2])
-        assert res.pair_right.shape == res.pair_left.shape == (r,)
-        assert np.max(np.abs(res.pair_right[:, None] - right)) <= 1e-14, \
-            A.shape
-        assert np.max(np.abs(res.pair_left[:, None] - left)) <= 1e-14, \
-            A.shape
-        assert res.pair_max == float(max(res.pair_right.max(),
-                                         res.pair_left.max()))
+        assert R.pair_right.shape == R.pair_left.shape == (r,)
+        assert np.max(np.abs(R.pair_right[:, None] - right)) <= 1e-14, A.shape
+        assert np.max(np.abs(R.pair_left[:, None] - left)) <= 1e-14, A.shape
+        assert R.pair_max == float(max(R.pair_right.max(),
+                                       R.pair_left.max()))
 
 
 def test_singular_tuples_are_reversed_diagonal_tubes():
@@ -100,7 +98,7 @@ def test_spatial_entries_of_singular_tuples_reported():
 def test_identity_tsvd():
     R = tsvd(identity(3, 4))
     assert np.array_equal(R.singular_tuples, np.tile(unit_tube(4), (3, 1)))
-    assert R.residuals.reconstruction <= 1e-12
+    assert R.reconstruction <= 1e-12
 
 
 def test_transpose_swaps_factors():
@@ -131,18 +129,19 @@ def test_p_equal_one_reduces_to_matrix_svd():
 def test_zero_tensor():
     R = tsvd(np.zeros((3, 2, 4)))
     assert np.max(np.abs(R.singular_tuples)) == 0.0
-    assert R.residuals.reconstruction == 0.0
-    assert R.residuals.pair_max == 0.0
+    assert R.reconstruction == 0.0
+    assert R.pair_max == 0.0
 
 
 def test_singular_pairs_selector():
     A = random_tensor(RNG, 4, 3, 5)
     R = tsvd(A)
-    s, Xs, Ys = singular_pairs(R, 2)
-    assert np.array_equal(s, R.singular_tuples[1])
-    assert len(Xs) == 5 and len(Ys) == 5
-    assert np.array_equal(Xs[0], R.v[:, 1, :])
-    assert np.array_equal(Ys[0], R.u[:, 1, :])
+    for j in (1, 2, 3):
+        s, Xs, Ys = singular_pairs(R, j)
+        assert np.array_equal(s, R.singular_tuples[j - 1])
+        assert len(Xs) == 5 and len(Ys) == 5
+        assert np.array_equal(Xs[0], R.v[:, j - 1, :])
+        assert np.array_equal(Ys[0], R.u[:, j - 1, :])
     with pytest.raises(IndexError):
         singular_pairs(R, 0)
     with pytest.raises(IndexError):
@@ -265,6 +264,88 @@ def test_gram_consistency_decomposes_each_distinct_gram_once(
         assert grams[0].tobytes() == tprod(A, transpose(A)).tobytes()
         assert [replace(c, check=c.check.replace("right", "left"))
                 for c in checks[:3]] == checks[3:]
+
+
+def _one_entry_off(fn, delta):
+    """``fn`` with the first entry of its result moved by ``delta``."""
+    def off(*args):
+        out = np.array(fn(*args), dtype=float)
+        out.flat[0] += delta
+        return out
+    return off
+
+
+@pytest.mark.parametrize("name, check, delta", [
+    ("bcirc_inv", "bcirc_roundtrip", 1e-12),
+    ("fold", "fold_roundtrip", 1e-12),
+    ("transpose", "transpose_involution", 1e-12),
+    ("quadform", "quadform_polarization", 1e-6)])
+def test_each_verify_path_check_fails_on_its_own_fault(monkeypatch, name,
+                                                       check, delta):
+    # The round trips are exact, so a shift far inside the Grams' symmetry
+    # gate (which the broken transpose also feeds) fails them.
+    G = random_tensor(np.random.default_rng(9), 3, 3, 4)
+    A = 0.5 * G + 0.5 * transpose(G)
+    assert all(c.passed is not False
+               for c in tsvd_module.verify_checks(A, 3))
+    monkeypatch.setattr(tsvd_module, name,
+                        _one_entry_off(getattr(tsvd_module, name), delta))
+    checks = _by_name(tsvd_module.verify_checks(A, 3))
+    assert not checks[check].passed
+    assert checks[check].residual >= delta / 2
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_each_gram_psd_floor_fails_on_a_negative_spectrum(monkeypatch,
+                                                         side):
+    # The Grams of a tall tensor differ, so each has its own verdict,
+    # the right one first.
+    A = random_tensor(np.random.default_rng(7), 4, 3, 5)
+    R = tsvd(A)
+    verdicts = []
+
+    def shifted(T, *args):
+        verdicts.append(classify_ted(T, *args))
+        if len(verdicts) == ("right", "left").index(side) + 1:
+            return replace(verdicts[-1], min_frequency_eigenvalue=-1e-6)
+        return verdicts[-1]
+
+    monkeypatch.setattr(tsvd_module, "classify_ted", shifted)
+    checks = _by_name(gram_consistency(A, R))
+    assert len(verdicts) == 2
+    other = "left" if side == "right" else "right"
+    assert not checks[f"{side}_gram_frequency_psd_floor"].passed
+    assert checks[f"{side}_gram_frequency_psd_floor"].residual == 1e-6
+    assert checks[f"{other}_gram_frequency_psd_floor"].passed
+
+
+def test_verify_scales_and_floors_are_pinned():
+    # ||dense|| exceeds 1, the squares differ in norm, and both Grams have
+    # negative spatial entries, so a min in place of any max moves a value.
+    S, _ = unit_scaled(random_tensor(np.random.default_rng(2), 4, 3, 5))
+    checks = _by_name(tsvd_module.verify_checks(S, 3))
+    B = np.random.default_rng(3).standard_normal((3, 4, 5))
+    dense = oracle_tprod(S, B)
+    norm = float(np.linalg.norm(dense))
+    assert norm > 1.0
+    assert checks["tprod_cross_path"].residual == float(
+        np.linalg.norm(tprod(S, B) - dense) / norm)
+
+    squares = np.zeros((4, 5))
+    for j, t in enumerate(tsvd(S).singular_tuples):
+        squares[j] = tube_mul(t, t)
+    scale = max(float(np.linalg.norm(t)) for t in squares)
+    for side, G in (("right", tprod(transpose(S), S)),
+                    ("left", tprod(S, transpose(S)))):
+        T = ted(G)
+        worst = max(float(np.linalg.norm(row))
+                    for row in T.eigentuples - squares[:G.shape[0]])
+        assert checks[f"{side}_gram_eigentuple_match"].residual \
+            == worst / scale
+        floor = -float(T.eigentuples.min())
+        assert floor > 0.0
+        assert checks[f"{side}_gram_eigentuple_entry_floor"].residual \
+            == floor
 
 
 def test_same_bits_tells_signed_zeros_apart():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import record_finding, rel_err
+from tubal_spectra import tubal as tubal_module
 from tubal_spectra.errors import DimensionMismatch
 from tubal_spectra.tensor3 import read_tensor3
 from tubal_spectra.tubal import (INCOMPARABLE, circ, descending_chain,
@@ -185,6 +186,26 @@ def test_sqrt_residuals_and_count_bound():
         assert 1 <= len(roots) <= 2 ** (p // 2 + 1)
         for r in roots:
             assert np.max(np.abs(tube_mul(r.tube, r.tube) - b)) <= 1e-10
+
+
+def test_sqrt_drops_a_candidate_with_an_imaginary_part():
+    # Both bins of b are -1e-12, so each candidate is (1e-6i, 0) or
+    # (0, 1e-6i): imaginary in one entry only, and its real part (0, 0)
+    # squares to b within 1e-10.  The imaginary guard alone drops them.
+    assert tubal_sqrt_all(np.array([-1e-12, 0.0])) == []
+
+
+def test_sqrt_drops_a_candidate_off_its_square(monkeypatch):
+    # A square that misses b in one entry only drops every candidate.
+    real = tubal_module.tube_mul
+
+    def off(a, b):
+        c = real(a, b).copy()
+        c[0] += 1e-6
+        return c
+
+    monkeypatch.setattr(tubal_module, "tube_mul", off)
+    assert tubal_sqrt_all(np.array([2.0, 2.0])) == []
 
 
 def test_sqrt_of_unit_tube_probe():
