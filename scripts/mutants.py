@@ -39,8 +39,6 @@ SWAPS = {"<=": "<", "<": "<=", ">=": ">", ">": ">=", "==": "!=", "!=": "==",
 #: Survivors equivalent in practice, with the reason, keyed as :func:`mutants`
 #: keys them.
 ACCEPTED = {
-    "spectral: `phase = np.where(mag > 0.0, np.conj(z) / mag, 1.0)` > -> >=":
-        "the largest entry of a unit eigen- or singular vector is nonzero",
     "spectral: `slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))`"
     " max -> min":
         "first components are sorted to roundoff, far inside either slack",
@@ -56,12 +54,15 @@ ACCEPTED = {
         "the largest entry of a unit eigenvector is nonzero",
     "oracle: `if value >= -1e-10:` >= -> >":
         "the witness value is its eigenvalue to roundoff, below -1e-10",
-    "tubal: `if np.max(np.abs(a.imag)) > 1e-10:` > -> >=":
-        "differs only at an imaginary part of exactly 1e-10",
-    "tubal: `if np.max(np.abs(tube_mul(a, a) - b)) > 1e-10:` > -> >=":
-        "differs only at a square residual of exactly 1e-10",
-    "tubal: `roots.append(SqrtRoot(a, bool(np.all(a >= -1e-10))))` >= -> >":
-        "differs only for a root with an entry of exactly -1e-10",
+    "tubal: `if (B.real[[0, -1] if p % 2 == 0 else [0]] < -tol).any():`"
+    " < -> <=":
+        "differs only at a self-conjugate bin of exactly -1e-10 * 2^e",
+    "tubal: `B[np.abs(B) <= tol] = 0.0` <= -> <":
+        "differs only at a bin of magnitude exactly 1e-10 * 2^e",
+    "tubal: `if np.max(np.abs(tube_mul(a, a) - b)) > tol:` > -> >=":
+        "differs only at a square residual of exactly 1e-10 * 2^e",
+    "tubal: `roots.append(SqrtRoot(a, bool(np.all(a >= floor))))` >= -> >":
+        "differs only for a root with an entry of exactly -1e-10 * 2^e",
 }
 
 

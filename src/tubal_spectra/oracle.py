@@ -23,6 +23,10 @@ block-circulant view of Kilmer & Martin (*Linear Algebra Appl.* 435, 2011).
 ``oracle_psd_exact`` then answers elementwise positive-semidefiniteness
 exactly (up to an eigenvalue tolerance) and produces a witness, re-verified
 through the dense form, when the answer is negative.
+
+Both verdicts, ``oracle_psd_exact`` and ``oracle_ted_check``, work on
+``S, e = unit_scaled(A)`` and read their tolerances relative to ``2^e``,
+as the fast route does, so neither depends on the units of ``A``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 
 from .errors import ShapeError, TubalError
 from .tensor3 import (as_matslice, as_tensor3, bcirc, fold, fold_mat,
-                      require_square, transpose, unfold, unfold_mat)
+                      require_square, transpose, unfold, unfold_mat,
+                      unit_scaled)
 
 ELEMENTWISE_PSD = "ELEMENTWISE_PSD"
 NOT_ELEMENTWISE_PSD = "NOT_ELEMENTWISE_PSD"
@@ -140,33 +145,36 @@ def oracle_psd_exact(A):
     iff all of them are PSD.  The reported component is the smallest one
     whose matrix attains the minimum eigenvalue (for T-symmetric ``A``,
     components ``r`` and ``p - r`` tie, bit for bit when ``A`` is exactly
-    T-symmetric).  When that eigenvalue falls
-    below ``-1e-10`` its eigenvector, signed so that its largest-magnitude
-    entry (first on ties) is positive, is folded into a witness matrix
-    slice and re-verified through the dense form before being returned.
+    T-symmetric).  The matrices are those of ``S, e = unit_scaled(A)``;
+    ``min_eigenvalue`` and ``witness_value`` are scaled back by ``2^e``
+    (exact).  When that eigenvalue falls
+    below ``-1e-10 * 2^e``, as :func:`~tubal_spectra.spectral.exact_psd`
+    decides, its eigenvector, signed so that its largest-magnitude entry
+    (first on ties) is positive, is folded into a witness matrix slice and
+    re-verified through the dense form before being returned.
     It costs ``O(p (n p)^3)``: no command runs it, and it is the tests'
     reference for :func:`tubal_spectra.spectral.exact_psd`.
     """
-    A = require_square(A)
-    n, _, p = A.shape
-    bcA = bcirc(A)
-    w, V = np.linalg.eigh(_quadform_matrices(bcA, n, p))
+    S, e = unit_scaled(require_square(A))
+    n, _, p = S.shape
+    bcS = bcirc(S)
+    w, V = np.linalg.eigh(_quadform_matrices(bcS, n, p))
     r = int(np.argmin(w[:, 0]))
-    min_eig = float(w[r, 0])
-    if min_eig >= -1e-10:
+    min_eig = float(np.ldexp(w[r, 0], e))
+    if w[r, 0] >= -1e-10:
         return ExactPsdResult(label=ELEMENTWISE_PSD, min_eigenvalue=min_eig,
                               component=r + 1)
     vec = V[r, :, 0]
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
     witness = fold_mat(vec, p)
-    value = float(_quadform_dense(bcA, witness, p)[r])
+    value = float(_quadform_dense(bcS, witness, p)[r])
     if value >= -1e-10:
         raise TubalError(
             "internal inconsistency: PSD witness failed re-evaluation")
     return ExactPsdResult(label=NOT_ELEMENTWISE_PSD, min_eigenvalue=min_eig,
                           component=r + 1, witness=witness,
-                          witness_value=value)
+                          witness_value=float(np.ldexp(value, e)))
 
 
 def _dense_freq_diagonals(D):
@@ -193,10 +201,15 @@ def oracle_ted_check(A, result):
     with tube ``j`` the *reported* eigentuple ``d_j`` (``bcirc(E)^T`` is
     ``bcirc`` of ``E``'s transpose, whose tubes are the ``d_j`` reversed).
     The check reports the largest column norm.
+
+    The checks certify ``S, e = unit_scaled(A)`` against ``d`` and the
+    eigentuples times ``2^-e`` (exact), so each residual and bound is
+    relative to ``2^e``, as the fast route's are.
     """
-    A = require_square(A)
+    A, e = unit_scaled(require_square(A))
     n, _, p = A.shape
-    U, D = result.u, result.d
+    U, D = result.u, np.ldexp(result.d, -e)
+    tuples = np.ldexp(result.eigentuples, -e)
     bcA, bcU, bcD = bcirc(A), bcirc(U), bcirc(D)
 
     scale = max(1.0, float(np.linalg.norm(bcA)))
@@ -207,7 +220,7 @@ def oracle_ted_check(A, result):
     tsym = float(np.max(np.abs(bcD - bcD.T)))
 
     E = np.zeros((n, n, p))
-    E[np.arange(n), np.arange(n), :] = result.eigentuples
+    E[np.arange(n), np.arange(n), :] = tuples
     resid = bcA @ bcU - bcU @ bcirc(E).T
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
 
@@ -217,7 +230,7 @@ def oracle_ted_check(A, result):
     drop = float(np.max(lam[1:, :] - lam[:-1, :], initial=0.0))
     freq_viol = max(imag, drop)
 
-    firsts = result.eigentuples[:, 0]
+    firsts = tuples[:, 0]
     first_viol = float(np.max(firsts[1:] - firsts[:-1], initial=0.0))
     return [CheckResult("reconstruction", recon, 1e-10),
             CheckResult("orthogonality", orth, 1e-10),

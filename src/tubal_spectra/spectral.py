@@ -10,7 +10,7 @@ the ``j``-th diagonal tube of ``D``, so that
 ``A * U_j^[k] = d_j act U_j^[k]`` for every cyclic column shift ``k``.
 Symmetry is decided by one scale-free gate, ``tensor3.is_t_symmetric``;
 by Parseval its Frobenius ratio is the same in either domain.  ``ted`` and
-``tsvd`` factor and certify ``S, e = tensor3.unit_scaled(A)`` and scale
+``tsvd`` factor and certify ``S, e = tubal.unit_scaled(A)`` and scale
 the spectra and the diagonal factor back by ``2^e`` (exact), so every
 residual and tolerance is relative to ``max|A|`` rounded up to a power of
 two; a scaled-back spectrum that overflows raises ``ValueError``.
@@ -142,13 +142,13 @@ def _canonical_phase(V):
 
     Returns the rotated stack and the ``(b, c)`` phases applied.  The
     magnitude is ``hypot(re, im)``, which equals Python's scalar ``abs`` of
-    a complex number bit for bit.
+    a complex number bit for bit.  Every column must be nonzero, as unit
+    eigen- and singular vectors are: their largest entry is at least
+    ``1 / sqrt(n)`` in magnitude.
     """
     i = np.argmax(np.abs(V), axis=1)
     z = np.take_along_axis(V, i[:, None, :], axis=1)[:, 0, :]
-    mag = np.hypot(z.real, z.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phase = np.where(mag > 0.0, np.conj(z) / mag, 1.0)
+    phase = np.conj(z) / np.hypot(z.real, z.imag)
     return V * phase[:, None, :], phase
 
 

@@ -65,7 +65,7 @@ import re
 import numpy as np
 
 from .errors import NotBlockCirculant, ShapeError
-from .tubal import descending_chain
+from .tubal import descending_chain, unit_scaled
 
 
 def as_tensor3(A):
@@ -115,19 +115,25 @@ def bcirc_inv(M, p):
 
     ``p`` fixes the block grid.  Raises :class:`NotBlockCirculant` when the
     matrix deviates from the block circulant rebuilt from its first block
-    column by more than ``1e-10`` (max-abs).
+    column by more than ``1e-10 * 2^e`` (max-abs), ``e`` the exponent of
+    :func:`unit_scaled` ``M``, so the verdict does not depend on the scale,
+    and ``ValueError`` when ``M`` holds nan or inf.
     """
     M = np.asarray(M, dtype=np.float64)
     if p <= 0 or M.ndim != 2 or M.shape[0] % p or M.shape[1] % p:
         raise ShapeError(
             f"matrix of shape {M.shape} does not split into a {p} x {p} "
             f"block grid")
+    if not np.isfinite(M).all():
+        raise ValueError("bcirc_inv expects a finite matrix: the matrix "
+                         "holds nan or inf")
     A = fold(M[:, :M.shape[1] // p], p).copy()
     residual = float(np.max(np.abs(M - bcirc(A))))
-    if residual > 1e-10:
+    tol = np.ldexp(1e-10, unit_scaled(M)[1])
+    if residual > tol:
         raise NotBlockCirculant(
             f"matrix deviates from block-circulant structure by "
-            f"{residual:.3e} (tol 1.000e-10)")
+            f"{residual:.3e} (tol {tol:.3e})")
     return A
 
 
@@ -186,16 +192,6 @@ def identity(n, p):
     E = np.zeros((n, n, p))
     E[:, :, 0] = np.eye(n)
     return E
-
-
-def unit_scaled(A):
-    """``(A * 2^-e, e)``, where ``e`` is the binary exponent of ``max|A|``.
-
-    The scaling is exact, and the scaled entries lie below 1 in magnitude,
-    so norms of the scaled tensor neither overflow nor underflow.
-    """
-    e = math.frexp(float(np.max(np.abs(A))))[1]
-    return np.ldexp(A, -e), e
 
 
 def is_t_symmetric(A, tol=1e-10):

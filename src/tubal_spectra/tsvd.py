@@ -163,12 +163,14 @@ def gram_consistency(A, result):
     threshold.  Each distinct Gram is decomposed once, and both floors are
     read from that decomposition: when ``A^T`` is ``A`` bit for bit (every
     exactly T-symmetric ``A``), or the two Grams are, they are one tensor,
-    and one ``ted`` gives both sides' checks.
+    and one ``ted`` gives both sides' checks.  The Grams are those of
+    ``S, e = unit_scaled(A)``, and the singular tuples are read times
+    ``2^-e`` (exact), so no verdict depends on the units of ``A``.
     """
-    A = as_tensor3(A)
+    A, e = unit_scaled(as_tensor3(A))
     m, n, p = A.shape
     squares = np.zeros((max(m, n), p))
-    for j, t in enumerate(result.singular_tuples):
+    for j, t in enumerate(np.ldexp(result.singular_tuples, -e)):
         squares[j] = tube_mul(t, t)
     scale = max(float(np.linalg.norm(t)) for t in squares)
 

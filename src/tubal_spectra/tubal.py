@@ -14,10 +14,15 @@ scaled by ``1/p``.  The eigenvalues of ``circ(a)`` are exactly
 Tubes also act on matrices: ``tube_action(a, X) = X @ circ(a)`` treats each
 row of ``X`` as a tube and convolves it with ``a``.  Tube files are read
 and written by the one text codec in :mod:`tubal_spectra.tensor3`.
+
+This is the package's lowest module, so the one scale helper,
+:func:`unit_scaled`, lives here, and every module above takes its
+tolerances from it.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product as _iter_product
 from typing import NamedTuple
 
@@ -39,6 +44,16 @@ def as_tube(a):
     if np.iscomplexobj(a):
         return a.astype(np.complex128, copy=False)
     return a.astype(np.float64, copy=False)
+
+
+def unit_scaled(A):
+    """``(A * 2^-e, e)``, where ``e`` is the binary exponent of ``max|A|``.
+
+    The scaling is exact, and the scaled entries lie below 1 in magnitude,
+    so norms of the scaled tensor neither overflow nor underflow.
+    """
+    e = math.frexp(float(np.max(np.abs(A))))[1]
+    return np.ldexp(A, -e), e
 
 
 def unit_tube(p):
@@ -143,37 +158,43 @@ class SqrtRoot(NamedTuple):
 
 
 def tubal_sqrt_all(b):
-    """Enumerate all real tubal square roots of a real tube ``b``.
+    """Enumerate all real tubal square roots of a finite real tube ``b``.
 
-    Every root is a conjugate-symmetric choice of branch for the DFT values
-    ``sqrt(fft(b))`` (principal square root or its negation, per bin), so
-    at most ``2 ** (p // 2 + 1)`` sign patterns are tried.  Candidates whose
-    inverse transform has an imaginary part above ``1e-10`` (max-abs), or
-    whose defining residual ``max|a (*) a - b|`` exceeds ``1e-10``, are
-    discarded; exact duplicates (which arise from zero bins) are removed.
-    The ``nonnegative`` flag is ``True`` when every entry is ``>= -1e-10``.
+    ``a (*) a = b`` is ``fft(a) ** 2 = fft(b)`` bin by bin, so each root
+    takes, on every bin ``k <= p // 2`` of ``B = rfft(b)``, one of the two
+    square roots of ``B[k]``; bins ``p - k`` follow by conjugate symmetry,
+    and ``irfft`` makes the root real by construction.  With ``e`` the
+    exponent of :func:`unit_scaled` ``b``, bins within ``1e-10 * 2^e`` of
+    zero are zero, and a self-conjugate bin (``0`` and, for even ``p``,
+    ``p/2``) below ``-1e-10 * 2^e`` has no real square root, so there is
+    no root.  Otherwise there is one root per sign pattern on the nonzero
+    bins, ``2 ** k`` for ``k`` of them, all distinct: the sign of bin 0 is
+    the most significant, and ``+`` (the principal root) comes first.  A
+    root whose residual ``max|a (*) a - b|`` exceeds ``1e-10 * 2^e`` is
+    dropped.  The ``nonnegative`` flag is ``True`` when every entry of the
+    root is ``>= -1e-10 * 2^e'``, ``e'`` the exponent of the root.
     """
     b = as_tube(b)
     if np.iscomplexobj(b):
         raise ValueError("tubal_sqrt_all expects a real tube")
+    if not np.isfinite(b).all():
+        raise ValueError("tubal_sqrt_all expects a finite tube: the tube "
+                         "holds nan or inf")
     p = b.shape[0]
-    h = p // 2 + 1
-    bh = np.fft.fft(b)
-    principal = np.sqrt(bh[:h].astype(np.complex128))
+    tol = np.ldexp(1e-10, unit_scaled(b)[1])
+    B = np.fft.rfft(b)
+    if (B.real[[0, -1] if p % 2 == 0 else [0]] < -tol).any():
+        return []
+    B[np.abs(B) <= tol] = 0.0
+    principal = np.sqrt(B)
+    live = np.flatnonzero(principal)
     roots = []
-    for signs in _iter_product((1.0, -1.0), repeat=h):
-        full = np.zeros(p, dtype=np.complex128)
-        full[:h] = np.asarray(signs) * principal
-        for k in range(1, (p - 1) // 2 + 1):
-            full[p - k] = np.conj(full[k])
-        a = np.fft.ifft(full)
-        if np.max(np.abs(a.imag)) > 1e-10:
+    for signs in _iter_product((1.0, -1.0), repeat=live.size):
+        half = principal.copy()
+        half[live] *= signs
+        a = np.fft.irfft(half, n=p)
+        if np.max(np.abs(tube_mul(a, a) - b)) > tol:
             continue
-        a = a.real
-        if np.max(np.abs(tube_mul(a, a) - b)) > 1e-10:
-            continue
-        if any(np.array_equal(a, r.tube) for r in roots):
-            continue
-        roots.append(SqrtRoot(a, bool(np.all(a >= -1e-10))))
+        floor = np.ldexp(-1e-10, unit_scaled(a)[1])
+        roots.append(SqrtRoot(a, bool(np.all(a >= floor))))
     return roots
-

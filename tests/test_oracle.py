@@ -19,7 +19,8 @@ from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
                                   oracle_quadform_matrices, oracle_ted_check,
                                   oracle_tprod)
 from tubal_spectra.spectral import quadform, ted
-from tubal_spectra.tensor3 import identity, unfold_mat, write_tensor3
+from tubal_spectra.tensor3 import (identity, unfold_mat, unit_scaled,
+                                   write_tensor3)
 
 RNG = np.random.default_rng(20260814)
 
@@ -175,10 +176,16 @@ def test_exact_psd_negative_identity():
     assert ex.witness_value < 0.0
 
 
+def _diagonal_slice(*values):
+    return np.diag(values)[:, :, None]
+
+
 def test_exact_psd_oracle_threshold_is_inclusive():
-    # p = 1: the one polarization matrix is the 1 x 1 slice itself.
-    assert oracle_psd_exact(-1e-10 * identity(1, 1)).label == ELEMENTWISE_PSD
-    ex = oracle_psd_exact(-1.5e-10 * identity(1, 1))
+    # p = 1: the one polarization matrix is the slice itself.  Its largest
+    # entry, 0.75, puts unit_scaled at e = 0, so the bound is -1e-10.
+    ex = oracle_psd_exact(_diagonal_slice(0.75, -1e-10))
+    assert ex.label == ELEMENTWISE_PSD
+    ex = oracle_psd_exact(_diagonal_slice(0.75, -1.5e-10))
     assert (ex.label, ex.witness_value) == (NOT_ELEMENTWISE_PSD, -1.5e-10)
 
 
@@ -237,9 +244,11 @@ def test_ted_check_eigenpair_residual_matches_shift_loop():
         noise = replace(T, u=rng.standard_normal(T.u.shape),
                         eigentuples=rng.standard_normal(T.eigentuples.shape))
         for B, result in ((A, T), (rng.standard_normal(A.shape), noise)):
+            # The check certifies unit_scaled(B): residuals times 2^-e.
+            S, e = unit_scaled(B)
             found = _eigenpair_check(B, result).residual
-            expected = oracle_eigenpair_by_loop(B, result)
-            bound = 1e-13 * max(1.0, float(np.linalg.norm(B)))
+            expected = np.ldexp(oracle_eigenpair_by_loop(B, result), -e)
+            bound = 1e-13 * max(1.0, float(np.linalg.norm(S)))
             assert abs(found - expected) <= bound, A.shape
 
 

@@ -11,8 +11,8 @@ from helpers import (CORE_SHAPES, exactly_scaled, load_script, near_tsym,
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
-from tubal_spectra.errors import (NotTSymmetric, ShapeError, TubalError,
-                                  ZeroMatrix)
+from tubal_spectra.errors import (NotBlockCirculant, NotTSymmetric,
+                                  ShapeError, TubalError, ZeroMatrix)
 from tubal_spectra.oracle import (ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD,
                                   oracle_psd_exact, oracle_quadform_dense,
                                   oracle_quadform_matrices, oracle_ted_check,
@@ -24,14 +24,14 @@ from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
                                     extremal_eigentuples, psd_spectral,
                                     quadform, symmetrize, ted,
                                     verify_eigenpair)
-from tubal_spectra.tensor3 import (bcirc, identity, is_f_diagonal,
+from tubal_spectra.tensor3 import (bcirc, bcirc_inv, identity, is_f_diagonal,
                                    is_t_symmetric, shift_columns, transpose,
                                    unfold_mat, unit_scaled)
 from tubal_spectra.tproduct import tprod, tprod_mat
 from tubal_spectra.transform import _ct, _norm, from_freq, to_freq
-from tubal_spectra.tsvd import tsvd, verify_checks
+from tubal_spectra.tsvd import gram_consistency, tsvd, verify_checks
 from tubal_spectra.tubal import (INCOMPARABLE, tube_action, tube_le,
-                                 tube_transpose, unit_tube)
+                                 tube_transpose, tubal_sqrt_all, unit_tube)
 
 RNG = np.random.default_rng(20260814)
 
@@ -801,6 +801,51 @@ def test_psd_classes_do_not_depend_on_the_scale(seed, e, shape, gram):
     assert ve.spectral_class == v.spectral_class
     assert ve.exact.label == v.exact.label
     assert ve.exact.component == v.exact.component
+
+
+def _block_circulant(M):
+    try:
+        bcirc_inv(M, 2)
+    except NotBlockCirculant:
+        return False
+    return True
+
+
+def _nearly_block_circulant():
+    """A 4 x 4 Gaussian matrix, which is not block circulant at p = 2, and
+    ``bcirc`` of a Gaussian tensor with one entry moved by a relative
+    2^-50, which is."""
+    rng = np.random.default_rng(3)
+    M = bcirc(rng.standard_normal((2, 2, 2)))
+    M[0, 1] *= 1 + 2.0 ** -50
+    return np.stack([rng.standard_normal((4, 4)), M])
+
+
+@pytest.mark.parametrize("verdict, X, expected", [
+    (lambda A: oracle_ted_check(A, ted(A)),
+     random_tsym(np.random.default_rng(3), 4, 5), None),
+    (lambda A: gram_consistency(A, tsvd(A)),
+     random_tensor(np.random.default_rng(3), 4, 3, 5), None),
+    (lambda A: oracle_psd_exact(A).label, -identity(2, 3),
+     NOT_ELEMENTWISE_PSD),
+    (lambda Ms: [_block_circulant(M) for M in Ms], _nearly_block_circulant(),
+     [False, True]),
+    (lambda bs: [[r.nonnegative for r in tubal_sqrt_all(b)] for b in bs],
+     np.array([[2.0, 2.0, 1.0], [-2.0, -2.0, -1.0]]),
+     [[True, True, False, False], []]),
+], ids=["oracle_ted_check", "gram_consistency", "oracle_psd_exact",
+        "bcirc_inv", "tubal_sqrt_all"])
+def test_every_verdict_takes_its_inputs_scale(verdict, X, expected):
+    # Each verdict reads its tolerances relative to 2^e of unit_scaled(X),
+    # so it is the same at every exact power-of-two scale; the certifiers'
+    # residuals are those of unit_scaled(X), the same bits at every scale.
+    found = verdict(X)
+    if expected is None:
+        assert all(c.passed is not False for c in found)
+    else:
+        assert found == expected
+    for e in (-100, -40, 34, 100):
+        assert verdict(exactly_scaled(X, e)) == found, e
 
 
 def test_psd_tol_is_relative_to_the_scale():

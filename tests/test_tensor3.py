@@ -67,6 +67,16 @@ def test_bcirc_inv_roundtrip_and_rejection():
         bcirc_inv(np.zeros((7, 4)), 2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_bcirc_inv_refuses_a_non_finite_matrix(value):
+    # nan compares false with every tolerance, so only a finiteness check
+    # keeps it from passing as block circulant.
+    M = bcirc(random_tensor(RNG, 2, 2, 3))
+    M[1, 4] = value
+    with pytest.raises(ValueError, match="nan or inf"):
+        bcirc_inv(M, 3)
+
+
 def test_fold_unfold_roundtrip():
     A = random_tensor(RNG, 4, 2, 3)
     M = unfold(A)

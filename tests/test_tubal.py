@@ -12,7 +12,8 @@ from tubal_spectra.errors import DimensionMismatch
 from tubal_spectra.tensor3 import read_tensor3
 from tubal_spectra.tubal import (INCOMPARABLE, circ, descending_chain,
                                  tube_action, tube_add, tube_le, tube_mul,
-                                 tube_transpose, tubal_sqrt_all, unit_tube)
+                                 tube_transpose, tubal_sqrt_all, unit_scaled,
+                                 unit_tube)
 
 RNG = np.random.default_rng(20260814)
 
@@ -206,6 +207,76 @@ def test_sqrt_drops_a_candidate_off_its_square(monkeypatch):
 
     monkeypatch.setattr(tubal_module, "tube_mul", off)
     assert tubal_sqrt_all(np.array([2.0, 2.0])) == []
+
+
+def _check_roots_of_square(a):
+    """Every root of ``b = a (*) a``: one per sign pattern on the bins of
+    ``rfft(b)`` beyond ``1e-10 * 2^e``, distinct, each squaring to ``b``
+    within that guard, with ``a`` and ``-a`` among them to within
+    ``1e-10`` of ``a``'s scale.  Returns the roots."""
+    b = tube_mul(a, a)
+    tol = np.ldexp(1e-10, unit_scaled(b)[1])
+    k = int(np.count_nonzero(np.abs(np.fft.rfft(b)) > tol))
+    roots = tubal_sqrt_all(b)
+    assert len(roots) == 2 ** k
+    assert len({r.tube.tobytes() for r in roots}) == len(roots)
+    for r in roots:
+        assert np.max(np.abs(tube_mul(r.tube, r.tube) - b)) <= tol
+    near = np.ldexp(1e-10, unit_scaled(a)[1])
+    for target in (a, -a):
+        assert min(np.max(np.abs(r.tube - target)) for r in roots) <= near
+    return roots
+
+
+def _half_spectrum(p, data):
+    """Bins ``0..p//2`` of a real tube: each zero or of magnitude in
+    ``[1e-3, 1]``, so at least 1e-3 of the largest; self-conjugate bins
+    real."""
+    magnitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    half = []
+    for k in range(p // 2 + 1):
+        r = data.draw(magnitudes)
+        if k == 0 or 2 * k == p:
+            half.append(r * data.draw(st.sampled_from([1.0, -1.0])))
+        else:
+            half.append(r * np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi))))
+    return np.array(half)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(-60, 60), st.data())
+def test_sqrt_finds_every_root_of_a_square(p, e, data):
+    _check_roots_of_square(np.ldexp(np.fft.irfft(_half_spectrum(p, data),
+                                                 n=p), e))
+
+
+@pytest.mark.parametrize("a, count", [
+    # Zero DC bins, which compute as roundoff: an absolute test on the
+    # imaginary part of each candidate found no root of the first and
+    # eight near-duplicates for the second.
+    ([0.3, 0.7, -1.0], 2), ([0.1, 0.2, 0.3, -0.6], 4)])
+def test_sqrt_of_a_square_with_a_zero_bin(a, count):
+    assert len(_check_roots_of_square(np.array(a))) == count
+
+
+def test_sqrt_tolerances_follow_the_scale_of_the_tube():
+    b = np.array([2.0, 2.0, 1.0])
+    assert len(tubal_sqrt_all(1e10 * b)) == 4
+    # Bin 0 is -5e-30: no real tube squares to that.
+    assert tubal_sqrt_all(-1e-30 * b) == []
+
+
+def test_sqrt_of_a_tube_with_a_negative_nyquist_bin_is_empty():
+    # rfft(b) = (1, -1.5e-10): bin p/2 is self-conjugate and below -1e-10,
+    # so there is no real root, although (0.5, 0.5), the root with that bin
+    # set to zero, squares to b within 1e-10.
+    assert tubal_sqrt_all(np.array([0.5 - 0.75e-10, 0.5 + 0.75e-10])) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_sqrt_refuses_a_non_finite_tube(value):
+    with pytest.raises(ValueError, match="nan or inf"):
+        tubal_sqrt_all(np.array([value, 1.0]))
 
 
 def test_sqrt_of_unit_tube_probe():
