@@ -29,7 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "tubal_spectra")
-MODULES = ("spectral", "tsvd", "oracle", "transform", "tproduct", "tubal")
+MODULES = ("spectral", "tsvd", "oracle", "transform", "tproduct", "tubal",
+           "tensor3")
 #: This script's own tests read the package's source, so a mutant fails
 #: them by its text alone; they are left out of the mutants' runs.
 SELF_TEST = Path("tests", "test_mutants.py")
@@ -39,15 +40,6 @@ SWAPS = {"<=": "<", "<": "<=", ">=": ">", ">": ">=", "==": "!=", "!=": "==",
 #: Survivors equivalent in practice, with the reason, keyed as :func:`mutants`
 #: keys them.
 ACCEPTED = {
-    "spectral: `slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))`"
-    " max -> min":
-        "first components are sorted to roundoff, far inside either slack",
-    "spectral: `slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))`"
-    " max -> min #2":
-        "first components are sorted to roundoff, far inside either slack",
-    "spectral: `sorted_ok = bool(np.all(firsts[1:] <= firsts[:-1] + slack))`"
-    " <= -> <":
-        "differs only when two first components differ by exactly the slack",
     "spectral: `if value >= -tol:` >= -> >":
         "the witness value is its eigenvalue to roundoff, already below -tol",
     "oracle: `if vec[np.argmax(np.abs(vec))] < 0.0:` < -> <=":
@@ -63,6 +55,36 @@ ACCEPTED = {
         "differs only at a square residual of exactly 1e-10 * 2^e",
     "tubal: `roots.append(SqrtRoot(a, bool(np.all(a >= floor))))` >= -> >":
         "differs only for a root with an entry of exactly -1e-10 * 2^e",
+    "tensor3: `if s >= 0:  # R = round(10^s * 2^(105 - b)), 2^b <= 10^s"
+    " < 2^(b + 1)` >= -> >":
+        "at s = 0 the other branch stores 10^0 as 2 * 2^-1, and scaling by "
+        "it is exact either way",
+    "tensor3: `R = N << (105 - b) if b <= 105 else (N >> (b - 106)) + 1 >> 1`"
+    " <= -> <":
+        "no power of ten lies in [2^105, 2^106), so no row has b = 105",
+    "tensor3: `low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))` < -> <= #2":
+        "q = 1e16 exactly rescales to 1e17, which the carry turns back into "
+        "the same digits and exponent",
+    "tensor3: `high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))` > -> >=":
+        "a first-pass q within ulp(1e17) / 2 below 1e17 needs a double within "
+        "8e-17 below a power of ten whose log10 floors below it; none has",
+    "tensor3: `high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))` >= -> >":
+        "q = 1e17 exactly gives D = 10^17, which the carry writes as the "
+        "rescaled row would",
+    "tensor3: `tie = np.abs(lo - r) > 0.5 - 1e-6` > -> >=":
+        "a value marked as a tie is written by %.17g, the reference, so one "
+        "more mark changes no byte",
+    "tensor3: `src[:, _SIGN] = (x < 0) * np.uint8(ord(\"-\"))` < -> <=":
+        "_number_rows never sees a zero: _text_rows writes zeros itself",
+    "tensor3: `src[sci, _EXP] = np.where(e[sci] < 0, ord(\"-\"), ord(\"+\"))`"
+    " < -> <=":
+        "sci holds only exponents outside -4..16, never 0",
+    "tensor3: `if blocks.size < _SMALL:` < -> <=":
+        "at exactly _SMALL values both formatters write the same bytes",
+    "tensor3: `near = np.flatnonzero(np.abs(twice.astype(np.float64)) > a *"
+    " 2.0 ** -54)` > -> >=":
+        "the filter only preselects: 2 |ld - d| = |d| * 2^-54 fails both "
+        "exact tests after it",
 }
 
 

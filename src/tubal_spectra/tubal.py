@@ -17,7 +17,8 @@ and written by the one text codec in :mod:`tubal_spectra.tensor3`.
 
 This is the package's lowest module, so the one scale helper,
 :func:`unit_scaled`, lives here, and every module above takes its
-tolerances from it.
+tolerances from it; :func:`checked_tol` refuses a user's tolerance that is
+nan, infinite or negative, where every verdict that reads one reads it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def unit_scaled(A):
     """
     e = math.frexp(float(np.max(np.abs(A))))[1]
     return np.ldexp(A, -e), e
+
+
+def checked_tol(tol):
+    """``tol``, or ``ValueError`` unless it is finite and nonnegative: a
+    nan, infinite or negative tolerance would turn every verdict that reads
+    it into a wrong label.  ``0`` is valid."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def unit_tube(p):

@@ -96,6 +96,14 @@ def exactly_scaled(A, e):
     return Ae if np.array_equal(np.ldexp(Ae, -e), A) else None
 
 
+def first_components_descend(result):
+    """Whether a ``TedResult``'s first components descend, within the
+    roundoff slack ``1e-12 * max(1, max|eigentuples|)``."""
+    firsts = result.eigentuples[:, 0]
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(result.eigentuples))))
+    return bool(np.all(firsts[1:] <= firsts[:-1] + slack))
+
+
 def rel_err(found, expected):
     scale = max(float(np.linalg.norm(found)),
                 float(np.linalg.norm(expected)), 1.0)

@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
-from helpers import (ACCEPTANCE_TIMES, random_tensor, random_tsym,
-                     record_acceptance, record_finding, rel_err)
+from helpers import (ACCEPTANCE_TIMES, first_components_descend,
+                     random_tensor, random_tsym, record_acceptance,
+                     record_finding, rel_err)
 from tubal_spectra.oracle import (NOT_ELEMENTWISE_PSD, oracle_psd_exact,
                                   oracle_tprod)
 from tubal_spectra.spectral import (SPECTRAL_NOT_PSD, SPECTRAL_PD,
@@ -171,7 +172,7 @@ def test_criterion_5_ordering_report():
     start = time.perf_counter()
     suite = _ted_suite()
     multi = [r for _, r in suite if r.eigentuples.shape[0] > 1]
-    sorted_ok = [bool(r.first_components_sorted) for _, r in suite]
+    sorted_ok = [first_components_descend(r) for _, r in suite]
     chain_true = sum(1 for r in multi if r.elementwise_chain is True)
     fraction = chain_true / len(multi) if multi else 1.0
     record_finding(

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (CORE_SHAPES, exactly_scaled, load_script, near_tsym,
-                     random_tensor, random_tsym, record_finding, rel_err,
-                     ted_by_loop, tsvd_by_loop)
+from helpers import (CORE_SHAPES, exactly_scaled, first_components_descend,
+                     load_script, near_tsym, random_tensor, random_tsym,
+                     record_finding, rel_err, ted_by_loop, tsvd_by_loop)
 from tubal_spectra import spectral as spectral_module
 from tubal_spectra import tproduct as tproduct_module
 from tubal_spectra import tsvd as tsvd_module
@@ -49,11 +49,42 @@ def test_ted_invariants_random():
         assert T.eigenpair_max <= 1e-9
         assert is_f_diagonal(T.d)
         assert is_t_symmetric(T.d)
-        assert T.first_components_sorted
+        assert first_components_descend(T)
         assert T.eigentuples.shape == (n, p)
         # per-slice descending frequency eigenvalues
         lam = T.frequency_eigenvalues
         assert np.all(lam[1:, :] <= lam[:-1, :] + 1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["t-symmetric", "gram", "identity"]),
+       st.integers(1, 7), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_first_components_are_sorted_by_construction(kind, n, p, seed):
+    # Each first component is the mean of one descending bin entry per
+    # frequency, so the order needs no check: random T-symmetric tensors,
+    # rank-deficient Grams B * B^T, and c * identity, whose first
+    # components tie.
+    rng = np.random.default_rng(seed)
+    if kind == "t-symmetric":
+        A = random_tsym(rng, n, p)
+    elif kind == "gram":
+        B = random_tensor(rng, n, int(rng.integers(1, max(n, 2))), p)
+        A = tprod(B, transpose(B))
+    else:
+        A = rng.uniform(-5.0, 5.0) * identity(n, p)
+    assert first_components_descend(ted(A))
+
+
+def test_a_column_transform_is_the_column_of_the_transform():
+    # exact_psd transforms only its witness column of U: bit for bit the
+    # column of the whole transform.
+    rng = np.random.default_rng(33)
+    for n, p in CORE_SHAPES:
+        T = ted(random_tsym(rng, n, p))
+        whole = to_freq(T.u)
+        for j in range(n):
+            column = to_freq(T.u[:, [j], :])[:, :, 0]
+            assert column.tobytes() == whole[:, :, j].tobytes(), (n, p, j)
 
 
 def test_ted_batched_core_matches_per_slice_loop():
@@ -874,6 +905,35 @@ def test_psd_thresholds_are_inclusive_as_documented():
     assert classify_ted(T, below).spectral_class == SPECTRAL_NOT_PSD
     assert exact_psd(N, T, 0.5).label == ELEMENTWISE_PSD
     assert exact_psd(N, T, below).witness_value == -1.0
+
+
+#: Every library entry point that reads a tolerance, on 3 * identity(3, 4):
+#: PSD by its eigentuple entries, of which the smallest is 0, and not
+#: elementwise PSD, with exact minimum -3.
+_TOL_READERS = {
+    "is_t_symmetric": lambda A, tol: is_t_symmetric(A, tol),
+    "ted": lambda A, tol: ted(A, tol),
+    "psd_spectral": lambda A, tol: psd_spectral(A, tol=tol),
+    "classify_ted": lambda A, tol: classify_ted(ted(A), tol),
+    "exact_psd": lambda A, tol: exact_psd(A, ted(A), tol),
+}
+
+
+@pytest.mark.parametrize("name", _TOL_READERS)
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_tolerances_refuse_nan_inf_and_negative(name, tol):
+    # nan read as NOT_PSD_BY_CRITERION and NotTSymmetric, -1 as PD and inf
+    # as ELEMENTWISE_PSD below a minimum of -3.
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        _TOL_READERS[name](3 * identity(3, 4), tol)
+
+
+def test_a_zero_tolerance_is_valid():
+    for read in _TOL_READERS.values():
+        read(3 * identity(3, 4), 0.0)
+    v = psd_spectral(3 * identity(3, 4), tol=0.0)
+    assert (v.spectral_class, v.exact.label) == (SPECTRAL_PSD,
+                                                 NOT_ELEMENTWISE_PSD)
 
 
 def test_exact_psd_of_huge_constant_tubes_is_elementwise_psd():

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from helpers import random_tensor, random_tsym
 from tubal_spectra import tensor3
 from tubal_spectra.errors import NotBlockCirculant, ShapeError
-from tubal_spectra.tensor3 import (HEADERS, bcirc, bcirc_inv, fold,
-                                   fold_mat, identity, is_f_diagonal,
+from tubal_spectra.tensor3 import (HEADERS, as_matslice, bcirc, bcirc_inv,
+                                   fold, fold_mat, identity, is_f_diagonal,
                                    is_standard_form, is_t_symmetric,
                                    read_tensor3, shift_columns,
                                    tensor3_from_text, tensor3_text,
@@ -74,6 +74,20 @@ def test_bcirc_inv_refuses_a_non_finite_matrix(value):
     M = bcirc(random_tensor(RNG, 2, 2, 3))
     M[1, 4] = value
     with pytest.raises(ValueError, match="nan or inf"):
+        bcirc_inv(M, 3)
+
+
+def test_bcirc_inv_accepts_a_deviation_of_exactly_its_tolerance():
+    # max|M| = 1.5 gives e = 1, so the tolerance is 2e-10: a block that
+    # deviates by exactly that is not "more than" it.
+    A = np.zeros((2, 2, 3))
+    A[0, 0, 0] = 1.5
+    M = bcirc(A)
+    tol = np.ldexp(1e-10, 1)
+    M[0, 2] = tol  # block (0, 1), outside the first block column
+    assert np.array_equal(bcirc_inv(M, 3), A)
+    M[0, 2] = np.nextafter(tol, 1.0)
+    with pytest.raises(NotBlockCirculant):
         bcirc_inv(M, 3)
 
 
@@ -257,6 +271,19 @@ def test_text_writer_rejects_non_finite(kind, value):
     X.flat[-1] = value
     with pytest.raises(ValueError, match="finite"):
         tensor3_text(X)
+
+
+@pytest.mark.parametrize("size", [10, 300])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_text_rows_refuses_non_finite(size, value):
+    # Below and above _SMALL: both formatters, no warning on the way.
+    X = np.linspace(1.0, 2.0, size)
+    X[size // 2] = value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="finite values only"):
+            tensor3.text_rows(X)
+    assert caught == []
 
 
 @pytest.mark.parametrize("X, error", [
@@ -529,6 +556,21 @@ def test_long_double_parse_rounds_as_float(monkeypatch):
                           _bits(X))
 
 
+@pytest.mark.parametrize("k", [0, 1, -3, 10, 100, -1000, 1023])
+def test_decimals_beside_the_midpoint_below_a_power_of_two_read_as_float(k):
+    # Below 2^k the doubles are twice as dense, so the midpoint 2^k (1 -
+    # 2^-54) lies a quarter of 2^k's spacing from 2^k.  A decimal just
+    # beside it parses to that midpoint as a long double, whose cast rounds
+    # to 2^k: right just above it, wrong just below.
+    with localcontext() as ctx:
+        ctx.prec = 800
+        mid = Decimal(2) ** k * (1 - Decimal(2) ** -54)
+        for delta in (-1, 1):
+            token = format(mid * (1 + delta * Decimal("1e-30")), ".45e")
+            got = tensor3_from_text(f"TUBE 1\n1\n{token}\n", 1)
+            assert np.array_equal(_bits(got), _bits([float(token)])), token
+
+
 #: Zeros of both signs and subnormals, the smallest normal and its
 #: neighbours, as a tube, a matrix and a tensor.
 _TINY = np.concatenate([
@@ -620,3 +662,13 @@ def test_shape_validation():
         unfold(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         bcirc(np.zeros((2, 0, 2)))
+    # Empty matrix slices and zero slice counts: ShapeError, not an
+    # empty result, ZeroDivisionError or IndexError.
+    for call in (lambda: as_matslice(np.zeros((0, 3))),
+                 lambda: as_matslice(np.zeros((3, 0))),
+                 lambda: bcirc_inv(np.zeros((2, 2)), 0),
+                 lambda: fold(np.zeros((2, 2)), 0),
+                 lambda: fold_mat(np.zeros(4), 0),
+                 lambda: identity(2, 0)):
+        with pytest.raises(ShapeError):
+            call()
