@@ -18,6 +18,9 @@ LAPACK failure), 3 verification failure.
 
 Every command is one entry of :data:`COMMANDS`, and one parser, built
 on first use, parses every call's whole ``argv`` (:func:`build_parser`).
+:func:`main` is the one entry: ``python -m tubal_spectra``
+(:mod:`tubal_spectra.__main__`) and the ``tubal-spectra`` console script
+call it.
 """
 
 from __future__ import annotations
@@ -435,7 +438,3 @@ def main(argv=None):
     except TubalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

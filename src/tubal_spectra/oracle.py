@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, TubalError
-from .tensor3 import (as_matslice, as_tensor3, bcirc, fold, fold_mat,
+from .tensor3 import (as_tensor3, bcirc, fold, fold_mat, form_operands,
                       require_square, transpose, unfold, unfold_mat,
                       unit_scaled)
 
@@ -104,13 +104,9 @@ def _quadform_dense(bcA, X, p):
 
 
 def oracle_quadform_dense(A, X):
-    """T-quadratic form of ``A`` at ``X`` by the dense route."""
-    A = require_square(A)
-    X = as_matslice(X)
-    if X.shape != (A.shape[0], A.shape[2]):
-        raise ShapeError(
-            f"matrix slice of shape {X.shape} does not match tensor of "
-            f"shape {A.shape}")
+    """T-quadratic form of ``A`` at ``X`` by the dense route; the operands
+    are checked by :func:`~tubal_spectra.tensor3.form_operands`."""
+    A, X = form_operands(A, X)
     return _quadform_dense(bcirc(A), X, A.shape[2])
 
 

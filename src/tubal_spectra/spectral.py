@@ -61,9 +61,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTSymmetric, ShapeError, TubalError, ZeroMatrix
+from .errors import NotTSymmetric, TubalError, ZeroMatrix
 from .oracle import ELEMENTWISE_PSD, NOT_ELEMENTWISE_PSD, ExactPsdResult
-from .tensor3 import (as_matslice, is_t_symmetric, require_square,
+from .tensor3 import (form_operands, is_t_symmetric, require_square,
                       shift_columns, transpose, unit_scaled)
 from .transform import (_ct, _factor_half, _full_spectrum, _norm, from_freq,
                         to_freq)
@@ -226,9 +226,12 @@ def eigenmatrices(result, j):
 
 
 def verify_eigenpair(A, d, X):
-    """Residual ``||A * X - d act X||_F / ||X||_F`` for a candidate pair."""
-    A = require_square(A)
-    X = as_matslice(X)
+    """Residual ``||A * X - d act X||_F / ||X||_F`` for a candidate pair.
+
+    ``A`` and ``X`` are checked by :func:`~tubal_spectra.tensor3.form_operands`
+    before a zero ``X`` raises :class:`ZeroMatrix`.
+    """
+    A, X = form_operands(A, X)
     norm = float(np.linalg.norm(X))
     if norm == 0.0:
         raise ZeroMatrix("eigenpair residual is undefined for a zero matrix")
@@ -243,14 +246,10 @@ def extremal_eigentuples(result):
 def quadform(A, X):
     """T-quadratic form ``F_A(X) = X^T * A * X`` as a tube.
 
-    ``X`` is an ``(n, p)`` matrix slice embedded as an ``n x 1 x p`` tensor.
+    ``X`` is an ``(n, p)`` matrix slice embedded as an ``n x 1 x p`` tensor;
+    :func:`~tubal_spectra.tensor3.form_operands` checks both operands.
     """
-    A = require_square(A)
-    X = as_matslice(X)
-    if X.shape != (A.shape[0], A.shape[2]):
-        raise ShapeError(
-            f"matrix slice of shape {X.shape} does not match tensor of "
-            f"shape {A.shape}")
+    A, X = form_operands(A, X)
     Xt = X[:, None, :]
     return tprod(tprod(transpose(Xt), A), Xt)[0, 0, :]
 
@@ -277,15 +276,11 @@ def expand_in_eigenbasis(result, X):
 
     Returns ``alpha`` with ``alpha[j, k] = <U_j^[k], X>_F``; summing
     ``alpha[j, k] * U_j^[k]`` reconstructs ``X`` and
-    ``sum(alpha ** 2) == ||X||_F ** 2``.
+    ``sum(alpha ** 2) == ||X||_F ** 2``.  ``X`` must fit ``result.u``, as
+    :func:`~tubal_spectra.tensor3.form_operands` checks.
     """
-    X = as_matslice(X)
-    n, _, p = result.u.shape
-    if X.shape != (n, p):
-        raise ShapeError(
-            f"matrix slice of shape {X.shape} does not match factors of "
-            f"shape {result.u.shape}")
-    return tprod(transpose(result.u), X[:, None, :])[:, 0, :]
+    U, X = form_operands(result.u, X)
+    return tprod(transpose(U), X[:, None, :])[:, 0, :]
 
 
 def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
@@ -297,8 +292,11 @@ def psd_spectral(A, tol=1e-10, auto_symmetrize=False):
     shares the first form component (the classical form) with ``A``.  Input
     outside ted's symmetry gate raises :class:`NotTSymmetric` unless
     ``auto_symmetrize`` is set; then that tensor is formed without overflow
-    and ``symmetrized`` is set.  ``exact`` holds :func:`exact_psd`.
+    and ``symmetrized`` is set.  ``exact`` holds :func:`exact_psd`.  A
+    ``tol`` that is not finite and nonnegative raises ``ValueError`` before
+    any decomposition (:func:`~tubal_spectra.tubal.checked_tol`).
     """
+    tol = checked_tol(tol)
     A, symmetrized = require_square(A), False
     try:
         result = ted(A)

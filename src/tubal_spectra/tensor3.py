@@ -9,6 +9,8 @@ A *matrix slice* is an ``(n, p)`` matrix identified with an ``n x 1 x p``
 tensor: column ``j`` of the matrix is frontal slice ``j`` of the tensor.
 ``unfold_mat`` flattens it to the length ``n*p`` vector ``bcirc`` acts on,
 and ``shift_columns`` implements the cyclic column shift ``X -> X^[k]``.
+``as_tensor3`` and ``as_matslice`` share one coercer, and ``form_operands``
+is the one check that a matrix slice fits a T-square tensor.
 
 The tensor transpose reverses the order of frontal slices 2..p and
 transposes each one, so that ``bcirc(transpose(A)) == bcirc(A).T``.  On
@@ -17,7 +19,7 @@ tubes that is the index map ``k -> -k mod p``, one gather.
 Tensors, matrix slices and tubes share one text codec: a header picked by
 ``ndim`` from ``HEADERS``, a size line, then rows of 17-digit decimals.  Its
 reader rejects another kind's header, bad sizes or rows, and non-finite values;
-its writer rejects complex and non-finite values.
+its writer rejects complex and non-finite values, in :func:`_body`.
 
 The reader has two paths, and the text picks one.  ASCII text that opens
 with the header and size line as the writer writes them, holds at least one
@@ -68,28 +70,27 @@ from .errors import NotBlockCirculant, ShapeError
 from .tubal import checked_tol, descending_chain, unit_scaled
 
 
+def _coerced(X, ndim, noun, kind):
+    """``X`` as a nonempty real float64 array of ``ndim`` dimensions, else
+    :class:`ShapeError` naming ``noun`` (what ``X`` failed to convert to) or
+    ``kind`` (the shape it lacks)."""
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"expected a real {noun}: {exc}") from exc
+    if X.ndim != ndim or min(X.shape) == 0:
+        raise ShapeError(f"expected a nonempty {kind}, got shape {X.shape}")
+    return X
+
+
 def as_tensor3(A):
     """Coerce ``A`` to a real float64 ``(m, n, p)`` array."""
-    try:
-        A = np.asarray(A, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"expected a real tensor: {exc}") from exc
-    if A.ndim != 3 or min(A.shape) == 0:
-        raise ShapeError(
-            f"expected a nonempty third-order tensor, got shape {A.shape}")
-    return A
+    return _coerced(A, 3, "tensor", "third-order tensor")
 
 
 def as_matslice(X):
     """Coerce ``X`` to a real float64 ``(n, p)`` matrix slice."""
-    try:
-        X = np.asarray(X, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"expected a real matrix: {exc}") from exc
-    if X.ndim != 2 or min(X.shape) == 0:
-        raise ShapeError(
-            f"expected a nonempty 2-D matrix, got shape {X.shape}")
-    return X
+    return _coerced(X, 2, "matrix", "2-D matrix")
 
 
 def require_square(A):
@@ -99,6 +100,18 @@ def require_square(A):
         raise ShapeError(
             f"expected square frontal slices, got shape {A.shape}")
     return A
+
+
+def form_operands(A, X):
+    """The operands of a T-quadratic form: ``A`` as a T-square ``(n, n,
+    p)`` tensor (:func:`require_square`) and ``X`` as an ``(n, p)`` matrix
+    slice of its size, else :class:`ShapeError`."""
+    A, X = require_square(A), as_matslice(X)
+    if X.shape != (A.shape[0], A.shape[2]):
+        raise ShapeError(
+            f"matrix slice of shape {X.shape} does not match tensor of "
+            f"shape {A.shape}")
+    return A, X
 
 
 def bcirc(A):
@@ -427,8 +440,6 @@ def tensor3_text(X):
     Values are formatted as :data:`_FMT` does (see :func:`_body`).
     """
     X = np.asarray(X)
-    if np.iscomplexobj(X):
-        raise ValueError("text files store real values only")
     if X.ndim not in HEADERS or X.size == 0:
         raise ShapeError(f"no text format for an array of shape {X.shape}")
     return (HEADERS[X.ndim] + "\n" + " ".join(map(str, X.shape))
@@ -438,9 +449,9 @@ def tensor3_text(X):
 def text_rows(X):
     """The rows of a nonempty 1-D or 2-D array ``X``, as
     :func:`tensor3_text` writes the body of a TUBE or MAT: each row its
-    values, space-separated.  A nan or inf raises ``ValueError``, as
-    :func:`tensor3_text` does."""
-    return _body(np.asarray(X, dtype=np.float64)).split("\n")[:-1]
+    values, space-separated.  A complex value, nan or inf raises
+    ``ValueError``, as :func:`tensor3_text` does."""
+    return _body(np.asarray(X)).split("\n")[:-1]
 
 
 #: Below this many values, ``_FMT %`` per value beats the numpy kernel and
@@ -454,7 +465,9 @@ def _body(X):
     newline and each tensor slice but the last by a blank line.  The one
     choice of formatter: ``_FMT %`` per value below :data:`_SMALL` values,
     else numpy, in chunks of :data:`_CHUNK`.  Both writers' one check of
-    finiteness: a nan or inf raises ``ValueError``."""
+    values: a complex array, nan or inf raises ``ValueError``."""
+    if np.iscomplexobj(X):
+        raise ValueError("text files store real values only")
     if not np.isfinite(X).all():
         raise ValueError("text files store finite values only")
     blocks = (X.transpose(2, 0, 1) if X.ndim == 3

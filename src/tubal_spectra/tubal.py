@@ -1,19 +1,23 @@
 """The tubal-scalar ring and its circulant-matrix representation.
 
-A *tube* is a length-``p`` vector.  Tubes form a commutative ring under
-entrywise addition and the product ``a (*) b = circ(a) @ b``, which is
-circular convolution; the multiplicative unity is ``e = (1, 0, ..., 0)``.
-``circ(a)`` is the ``p x p`` circulant matrix whose first column is ``a``,
-so ``circ`` is a ring homomorphism onto circulant matrices and the DFT
-diagonalizes every product.
+A *tube* is a real length-``p`` vector, and :func:`as_tube` refuses
+complex input.  Tubes form a commutative ring under entrywise addition and
+the product ``a (*) b = circ(a) @ b``, which is circular convolution; the
+multiplicative unity is ``e = (1, 0, ..., 0)``.  ``circ(a)`` is the ``p x
+p`` circulant matrix whose first column is ``a``, so ``circ`` is a ring
+homomorphism onto circulant matrices and the DFT diagonalizes every
+product.
 
 The DFT convention is numpy's: unnormalized forward transform, inverse
 scaled by ``1/p``.  The eigenvalues of ``circ(a)`` are exactly
 ``np.fft.fft(a)``.
 
 Tubes also act on matrices: ``tube_action(a, X) = X @ circ(a)`` treats each
-row of ``X`` as a tube and convolves it with ``a``.  Tube files are read
-and written by the one text codec in :mod:`tubal_spectra.tensor3`.
+row of ``X`` as a tube and convolves it with ``a``.  The binary operations
+take their operands from one check of kind and length, :func:`_tube_pair`,
+and the partial order of :func:`tube_le` is :func:`descending_chain` of two
+rows.  Tube files are read and written by the one text codec in
+:mod:`tubal_spectra.tensor3`.
 
 This is the package's lowest module, so the one scale helper,
 :func:`unit_scaled`, lives here, and every module above takes its
@@ -31,19 +35,23 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-#: Sentinel returned by :func:`tube_le` when two tubes are not elementwise
-#: comparable in either direction.
+#: Sentinel returned by :func:`descending_chain` and :func:`tube_le` when
+#: two tubes are not elementwise comparable in either direction.
 INCOMPARABLE = "incomparable"
 
 
 def as_tube(a):
-    """Coerce ``a`` to a 1-D tube array (float64, or complex128 if complex)."""
+    """Coerce ``a`` to a real float64 1-D tube array.
+
+    A tube is real: complex input raises ``ValueError``, and a shape that
+    is not nonempty 1-D raises :class:`DimensionMismatch`.
+    """
     a = np.asarray(a)
     if a.ndim != 1 or a.size == 0:
         raise DimensionMismatch(
             f"a tube must be a nonempty 1-D array, got shape {a.shape}")
     if np.iscomplexobj(a):
-        return a.astype(np.complex128, copy=False)
+        raise ValueError(f"a tube must be real, got dtype {a.dtype}")
     return a.astype(np.float64, copy=False)
 
 
@@ -81,23 +89,25 @@ def circ(a):
     return a[idx]
 
 
-def _check_same_length(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"tube lengths differ: {a.shape[0]} vs {b.shape[0]}")
+def _tube_pair(a, b):
+    """``a`` and ``b`` as tubes (:func:`as_tube`) of one length, else
+    :class:`DimensionMismatch`: the operands of every binary tube
+    operation."""
+    a, b = as_tube(a), as_tube(b)
+    if len(a) != len(b):
+        raise DimensionMismatch(f"tube lengths differ: {len(a)} vs {len(b)}")
+    return a, b
 
 
 def tube_add(a, b):
     """Ring addition (entrywise)."""
-    a, b = as_tube(a), as_tube(b)
-    _check_same_length(a, b)
+    a, b = _tube_pair(a, b)
     return a + b
 
 
 def tube_mul(a, b):
     """Ring product ``circ(a) @ b`` (circular convolution, commutative)."""
-    a, b = as_tube(a), as_tube(b)
-    _check_same_length(a, b)
+    a, b = _tube_pair(a, b)
     return circ(a) @ b
 
 
@@ -131,25 +141,20 @@ def tube_le(a, b):
 
     Returns ``True`` if ``a <= b`` elementwise, ``False`` if ``b <= a``
     elementwise, and :data:`INCOMPARABLE` otherwise.  Equal tubes compare
-    ``True``.
+    ``True``.  This is :func:`descending_chain` of the two rows ``[b, a]``.
     """
-    a, b = as_tube(a), as_tube(b)
-    _check_same_length(a, b)
-    if np.all(a <= b):
-        return True
-    if np.all(b <= a):
-        return False
-    return INCOMPARABLE
+    a, b = _tube_pair(a, b)
+    return descending_chain([b, a])
 
 
 def descending_chain(tubes):
     """Three-valued check that each tube dominates the next elementwise.
 
     ``tubes`` is a ``(c, p)`` stack, one tube per row.  Returns ``True``
-    when ``tubes[j + 1] <= tubes[j]`` for every adjacent pair,
-    :data:`INCOMPARABLE` when some adjacent pair is not comparable, and
-    ``False`` otherwise: the verdicts of :func:`tube_le` on the pairs, from
-    one comparison of adjacent rows in each direction.
+    when ``tubes[j + 1] <= tubes[j]`` elementwise for every adjacent pair,
+    :data:`INCOMPARABLE` when some adjacent pair is comparable in neither
+    direction, and ``False`` otherwise, from one comparison of adjacent
+    rows in each direction.
     """
     tubes = np.asarray(tubes)
     down = np.all(tubes[1:] <= tubes[:-1], axis=-1)
@@ -185,8 +190,6 @@ def tubal_sqrt_all(b):
     root is ``>= -1e-10 * 2^e'``, ``e'`` the exponent of the root.
     """
     b = as_tube(b)
-    if np.iscomplexobj(b):
-        raise ValueError("tubal_sqrt_all expects a real tube")
     if not np.isfinite(b).all():
         raise ValueError("tubal_sqrt_all expects a finite tube: the tube "
                          "holds nan or inf")

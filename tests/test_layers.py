@@ -3,12 +3,13 @@
 The traced benchmark binds every name in ``perfbench/tracer.py``'s
 ``LAYERS`` with ``getattr`` at run time, so each must exist in its module.
 The 17-digit number format is spelled once, in ``tensor3``, the
-half-spectrum bin layout once, in ``transform``, and the T-symmetric part
-``(A + A^T) / 2`` once, in ``spectral``.  The CLI keeps no array formatter
-of its own: it takes an array's rows from ``tensor3.text_rows``, calls no
-``.tolist()``, and formats with ``_fmt`` only the lone scalars of
-``_scalar``.  No module reads or writes the process environment: the BLAS
-library reads its own thread variables.
+half-spectrum bin layout once, in ``transform``, the T-symmetric part
+``(A + A^T) / 2`` once, in ``spectral``, and the message of each input
+check once, in the one function that makes the check.  The CLI keeps no
+array formatter of its own: it takes an array's rows from
+``tensor3.text_rows``, calls no ``.tolist()``, and formats with ``_fmt``
+only the lone scalars of ``_scalar``.  No module reads or writes the
+process environment: the BLAS library reads its own thread variables.
 Every import inside the package is relative, so ``scripts/bench.py`` can
 load two trees into one process under different package names, and none
 is of ``fractions`` or ``decimal``, which cost every command's start-up.
@@ -149,3 +150,32 @@ def test_symmetric_part_is_spelled_only_in_spectral():
                             for sub in ast.walk(side))):
                 found.append((path.name, node.lineno, ast.unparse(node)))
     assert found == []
+
+
+def _spellings(tree):
+    """``(line, text)`` of every string constant and f-string of ``tree``,
+    ``{}`` per field of an f-string (whose parts are not listed again)."""
+    parts = {id(part) for node in ast.walk(tree)
+             if isinstance(node, ast.JoinedStr) for part in node.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield node.lineno, "".join(
+                part.value if isinstance(part, ast.Constant) else "{}"
+                for part in node.values)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in parts):
+            yield node.lineno, node.value
+
+
+def test_each_input_check_is_spelled_once():
+    # One function makes each check, and every caller calls it.  tprod's
+    # "tube lengths differ: {} * {}" is the tensors' check, whose bytes the
+    # CLI prints; the needle below is the tubes' one.
+    needles = ["does not match tensor of", "expected a real",
+               "text files store real values only",
+               "tube lengths differ: {} vs {}"]
+    found = [(needle, path.name, line)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, text in _spellings(ast.parse(path.read_text("utf-8")))
+             for needle in needles if needle in text]
+    assert sorted(needle for needle, *_ in found) == needles, found

@@ -1,5 +1,7 @@
 """Eigendecomposition, eigenmatrices, quadratic forms, PSD certification."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -928,6 +930,21 @@ def test_tolerances_refuse_nan_inf_and_negative(name, tol):
         _TOL_READERS[name](3 * identity(3, 4), tol)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_psd_spectral_refuses_a_bad_tolerance_before_it_decomposes(
+        monkeypatch, tol):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ted(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_module, "ted", counted)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        psd_spectral(3 * identity(3, 4), tol=tol)
+    assert calls == []
+
+
 def test_a_zero_tolerance_is_valid():
     for read in _TOL_READERS.values():
         read(3 * identity(3, 4), 0.0)
@@ -964,3 +981,32 @@ def test_spectrum_that_overflows_once_scaled_back_raises():
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="frequency spectrum overflows"):
             decompose(A)
+
+
+#: Every function that takes a T-square tensor and a matrix slice of its
+#: size, called on ``(A, X)``; ``expand_in_eigenbasis`` takes the tensor
+#: as the factor ``u`` of ``ted(A)``, which is always square.
+_FORM_READERS = {
+    "quadform": quadform,
+    "oracle_quadform_dense": oracle_quadform_dense,
+    "verify_eigenpair": lambda A, X: verify_eigenpair(A, unit_tube(4), X),
+    "expand_in_eigenbasis": lambda A, X: expand_in_eigenbasis(ted(A), X),
+}
+
+
+@pytest.mark.parametrize("name, shape, X", [
+    *(pytest.param(name, (3, 3, 4), X, id=f"{name}-{kind}")
+      for name in _FORM_READERS
+      for kind, X in (("rows", np.ones((2, 4))),
+                      ("zero-columns", np.zeros((3, 5))))),
+    *(pytest.param(name, (3, 2, 4), np.ones((3, 4)), id=f"{name}-non-square")
+      for name in ("quadform", "oracle_quadform_dense", "verify_eigenpair")),
+])
+def test_form_operands_have_one_message(name, shape, X):
+    # The zero slice checks that verify_eigenpair checks the shape before
+    # it raises ZeroMatrix.
+    message = (f"matrix slice of shape {X.shape} does not match tensor of "
+               f"shape {shape}" if shape[0] == shape[1] else
+               f"expected square frontal slices, got shape {shape}")
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        _FORM_READERS[name](np.ones(shape), X)

@@ -286,6 +286,19 @@ def test_text_rows_refuses_non_finite(size, value):
     assert caught == []
 
 
+@pytest.mark.parametrize("size", [10, 300])
+def test_writers_refuse_complex_values(size):
+    # Below and above _SMALL, so both formatters are reached; no warning
+    # means no cast to float64 ran before _body's check.
+    X = np.linspace(1.0, 2.0, size) + 1j
+    for write in (tensor3.text_rows, tensor3.tensor3_text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="real values only"):
+                write(X)
+        assert caught == []
+
+
 @pytest.mark.parametrize("X, error", [
     (np.full((1, 1, 1), np.nan), ValueError),
     (np.ones((2, 2, 2)) * 1j, ValueError),

@@ -134,8 +134,16 @@ def test_tube_abs_and_partial_order():
 
 
 def _chain_by_pairs(tubes):
-    """``descending_chain`` by its definition: ``tube_le`` on each pair."""
-    verdicts = [tube_le(b, a) for a, b in zip(tubes, tubes[1:])]
+    """``descending_chain`` by its definition, pair by pair, with explicit
+    comparisons (``tube_le`` is ``descending_chain`` of two rows)."""
+    verdicts = []
+    for a, b in zip(tubes, tubes[1:]):
+        if np.all(b <= a):
+            verdicts.append(True)
+        elif np.all(a <= b):
+            verdicts.append(False)
+        else:
+            verdicts.append(INCOMPARABLE)
     if all(v is True for v in verdicts):
         return True
     if any(v == INCOMPARABLE for v in verdicts):
@@ -166,6 +174,25 @@ def test_mismatched_lengths_raise():
         tube_mul(np.ones(3), np.ones(4))
     with pytest.raises(DimensionMismatch):
         tube_add(np.ones(2), np.ones(5))
+
+
+@pytest.mark.parametrize("call", [
+    circ,
+    lambda z: tube_add(z, [1.0, 1.0]),
+    lambda z: tube_mul(z, [1.0, 1.0]),
+    lambda z: tube_mul([1.0, 1.0], z),
+    lambda z: tube_action(z, np.ones((3, 2))),
+    tube_transpose,
+    lambda z: tube_le(z, [1.0, 1.0]),
+    lambda z: tube_le([1.0, 1.0], z),
+    tubal_sqrt_all,
+], ids=["circ", "tube_add", "tube_mul", "tube_mul-right", "tube_action",
+        "tube_transpose", "tube_le", "tube_le-right", "tubal_sqrt_all"])
+def test_a_complex_tube_is_refused(call):
+    # A tube is real: a complex one would convolve as complex and be ordered
+    # by numpy's ordering of complex numbers.
+    with pytest.raises(ValueError, match="real"):
+        call(np.array([1 + 1j, 0]))
 
 
 # --- tubal square roots ------------------------------------------------------
